@@ -23,16 +23,10 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class FeatureMap:
-    """A named map s -> phi(s) with an optional analytic gradient.
-
-    ``grad(s)`` returns the n x n x n tensor T with
-    T[i, j, k] = d phi(s)_ij / d s_k.  When ``grad`` is None, consumers fall
-    back to central finite differences.
-    """
+    """A named map s -> phi(s), an n x n matrix indexed [endorser, endorsee]."""
 
     name: str
     eval: Callable[[np.ndarray], np.ndarray]
-    grad: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def _prestige_eval(s: np.ndarray) -> np.ndarray:
@@ -40,48 +34,14 @@ def _prestige_eval(s: np.ndarray) -> np.ndarray:
     return np.tile(s, (n, 1))
 
 
-def _prestige_grad(s: np.ndarray) -> np.ndarray:
-    n = s.shape[0]
-    t = np.zeros((n, n, n))
-    idx = np.arange(n)
-    t[:, idx, idx] = 1.0  # d s_j / d s_k = delta_jk, same for every row i
-    return t
-
-
 def _proximity_eval(s: np.ndarray) -> np.ndarray:
     diff = s[:, None] - s[None, :]
     return diff**2
 
 
-def _proximity_grad(s: np.ndarray) -> np.ndarray:
-    # d (s_i - s_j)^2 / d s_k = 2 (s_i - s_j) (delta_ik - delta_jk)
-    n = s.shape[0]
-    diff = s[:, None] - s[None, :]
-    t = np.zeros((n, n, n))
-    idx = np.arange(n)
-    t[idx, :, idx] += 2.0 * diff[idx, :]
-    t[:, idx, idx] -= 2.0 * diff[:, idx]
-    return t
-
-
-PRESTIGE = FeatureMap("prestige", _prestige_eval, _prestige_grad)
-PROXIMITY = FeatureMap("proximity", _proximity_eval, _proximity_grad)
+PRESTIGE = FeatureMap("prestige", _prestige_eval)
+PROXIMITY = FeatureMap("proximity", _proximity_eval)
 CANONICAL_FEATURES = (PRESTIGE, PROXIMITY)
-
-
-def feature_grad_fd(feature: FeatureMap, s: np.ndarray, rel_h: float = 1e-5) -> np.ndarray:
-    """Central finite-difference gradient tensor of one feature map."""
-    s = np.asarray(s, dtype=float)
-    n = s.shape[0]
-    t = np.empty((n, n, n))
-    for k in range(n):
-        h = rel_h * (1.0 + abs(s[k]))
-        sp = s.copy()
-        sm = s.copy()
-        sp[k] += h
-        sm[k] -= h
-        t[:, :, k] = (feature.eval(sp) - feature.eval(sm)) / (2.0 * h)
-    return t
 
 
 def utility(s: np.ndarray, beta, features=CANONICAL_FEATURES) -> np.ndarray:

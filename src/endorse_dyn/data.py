@@ -15,11 +15,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .choice import choice_probabilities, sample_delta, utility
-from .core import ModelParams
+from .core import EndorsementState, ModelParams
 from .errors import DomainError, FormatError
-from .scores import score
-from .sim import _step_rng
+from .sim import _steps
 
 LABEL_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
 HEADER = ("period", "source", "target", "count")
@@ -283,15 +281,9 @@ def simulate_sequence(
     """
     if periods < 1:
         raise DomainError("periods must be >= 1")
-    a = np.asarray(a0, dtype=float)
-    n = a.shape[0]
-    deltas = []
-    for t in range(periods):
-        s = score(a, params)
-        p = choice_probabilities(utility(s, params.beta), exclude_self=params.exclude_self)
-        delta = sample_delta(p, params.m, _step_rng(params.seed, t))
-        deltas.append(delta)
-        a = params.lam * a + (1.0 - params.lam) * delta
+    state = EndorsementState(a=np.asarray(a0, dtype=float))
+    n = state.n
+    deltas = [delta for _, _, delta, _ in _steps(params, state, periods)]
     if node_labels is None:
         width = len(str(n - 1))
         node_labels = tuple(f"v{idx:0{width}d}" for idx in range(n))

@@ -36,6 +36,24 @@ def _step_rng(seed: int, t: int) -> np.random.Generator:
     return np.random.default_rng((int(seed), int(t)))
 
 
+def _steps(params: ModelParams, state: EndorsementState, steps: int):
+    """The simulation loop: yield (s, p, delta, next state) for each step.
+
+    s and p are the scores and choice matrix of the state before the
+    update; delta is drawn from the generator seeded with (seed, t).
+    """
+    for t in range(steps):
+        try:
+            s = scores.score(state.a, params)
+        except NumericError as exc:
+            raise NumericError(f"score failed at step {t}: {exc}", exc.diagnostics) from exc
+        u = choice.utility(s, params.beta)
+        p = choice.choice_probabilities(u, exclude_self=params.exclude_self)
+        delta = choice.sample_delta(p, params.m, _step_rng(params.seed, t))
+        state = step(state, delta, params.lam)
+        yield s, p, delta, state
+
+
 def run(
     params: ModelParams,
     a0: np.ndarray | None = None,
@@ -55,18 +73,10 @@ def run(
     n = state.n
     gamma_hist = np.empty((steps, n))
     s_hist = np.empty((steps, n)) if record_scores else None
-    for t in range(steps):
-        try:
-            s = scores.score(state.a, params)
-        except NumericError as exc:
-            raise NumericError(f"score failed at step {t}: {exc}", exc.diagnostics) from exc
-        u = choice.utility(s, params.beta)
-        p = choice.choice_probabilities(u, exclude_self=params.exclude_self)
+    for t, (s, p, _, state) in enumerate(_steps(params, state, steps)):
         gamma_hist[t] = rank_vector(p)
         if record_scores:
             s_hist[t] = s
-        delta = choice.sample_delta(p, params.m, _step_rng(params.seed, t))
-        state = step(state, delta, params.lam)
     return Trajectory(
         gamma_t=gamma_hist,
         a_final=np.asarray(state.a),

@@ -3,11 +3,15 @@
 As the memory parameter approaches 1 the stochastic dynamics slave to a
 deterministic drift.  Each score kind has its own natural state space:
 
-* rootdegree: the state is the in-degree vector d (the square root is
-  folded into the feature maps), with drift f(d) = m*gamma(d) - d;
+* rootdegree: the state is the in-degree vector d and the features see
+  the score sqrt(d), with drift f(d) = m*gamma(d) - d;
 * pagerank: fixed points solve s = pagerank_score(m G(s)) with e^T s = n;
 * springrank: the drift is a linear solve against the regularized
   Laplacian of the current adjacency (closed form below).
+
+Everything that differs between kinds lives in one `_Kind` record per kind
+(``_KINDS``); the public functions take the kind's name and look its record
+up through `_kind`.
 
 ``two_group_equilibria`` continues fixed points with k nodes at one score
 value and n-k at another across a beta1 grid and classifies their linear
@@ -19,84 +23,48 @@ rootdegree, score units otherwise).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
 
-from .choice import (
-    CANONICAL_FEATURES,
-    FeatureMap,
-    choice_probabilities,
-    feature_grad_fd,
-    utility,
-)
+from .choice import choice_probabilities, utility
 from .core import ModelParams
 from .errors import DomainError, NumericError
-from .parallel import parallel_map
 from .scores import in_degree, out_degree, pagerank_score, springrank_score
 
-# ---------------------------------------------------------------------------
-# feature maps per score kind (state-space view)
-# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Kind:
+    """What the long-memory analysis needs to know about one score kind."""
+
+    state_of: Callable  # (a, params) -> the kind's state variable
+    to_score: Callable  # state -> the score the features see
+    score_slope: Callable  # state -> elementwise d score / d state
+    egalitarian: Callable  # (n, m) -> the egalitarian root
+    critical: Callable  # (n, m, alpha_p, alpha_s) -> critical beta1
+    root_residual: Callable  # (s, params) -> root system, zero at fixed points
+    reported_residual: Callable  # (s, params) -> residual reported per root
+    drift: Callable  # (s, a or None, params) -> closed-form drift
+    jacobian: Callable  # (s*, params) -> drift Jacobian at a fixed point
+    seeds: Callable  # (n, k, m) -> fresh two-group Newton starts (a, b)
+    nonneg: bool  # the state must stay nonnegative
 
 
-def _sqrt_prestige_eval(d: np.ndarray) -> np.ndarray:
-    n = d.shape[0]
-    return np.tile(np.sqrt(d), (n, 1))
-
-
-def _sqrt_prestige_grad(d: np.ndarray) -> np.ndarray:
-    n = d.shape[0]
-    t = np.zeros((n, n, n))
-    idx = np.arange(n)
-    with np.errstate(divide="ignore"):
-        g = 0.5 / np.sqrt(d)
-    t[:, idx, idx] = g
-    return t
-
-
-def _sqrt_proximity_eval(d: np.ndarray) -> np.ndarray:
-    r = np.sqrt(d)
-    diff = r[:, None] - r[None, :]
-    return diff**2
-
-
-def _sqrt_proximity_grad(d: np.ndarray) -> np.ndarray:
-    n = d.shape[0]
-    r = np.sqrt(d)
-    diff = r[:, None] - r[None, :]  # sqrt(d_i) - sqrt(d_j)
-    with np.errstate(divide="ignore"):
-        inv = 1.0 / r
-    t = np.zeros((n, n, n))
-    idx = np.arange(n)
-    t[idx, :, idx] += diff * inv[:, None]
-    t[:, idx, idx] -= diff * inv[None, :]
-    return t
-
-
-ROOTDEG_FEATURES = (
-    FeatureMap("prestige-sqrt", _sqrt_prestige_eval, _sqrt_prestige_grad),
-    FeatureMap("proximity-sqrt", _sqrt_proximity_eval, _sqrt_proximity_grad),
-)
-
-
-def kind_features(score_kind: str):
-    """Feature maps acting on the kind's state variable."""
-    if score_kind == "rootdegree":
-        return ROOTDEG_FEATURES
-    if score_kind in ("pagerank", "springrank"):
-        return CANONICAL_FEATURES
-    raise DomainError(f"unknown score kind {score_kind!r}")
+def _kind(score_kind: str) -> _Kind:
+    try:
+        return _KINDS[score_kind]
+    except KeyError:
+        raise DomainError(f"unknown score kind {score_kind!r}") from None
 
 
 def egalitarian_root(score_kind: str, n: int, m: int) -> np.ndarray:
-    if score_kind == "rootdegree":
-        return np.full(n, m / n)
-    if score_kind == "pagerank":
-        return np.ones(n)
-    if score_kind == "springrank":
-        return np.zeros(n)
-    raise DomainError(f"unknown score kind {score_kind!r}")
+    return _kind(score_kind).egalitarian(n, m)
+
+
+def state_of(score_kind: str, a: np.ndarray, params: ModelParams) -> np.ndarray:
+    """The kind's state variable for an adjacency (in-degree or score)."""
+    return _kind(score_kind).state_of(a, params)
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +73,8 @@ def egalitarian_root(score_kind: str, n: int, m: int) -> np.ndarray:
 
 
 def state_probabilities(score_kind: str, s: np.ndarray, beta) -> np.ndarray:
-    """Choice matrix p(s) with the kind's feature maps."""
-    return choice_probabilities(utility(s, beta, kind_features(score_kind)))
+    """Choice matrix p(s): the canonical features on the kind's score of s."""
+    return choice_probabilities(utility(_kind(score_kind).to_score(s), beta))
 
 
 def state_rate_matrix(score_kind: str, s: np.ndarray, beta) -> np.ndarray:
@@ -118,31 +86,52 @@ def state_rank_vector(score_kind: str, s: np.ndarray, beta) -> np.ndarray:
     return state_probabilities(score_kind, s, beta).mean(axis=0)
 
 
-def _combined_grad(s: np.ndarray, beta, features) -> np.ndarray:
-    """D[i,j,k] = sum_l beta_l * d phi_l(s)_ij / d s_k."""
-    n = s.shape[0]
-    d = np.zeros((n, n, n))
-    for b, feat in zip(beta, features):
-        if b == 0.0:
-            continue
-        t = feat.grad(s) if feat.grad is not None else feature_grad_fd(feat, s)
-        d += b * t
-    return d
+def _logit_derivatives(p: np.ndarray, r: np.ndarray, beta, w: np.ndarray):
+    """Weighted contractions of d p_ij / d r_k for the canonical logit.
+
+    With u_ij = beta1 r_j + beta2 (r_i - r_j)^2 and p its row softmax,
+
+        d p_ij / d r_k = delta_jk h_ij + delta_ik e_ij - p_ij h_ik
+        h_ij = p_ij (beta1 - 2 beta2 (r_i - r_j))
+        e_ij = 2 beta2 p_ij ((r_i - r_j) - sum_j' p_ij' (r_i - r_j'))
+
+    Returns (fwd, bwd) with fwd[j, k] = sum_i w_i d p_ij / d r_k and
+    bwd[j, k] = sum_i w_i d p_ji / d r_k, in O(n^2) memory.
+    """
+    b1, b2 = beta
+    diff = r[:, None] - r[None, :]
+    h = p * (b1 - 2.0 * b2 * diff)
+    e = 2.0 * b2 * p * (diff - (p * diff).sum(axis=1, keepdims=True))
+    fwd = np.diag(w @ h) + e.T * w - p.T @ (w[:, None] * h)
+    bwd = h * (w - (p @ w)[:, None]) + np.diag(e @ w)
+    return fwd, bwd
 
 
-def dprob_tensor(s: np.ndarray, beta, features) -> np.ndarray:
-    """dP[i,j,k] = d p_ij / d s_k for the logit choice built on `features`."""
-    p = choice_probabilities(utility(s, beta, features))
-    d = _combined_grad(s, beta, features)
-    # dp_ij = p_ij (du_ij - sum_j' p_ij' du_ij')
-    row_mean = np.einsum("ij,ijk->ik", p, d)
-    return p[:, :, None] * (d - row_mean[:, None, :])
+def dprob_tensor(s: np.ndarray, beta) -> np.ndarray:
+    """dP[i,j,k] = d p_ij / d s_k for the canonical logit, as an n^3 array.
+
+    A brute-force reference straight from the logit formula, for tests; the
+    solvers use the O(n^2) contractions of `_logit_derivatives`.
+    """
+    s = np.asarray(s, dtype=float)
+    p = choice_probabilities(utility(s, beta))
+    eye = np.eye(s.shape[0])
+    diff = s[:, None] - s[None, :]
+    # du[i, j, k] = d u_ij / d s_k
+    du = beta[0] * eye[None, :, :] + 2.0 * beta[1] * diff[:, :, None] * (
+        eye[:, None, :] - eye[None, :, :]
+    )
+    return p[:, :, None] * (du - np.einsum("ij,ijk->ik", p, du)[:, None, :])
 
 
 def dgamma_ds(score_kind: str, s: np.ndarray, beta) -> np.ndarray:
     """M(s)[j,k] = d gamma_j / d s_k, gamma = column means of p."""
-    dp = dprob_tensor(s, beta, kind_features(score_kind))
-    return dp.mean(axis=0)
+    kind = _kind(score_kind)
+    s = np.asarray(s, dtype=float)
+    r = kind.to_score(s)
+    p = choice_probabilities(utility(r, beta))
+    fwd, _ = _logit_derivatives(p, r, beta, np.full(s.shape[0], 1.0 / s.shape[0]))
+    return fwd * kind.score_slope(s)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +171,13 @@ def _pagerank_residual(s: np.ndarray, params: ModelParams) -> np.ndarray:
     return g.T @ s + (1.0 - a) / (a * n * n) * s.sum() - s / (a * n)
 
 
+def _pagerank_root_residual(s: np.ndarray, params: ModelParams) -> np.ndarray:
+    n = s.shape[0]
+    a = params.alpha_p
+    g = state_rate_matrix("pagerank", s, params.beta)
+    return a * n * (g.T @ s) + (1.0 - a) - s
+
+
 def pagerank_alternating_solve(
     s0: np.ndarray,
     params: ModelParams,
@@ -217,6 +213,15 @@ def _springrank_lg(gamma: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.diag(gamma) + np.eye(n) / n - (g + g.T)
 
 
+def _springrank_forcing(s: np.ndarray, params: ModelParams) -> np.ndarray:
+    """alpha_s s + m (L_G(s) s + (e/n - gamma(s))); zero at fixed points."""
+    n = s.shape[0]
+    g = state_rate_matrix("springrank", s, params.beta)
+    gamma = g.sum(axis=0)
+    lg = _springrank_lg(gamma, g)
+    return params.alpha_s * s + params.m * (lg @ s + (1.0 / n - gamma))
+
+
 def _l_alpha(a: np.ndarray, alpha_s: float) -> np.ndarray:
     lap = np.diag(in_degree(a) + out_degree(a)) - (a + a.T)
     lap[np.diag_indices_from(lap)] += alpha_s
@@ -226,13 +231,15 @@ def _l_alpha(a: np.ndarray, alpha_s: float) -> np.ndarray:
 def _solve_projected(l_alpha: np.ndarray, rhs: np.ndarray, x_mean: float) -> np.ndarray:
     """Solve l_alpha x = rhs given the exact mean of the solution.
 
+    A 2-D rhs is solved column by column, every column with mean x_mean.
+
     l_alpha has the tiny eigenvalue alpha_s on e, so rounding noise in
     rhs's e-component is amplified by 1/alpha_s.  Solve on the mean-zero
     part and reattach the analytically known mean instead.
     """
-    rhs_perp = rhs - rhs.mean()
+    rhs_perp = rhs - rhs.mean(axis=0)
     x = scipy.linalg.solve(l_alpha, rhs_perp, assume_a="pos")
-    return x - x.mean() + x_mean
+    return x - x.mean(axis=0) + x_mean
 
 
 def f_springrank(s: np.ndarray, a: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -247,34 +254,38 @@ def f_springrank(s: np.ndarray, a: np.ndarray, params: ModelParams) -> np.ndarra
     """
     s = np.asarray(s, dtype=float)
     a = np.asarray(a, dtype=float)
-    n = s.shape[0]
-    g = state_rate_matrix("springrank", s, params.beta)
-    gamma = g.sum(axis=0)
-    lg = _springrank_lg(gamma, g)
-    forcing = params.alpha_s * s + params.m * (lg @ s + (1.0 / n - gamma))
+    forcing = _springrank_forcing(s, params)
     l_alpha = _l_alpha(a, params.alpha_s)
     # exact mean of L_alpha^-1 forcing is mean(s); f negates it
     y = _solve_projected(l_alpha, forcing, s.mean())
     return -y
 
 
+def _springrank_drift(s: np.ndarray, a: np.ndarray | None, params: ModelParams) -> np.ndarray:
+    if a is None:
+        a = params.m * state_rate_matrix("springrank", s, params.beta)
+    return f_springrank(s, a, params)
+
+
 def f_drift(score_kind: str, s: np.ndarray, a: np.ndarray | None, params: ModelParams) -> np.ndarray:
-    """Unified closed-form drift; `a` is required for pagerank/springrank."""
-    if score_kind == "rootdegree":
-        return f_degree(s, params)
-    if score_kind == "springrank":
-        if a is None:
-            a = params.m * state_rate_matrix("springrank", s, params.beta)
-        return f_springrank(s, a, params)
-    if score_kind == "pagerank":
-        if a is None:
-            a = params.m * state_rate_matrix("pagerank", s, params.beta)
-        return _f_pagerank_drift(s, a, params)
-    raise DomainError(f"unknown score kind {score_kind!r}")
+    """Unified closed-form drift.
+
+    `a` is required for pagerank; for springrank it defaults to m G(s), and
+    rootdegree ignores it.
+    """
+    return _kind(score_kind).drift(s, a, params)
 
 
-def _f_pagerank_drift(s: np.ndarray, a: np.ndarray, params: ModelParams) -> np.ndarray:
+def _pagerank_drift(s: np.ndarray, a: np.ndarray | None, params: ModelParams) -> np.ndarray:
     """d/d(eps) of pagerank_score(a + eps (mG(s) - a)) at eps = 0."""
+    if a is None:
+        # at a = m G(s) the direction mG(s) - a is zero, so the drift would
+        # read 0 everywhere and hide every non-root
+        raise DomainError(
+            "pagerank drift needs the adjacency a; for roots without one use "
+            "f_pagerank_root_system"
+        )
+    s = np.asarray(s, dtype=float)
     a = np.asarray(a, dtype=float)
     n = s.shape[0]
     dout = a.sum(axis=1)
@@ -305,26 +316,7 @@ def finite_memory_drift(
     a = np.asarray(a, dtype=float)
     g = state_rate_matrix(score_kind, s, params.beta)
     a_next = lam * a + (1.0 - lam) * params.m * g
-    if score_kind == "rootdegree":
-        s_next = in_degree(a_next)
-    elif score_kind == "pagerank":
-        s_next = pagerank_score(a_next, params.alpha_p)
-    elif score_kind == "springrank":
-        s_next = springrank_score(a_next, params.alpha_s)
-    else:
-        raise DomainError(f"unknown score kind {score_kind!r}")
-    return (s_next - s) / (1.0 - lam)
-
-
-def state_of(score_kind: str, a: np.ndarray, params: ModelParams) -> np.ndarray:
-    """The kind's state variable for an adjacency (in-degree or score)."""
-    if score_kind == "rootdegree":
-        return in_degree(a)
-    if score_kind == "pagerank":
-        return pagerank_score(a, params.alpha_p)
-    if score_kind == "springrank":
-        return springrank_score(a, params.alpha_s)
-    raise DomainError(f"unknown score kind {score_kind!r}")
+    return (state_of(score_kind, a_next, params) - s) / (1.0 - lam)
 
 
 # ---------------------------------------------------------------------------
@@ -342,17 +334,19 @@ def critical_beta1(
     """Threshold on beta1 where the egalitarian root loses stability."""
     if n < 2 or m <= 0:
         raise DomainError("need n >= 2 and m > 0")
-    if score_kind == "rootdegree":
-        return 2.0 * np.sqrt(n / m)
-    if score_kind == "pagerank":
-        if not 0.0 < alpha_p < 1.0:
-            raise DomainError("alpha_p must lie in (0, 1)")
-        return 1.0 / alpha_p
-    if score_kind == "springrank":
-        if alpha_s <= 0:
-            raise DomainError("alpha_s must be positive")
-        return 2.0 + alpha_s * n / m
-    raise DomainError(f"unknown score kind {score_kind!r}")
+    return _kind(score_kind).critical(n, m, alpha_p, alpha_s)
+
+
+def _pagerank_critical(n: int, m: float, alpha_p: float, alpha_s: float) -> float:
+    if not 0.0 < alpha_p < 1.0:
+        raise DomainError("alpha_p must lie in (0, 1)")
+    return 1.0 / alpha_p
+
+
+def _springrank_critical(n: int, m: float, alpha_p: float, alpha_s: float) -> float:
+    if alpha_s <= 0:
+        raise DomainError("alpha_s must be positive")
+    return 2.0 + alpha_s * n / m
 
 
 def jacobian_egalitarian(score_kind: str, params: ModelParams, n: int):
@@ -364,72 +358,119 @@ def jacobian_egalitarian(score_kind: str, params: ModelParams, n: int):
     """
     s0 = egalitarian_root(score_kind, n, params.m)
     m_mat = dgamma_ds(score_kind, s0, params.beta)
-    jac = _assemble_jacobian(score_kind, s0, m_mat, params, n)
+    jac = fixed_point_jacobian(score_kind, s0, params)
     return m_mat, jac, np.linalg.eigvals(jac)
 
 
-def _assemble_jacobian(
-    score_kind: str,
-    s_star: np.ndarray,
-    m_mat: np.ndarray,
-    params: ModelParams,
-    n: int,
-) -> np.ndarray:
-    """Jacobian of the drift at a fixed point s* (state A* = m G(s*)).
+def fixed_point_jacobian(score_kind: str, s_star: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Drift Jacobian at an arbitrary fixed point (egalitarian or not).
 
-    All three reduce to J = m * Dsigma[A*] dG/ds - I; the A-space
-    linearization shares this spectrum apart from extra -1 eigenvalues.
+    Every kind reduces to J = m * Dsigma[A*] dG/ds - I at the state
+    A* = m G(s*); the A-space linearization shares this spectrum apart from
+    extra -1 eigenvalues.
     """
-    if score_kind == "rootdegree":
-        return params.m * m_mat - np.eye(n)
-    if score_kind == "pagerank":
-        return _pagerank_fp_jacobian(s_star, m_mat, params, n)
-    if score_kind == "springrank":
-        return _springrank_fp_jacobian(s_star, m_mat, params, n)
-    raise DomainError(f"unknown score kind {score_kind!r}")
+    return _kind(score_kind).jacobian(np.asarray(s_star, dtype=float), params)
 
 
-def _pagerank_fp_jacobian(s_star, m_mat, params: ModelParams, n: int) -> np.ndarray:
+def _rootdegree_jacobian(d_star: np.ndarray, params: ModelParams) -> np.ndarray:
+    m_mat = dgamma_ds("rootdegree", d_star, params.beta)
+    return params.m * m_mat - np.eye(d_star.shape[0])
+
+
+def _pagerank_jacobian(s_star: np.ndarray, params: ModelParams) -> np.ndarray:
     # A* = m G(s*): rows sum to m/n, so P = n G and (D_out)^-1 s = (n/m) s.
-    beta = params.beta
+    n = s_star.shape[0]
     alpha = params.alpha_p
-    g = state_rate_matrix("pagerank", s_star, beta)
-    w = (n * g).T  # P^T, always positive: no dangling rows at a fixed point
-    dg = dprob_tensor(s_star, beta, CANONICAL_FEATURES) / n
-    # column k of the resolvent's input: n [dG_k^T s - P^T ((dG_k e) o s)]
-    rhs = n * (
-        np.einsum("ijk,i->jk", dg, s_star)
-        - w @ (np.einsum("ijk->ik", dg) * s_star[:, None])
-    )
-    cols = alpha * np.linalg.solve(np.eye(n) - alpha * w, rhs)
+    p = state_probabilities("pagerank", s_star, params.beta)
+    # column k of the resolvent's input is sum_i s_i dp_ij/ds_k; its partner
+    # term P^T ((dP_k e) o s) vanishes because every row of p sums to one
+    rhs, _ = _logit_derivatives(p, s_star, params.beta, s_star)
+    cols = alpha * np.linalg.solve(np.eye(n) - alpha * p.T, rhs)
     return cols - np.eye(n)
 
 
-def _springrank_fp_jacobian(s_star, m_mat, params: ModelParams, n: int) -> np.ndarray:
+def _springrank_jacobian(s_star: np.ndarray, params: ModelParams) -> np.ndarray:
+    n = s_star.shape[0]
     beta = params.beta
     alpha_s = params.alpha_s
     m = params.m
-    g = state_rate_matrix("springrank", s_star, beta)
-    gamma = g.sum(axis=0)
-    lg = _springrank_lg(gamma, g)
-    dg = dprob_tensor(s_star, beta, CANONICAL_FEATURES) / n
+    p = state_probabilities("springrank", s_star, beta)
+    g = p / n
+    lg = _springrank_lg(g.sum(axis=0), g)
+    m_mat, _ = _logit_derivatives(p, s_star, beta, np.full(n, 1.0 / n))
+    fwd, bwd = _logit_derivatives(p, s_star, beta, s_star)
     # dF/ds columns: alpha_s I + m [L_G + diag(M v) s* - (dG + dG^T) s* - M]
-    dsym = np.einsum("ijk,i->jk", dg, s_star) + np.einsum("jik,i->jk", dg, s_star)
+    dsym = (fwd + bwd) / n
     df = alpha_s * np.eye(n) + m * (lg + m_mat * s_star[:, None] - dsym - m_mat)
-    l_alpha = m * lg + alpha_s * np.eye(n)
-    # column sums of dF are exactly alpha_s; solve perp and e parts separately
-    df_perp = df - df.mean(axis=0, keepdims=True)
-    y = scipy.linalg.solve(l_alpha, df_perp, assume_a="pos")
-    y -= y.mean(axis=0, keepdims=True)
-    return -y - np.full((n, n), 1.0 / n)
+    # column sums of dF are exactly alpha_s, so every column of
+    # L_alpha^-1 dF has mean 1/n: solve the mean-zero part, add 1/n back
+    y = _solve_projected(m * lg + alpha_s * np.eye(n), df, 0.0)
+    return -y - 1.0 / n
 
 
-def fixed_point_jacobian(score_kind: str, s_star: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Drift Jacobian at an arbitrary fixed point (egalitarian or not)."""
-    s_star = np.asarray(s_star, dtype=float)
-    n = s_star.shape[0]
-    m_mat = dgamma_ds(score_kind, s_star, params.beta)
-    return _assemble_jacobian(score_kind, s_star, m_mat, params, n)
+# ---------------------------------------------------------------------------
+# one record per score kind
+# ---------------------------------------------------------------------------
+
+
+def _mass_seeds(n: int, k: int, total: float) -> list[np.ndarray]:
+    """Egalitarian, perturbed and elite-dominated splits of a fixed total."""
+    e0 = total / n
+    seeds = [np.array([e0, e0]), np.array([1.3 * e0, e0 * (1 - 0.3 * k / (n - k))])]
+    for frac in (0.6, 0.9, 0.99):
+        seeds.append(np.array([frac * total / k, (1 - frac) * total / (n - k)]))
+    return seeds
+
+
+def _centered_seeds(n: int, k: int, m: float) -> list[np.ndarray]:
+    """Zero-mean splits: egalitarian, then growing elite gaps."""
+    seeds = [np.array([0.0, 0.0])]
+    for c in (0.2, 1.0, 3.0, 6.0):
+        seeds.append(np.array([c * (n - k) / n, -c * k / n]))
+    return seeds
+
+
+_KINDS = {
+    "rootdegree": _Kind(
+        state_of=lambda a, params: in_degree(a),
+        to_score=np.sqrt,
+        score_slope=lambda d: 0.5 / np.sqrt(d),
+        egalitarian=lambda n, m: np.full(n, m / n),
+        critical=lambda n, m, alpha_p, alpha_s: 2.0 * np.sqrt(n / m),
+        root_residual=f_degree,
+        reported_residual=f_degree,
+        drift=lambda s, a, params: f_degree(s, params),
+        jacobian=_rootdegree_jacobian,
+        seeds=_mass_seeds,
+        nonneg=True,
+    ),
+    "pagerank": _Kind(
+        state_of=lambda a, params: pagerank_score(a, params.alpha_p),
+        to_score=lambda s: s,
+        score_slope=lambda s: 1.0,
+        egalitarian=lambda n, m: np.ones(n),
+        critical=_pagerank_critical,
+        root_residual=_pagerank_root_residual,
+        reported_residual=_pagerank_residual,
+        drift=_pagerank_drift,
+        jacobian=_pagerank_jacobian,
+        seeds=lambda n, k, m: _mass_seeds(n, k, n),
+        nonneg=False,
+    ),
+    "springrank": _Kind(
+        state_of=lambda a, params: springrank_score(a, params.alpha_s),
+        to_score=lambda s: s,
+        score_slope=lambda s: 1.0,
+        egalitarian=lambda n, m: np.zeros(n),
+        critical=_springrank_critical,
+        root_residual=_springrank_forcing,
+        reported_residual=lambda s, params: _springrank_drift(s, None, params),
+        drift=_springrank_drift,
+        jacobian=_springrank_jacobian,
+        seeds=_centered_seeds,
+        nonneg=False,
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -462,29 +503,7 @@ class Branch:
 
 def _full_residual(score_kind: str, s: np.ndarray, params: ModelParams) -> np.ndarray:
     """The n-dimensional root system F(s); zero exactly at fixed points."""
-    n = s.shape[0]
-    if score_kind == "rootdegree":
-        return f_degree(s, params)
-    if score_kind == "pagerank":
-        a = params.alpha_p
-        g = state_rate_matrix("pagerank", s, params.beta)
-        return a * n * (g.T @ s) + (1.0 - a) - s
-    if score_kind == "springrank":
-        g = state_rate_matrix("springrank", s, params.beta)
-        gamma = g.sum(axis=0)
-        lg = _springrank_lg(gamma, g)
-        return params.alpha_s * s + params.m * (lg @ s + (1.0 / n - gamma))
-    raise DomainError(f"unknown score kind {score_kind!r}")
-
-
-def _reported_residual(score_kind: str, s: np.ndarray, params: ModelParams) -> float:
-    if score_kind == "rootdegree":
-        r = f_degree(s, params)
-    elif score_kind == "pagerank":
-        r = _pagerank_residual(s, params)
-    else:
-        r = f_springrank(s, params.m * state_rate_matrix("springrank", s, params.beta), params)
-    return float(np.abs(r).max())
+    return _kind(score_kind).root_residual(s, params)
 
 
 def _two_group_vector(a: float, b: float, k: int, n: int) -> np.ndarray:
@@ -504,7 +523,7 @@ def _newton_two_group(
 ) -> np.ndarray | None:
     """Damped Newton on the 2-variable reduced system; None on failure."""
 
-    nonneg = score_kind == "rootdegree"
+    nonneg = _kind(score_kind).nonneg
 
     def resid(x):
         s = _two_group_vector(x[0], x[1], k, n)
@@ -559,27 +578,6 @@ def _newton_two_group(
     return best_x if best_norm <= tol else None
 
 
-def _seed_points(score_kind: str, n: int, k: int, m: int) -> list[np.ndarray]:
-    """Fresh starting guesses: egalitarian, perturbed, and elite-dominated."""
-    seeds = []
-    if score_kind == "rootdegree":
-        e0 = m / n
-        seeds.append(np.array([e0, e0]))
-        seeds.append(np.array([1.3 * e0, e0 * (1 - 0.3 * k / (n - k))]))
-        for frac in (0.6, 0.9, 0.99):
-            seeds.append(np.array([frac * m / k, (1 - frac) * m / (n - k)]))
-    elif score_kind == "pagerank":
-        seeds.append(np.array([1.0, 1.0]))
-        seeds.append(np.array([1.3, 1 - 0.3 * k / (n - k)]))
-        for frac in (0.6, 0.9, 0.99):
-            seeds.append(np.array([frac * n / k, (1 - frac) * n / (n - k)]))
-    else:
-        seeds.append(np.array([0.0, 0.0]))
-        for c in (0.2, 1.0, 3.0, 6.0):
-            seeds.append(np.array([c * (n - k) / n, -c * k / n]))
-    return seeds
-
-
 def _classify(score_kind: str, x: np.ndarray, k: int, n: int, params: ModelParams) -> Equilibrium:
     a, b = float(x[0]), float(x[1])
     tie = abs(a - b) < 1e-9 * (1.0 + abs(a) + abs(b))
@@ -601,7 +599,7 @@ def _classify(score_kind: str, x: np.ndarray, k: int, n: int, params: ModelParam
     max_re = float(eigs.real.max())
     return Equilibrium(
         s_star=s,
-        residual=_reported_residual(score_kind, s, params),
+        residual=float(np.abs(_kind(score_kind).reported_residual(s, params)).max()),
         jacobian_eigs=eigs,
         stable=max_re < 0.0,
         marginal=abs(max_re) < 1e-10,
@@ -617,42 +615,28 @@ def two_group_equilibria(
     n: int,
     k_elite: int,
     beta1_grid,
-    threads: int | None = None,
 ) -> list[Branch]:
     """Continue two-group fixed points over a beta1 grid.
 
     For each beta1, roots of the reduced system with k_elite nodes at value
     a and n-k_elite at value b are found from fresh seeds plus continuation
-    from the previous grid point, deduplicated, canonicalized to a >= b,
-    and classified by the full drift-Jacobian spectrum.  A root-finder
-    failure at one grid point leaves a gap in the affected branch rather
-    than aborting the sweep.
+    from the previous grid point's roots, deduplicated, canonicalized to
+    a >= b, and classified by the full drift-Jacobian spectrum.  A
+    root-finder failure at one grid point leaves a gap in the affected
+    branch rather than aborting the sweep.
     """
+    kind = _kind(score_kind)
     if not 1 <= k_elite < n:
         raise DomainError("need 1 <= k_elite < n")
     beta1_grid = [float(b) for b in beta1_grid]
 
-    def solve_point(item):
-        idx, b1 = item
-        p = params.with_(beta=(b1,) + params.beta[1:])
-        sols = []
-        for seed in _seed_points(score_kind, n, k_elite, p.m):
-            x = _newton_two_group(score_kind, p, n, k_elite, seed)
-            if x is not None:
-                sols.append(x)
-        return idx, sols
-
-    # pass 1: fresh seeds at every grid point, in parallel
-    fresh = dict(parallel_map(solve_point, enumerate(beta1_grid), threads=threads))
-
-    # pass 2: sequential continuation sweep, then dedup + classify
     per_point: list[list[Equilibrium]] = []
     carried: list[np.ndarray] = []
-    for idx, b1 in enumerate(beta1_grid):
+    for b1 in beta1_grid:
         p = params.with_(beta=(b1,) + params.beta[1:])
-        candidates = list(fresh.get(idx, []))
-        for prev in carried:
-            x = _newton_two_group(score_kind, p, n, k_elite, prev)
+        candidates = []
+        for x0 in kind.seeds(n, k_elite, p.m) + carried:
+            x = _newton_two_group(score_kind, p, n, k_elite, x0)
             if x is not None:
                 candidates.append(x)
         uniq: list[np.ndarray] = []

@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from endorse_dyn.choice import (
-    CANONICAL_FEATURES,
     choice_probabilities,
-    feature_grad_fd,
     log_choice_probabilities,
     sample_delta,
     utility,
@@ -85,31 +83,6 @@ class TestChoiceProbabilities:
         assert np.allclose(
             choice_probabilities(u), choice_probabilities(shifted), atol=1e-12
         )
-
-
-class TestFeatureGradients:
-    @pytest.mark.parametrize("feat", CANONICAL_FEATURES)
-    def test_analytic_matches_finite_difference(self, feat):
-        rng = np.random.default_rng(3)
-        for _ in range(3):
-            s = rng.normal(size=5) + 2.0
-            g = feat.grad(s)
-            g_fd = feature_grad_fd(feat, s)
-            assert np.allclose(g, g_fd, atol=1e-6), feat.name
-
-    def test_proximity_grad_zero_at_equal_scores(self):
-        prox = CANONICAL_FEATURES[1]
-        g = prox.grad(np.full(4, 1.3))
-        assert np.array_equal(g, np.zeros((4, 4, 4)))
-
-    def test_prestige_grad_structure(self):
-        # d phi1[i,j] / d s_k = 1 iff j == k
-        prest = CANONICAL_FEATURES[0]
-        g = prest.grad(np.array([0.5, -1.0, 2.0]))
-        expect = np.zeros((3, 3, 3))
-        for j in range(3):
-            expect[:, j, j] = 1.0
-        assert np.array_equal(g, expect)
 
 
 class TestSampleDelta:

@@ -9,12 +9,13 @@ spectrum, with every remaining eigenvalue equal to -1.
 import numpy as np
 import pytest
 
-from endorse_dyn.choice import feature_grad_fd
-from endorse_dyn.core import ModelParams
+from endorse_dyn.choice import choice_probabilities
+from endorse_dyn.core import SCORE_KINDS, ModelParams
 from endorse_dyn.errors import DomainError, NumericError
 from endorse_dyn.stability import (
-    ROOTDEG_FEATURES,
+    _KINDS,
     dgamma_ds,
+    dprob_tensor,
     egalitarian_root,
     f_degree,
     f_drift,
@@ -24,9 +25,9 @@ from endorse_dyn.stability import (
     fixed_point_jacobian,
     jacobian_egalitarian,
     critical_beta1,
-    kind_features,
     pagerank_alternating_solve,
     state_of,
+    state_probabilities,
     state_rank_vector,
     state_rate_matrix,
     two_group_equilibria,
@@ -51,17 +52,36 @@ def random_state(kind, n, rng):
     return s - s.mean()
 
 
-class TestFeatures:
-    def test_rootdegree_feature_grads_match_fd(self):
-        rng = np.random.default_rng(0)
-        d = rng.random(5) * 3 + 0.5
-        for feat in ROOTDEG_FEATURES:
-            assert np.allclose(feat.grad(d), feature_grad_fd(feat, d), atol=1e-6), feat.name
+class TestKindRecords:
+    def test_one_record_per_score_kind(self):
+        assert tuple(_KINDS) == SCORE_KINDS
 
-    def test_kind_features_dispatch(self):
-        assert kind_features("rootdegree") is ROOTDEG_FEATURES
-        with pytest.raises(DomainError):
-            kind_features("nope")
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: egalitarian_root("nope", 5, 1),
+            lambda: state_of("nope", np.ones((3, 3)), ModelParams(lam=0.9)),
+            lambda: state_probabilities("nope", np.ones(3), (1.0, 0.0)),
+            lambda: state_rate_matrix("nope", np.ones(3), (1.0, 0.0)),
+            lambda: state_rank_vector("nope", np.ones(3), (1.0, 0.0)),
+            lambda: dgamma_ds("nope", np.ones(3), (1.0, 0.0)),
+            lambda: f_drift("nope", np.ones(3), np.ones((3, 3)), ModelParams(lam=0.9)),
+            lambda: finite_memory_drift("nope", np.ones(3), np.ones((3, 3)), ModelParams(lam=0.9)),
+            lambda: critical_beta1("nope", 5, 1),
+            lambda: jacobian_egalitarian("nope", ModelParams(lam=0.9), 5),
+            lambda: fixed_point_jacobian("nope", np.ones(3), ModelParams(lam=0.9)),
+            lambda: two_group_equilibria("nope", ModelParams(lam=0.9), 5, 1, [1.0]),
+        ],
+        ids=[
+            "egalitarian_root", "state_of", "state_probabilities", "state_rate_matrix",
+            "state_rank_vector", "dgamma_ds", "f_drift", "finite_memory_drift",
+            "critical_beta1", "jacobian_egalitarian", "fixed_point_jacobian",
+            "two_group_equilibria",
+        ],
+    )
+    def test_unknown_kind_raises(self, call):
+        with pytest.raises(DomainError, match="unknown score kind 'nope'"):
+            call()
 
 
 class TestStateMaps:
@@ -72,15 +92,11 @@ class TestStateMaps:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_rank_vector_composition(self, kind):
-        from endorse_dyn.choice import choice_probabilities
-
         rng = np.random.default_rng(1)
         s = random_state(kind, 5, rng)
         beta = (1.2, -0.4)
-        feats = kind_features(kind)
-        u = np.zeros((5, 5))
-        for b, f in zip(beta, feats):
-            u += b * f.eval(s)
+        r = np.sqrt(s) if kind == "rootdegree" else s
+        u = beta[0] * r[None, :] + beta[1] * (r[:, None] - r[None, :]) ** 2
         p = choice_probabilities(u)
         assert np.allclose(state_rank_vector(kind, s, beta), p.mean(axis=0), atol=1e-14)
         assert np.allclose(state_rate_matrix(kind, s, beta), p / 5, atol=1e-14)
@@ -158,6 +174,12 @@ class TestDrifts:
         oracle = finite_memory_drift(kind, s, a, p, lam=1 - 1e-6)
         assert np.abs(closed - oracle).max() < 1e-4
 
+    def test_pagerank_drift_needs_the_adjacency(self):
+        # with a = m G(s) the pagerank forcing vanishes at every s
+        p = params_for("pagerank", 1.1, -0.6, m=2)
+        with pytest.raises(DomainError, match="f_pagerank_root_system"):
+            f_drift("pagerank", np.array([1.7, 0.8, 0.5]), None, p)
+
     def test_degree_drift_rejects_negative_degrees(self):
         with pytest.raises(DomainError):
             f_degree(np.array([0.5, -0.1, 0.6]), params_for("rootdegree", 1.0))
@@ -214,6 +236,84 @@ class TestEgalitarianJacobian:
         _, j0, _ = jacobian_egalitarian(kind, p0, n)
         _, j5, _ = jacobian_egalitarian(kind, p5, n)
         assert np.abs(j0 - j5).max() < 1e-12
+
+
+def reference_dprob(kind, s, beta):
+    """dp_ij/ds_k from the n^3 reference tensor, with the sqrt chain rule."""
+    if kind == "rootdegree":
+        return dprob_tensor(np.sqrt(s), beta) * (0.5 / np.sqrt(s))[None, None, :]
+    return dprob_tensor(s, beta)
+
+
+def reference_jacobian(kind, s, params):
+    """The drift Jacobian assembled from full n^3 tensor contractions."""
+    n, m = s.shape[0], params.m
+    dp = reference_dprob(kind, s, params.beta)
+    m_mat = dp.mean(axis=0)
+    if kind == "rootdegree":
+        return m * m_mat - np.eye(n)
+    g = state_rate_matrix(kind, s, params.beta)
+    dg = dp / n
+    if kind == "pagerank":
+        alpha = params.alpha_p
+        w = (n * g).T
+        rhs = n * (
+            np.einsum("ijk,i->jk", dg, s) - w @ (np.einsum("ijk->ik", dg) * s[:, None])
+        )
+        return alpha * np.linalg.solve(np.eye(n) - alpha * w, rhs) - np.eye(n)
+    gamma = g.sum(axis=0)
+    lg = np.diag(gamma) + np.eye(n) / n - (g + g.T)
+    dsym = np.einsum("ijk,i->jk", dg, s) + np.einsum("jik,i->jk", dg, s)
+    df = params.alpha_s * np.eye(n) + m * (lg + m_mat * s[:, None] - dsym - m_mat)
+    y = np.linalg.solve(m * lg + params.alpha_s * np.eye(n), df - df.mean(axis=0))
+    return -(y - y.mean(axis=0)) - 1.0 / n
+
+
+def two_group_state(kind, n, rng):
+    k = int(rng.integers(1, n))
+    hi, lo = 1.0 + rng.random(), 0.2 + 0.5 * rng.random()
+    s = np.where(np.arange(n) < k, hi, lo)
+    if kind == "pagerank":
+        return s * n / s.sum()
+    if kind == "springrank":
+        return s - s.mean()
+    return s
+
+
+class TestClosedFormDerivatives:
+    def test_reference_tensor_matches_fd(self):
+        rng = np.random.default_rng(11)
+        s = rng.normal(size=5)
+        beta = (1.3, -0.8)
+        fd = np.empty((5, 5, 5))
+        for k in range(5):
+            h = 1e-6 * (1 + abs(s[k]))
+            sp, sm = s.copy(), s.copy()
+            sp[k] += h
+            sm[k] -= h
+            fd[:, :, k] = (
+                state_probabilities("springrank", sp, beta)
+                - state_probabilities("springrank", sm, beta)
+            ) / (2 * h)
+        assert np.allclose(dprob_tensor(s, beta), fd, atol=1e-8)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [5, 8, 16])
+    @pytest.mark.parametrize("state", ["egalitarian", "two-group"])
+    def test_match_the_tensor_reference(self, kind, n, state):
+        rng = np.random.default_rng(n)
+        beta = tuple(rng.normal(size=2) * 1.5)
+        p = params_for(kind, *beta, m=3)
+        if state == "egalitarian":
+            s = egalitarian_root(kind, n, p.m)
+        else:
+            s = two_group_state(kind, n, rng)
+        ref_m = reference_dprob(kind, s, beta).mean(axis=0)
+        ref_j = reference_jacobian(kind, s, p)
+        m_mat = dgamma_ds(kind, s, beta)
+        jac = fixed_point_jacobian(kind, s, p)
+        assert np.abs(m_mat - ref_m).max() <= 1e-12 * max(1.0, np.abs(ref_m).max())
+        assert np.abs(jac - ref_j).max() <= 1e-12 * max(1.0, np.abs(ref_j).max())
 
 
 def affinity_drift(kind, a, params):
