@@ -33,6 +33,7 @@ from .data import (
     aggregate_counts,
     convert_rankings_topk,
     load_edge_list,
+    load_rankings,
     restrict_top_placers,
     save_edge_list,
     simulate_sequence,
@@ -98,7 +99,7 @@ __all__ = [
     "finite_memory_drift", "fixed_point_jacobian", "jacobian_egalitarian",
     "pagerank_alternating_solve", "state_rank_vector", "two_group_equilibria",
     # data
-    "InteractionSequence", "load_edge_list", "save_edge_list",
+    "InteractionSequence", "load_edge_list", "load_rankings", "save_edge_list",
     "convert_rankings_topk", "restrict_top_placers", "aggregate_counts",
     "simulate_sequence",
     # inference

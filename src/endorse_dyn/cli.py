@@ -10,7 +10,6 @@ format, or domain error.
 
 from __future__ import annotations
 
-import csv
 import json
 import sys
 from pathlib import Path
@@ -21,18 +20,17 @@ import numpy as np
 from . import __version__
 from .core import ModelParams, uniform_initial
 from .data import (
-    LABEL_RE,
     InteractionSequence,
-    _period_keys,
     aggregate_counts,
     convert_rankings_topk,
     load_edge_list,
+    load_rankings,
     restrict_top_placers,
     save_edge_list,
 )
 from .errors import ConfigError, DomainError, FormatError, NumericError
 from .inference import compare_scores, criticality_report, fit
-from .sim import mean_gamma, run, variance_sweep
+from .sim import _cell_seed, mean_gamma, run, variance_sweep
 from .stability import two_group_equilibria
 
 REQUIRED = object()
@@ -64,35 +62,26 @@ def _parse_config_file(path: str) -> dict:
 
 
 def _parse_bool(value: str) -> bool:
-    low = str(value).strip().lower()
+    low = value.strip().lower()
     if low in ("true", "1", "yes"):
         return True
     if low in ("false", "0", "no"):
         return False
-    raise ConfigError(f"expected a boolean, got {value!r}")
+    raise ValueError("expected a boolean")
 
 
 def _parse_grid(text: str) -> list[float]:
     """START:STOP:NUM -> NUM evenly spaced values, endpoints included."""
-    parts = str(text).split(":")
+    parts = text.split(":")
     if len(parts) != 3:
-        raise ConfigError(f"grid must be START:STOP:NUM, got {text!r}")
+        raise ValueError("grid must be START:STOP:NUM")
     try:
         start, stop, num = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
-        raise ConfigError(f"grid must be START:STOP:NUM with numeric fields, got {text!r}")
+        raise ValueError("grid must be START:STOP:NUM with numeric fields")
     if num < 1:
-        raise ConfigError("grid NUM must be >= 1")
+        raise ValueError("grid NUM must be >= 1")
     return [float(x) for x in np.linspace(start, stop, num)]
-
-
-_CASTS = {
-    "int": int,
-    "float": float,
-    "str": str,
-    "bool": _parse_bool,
-    "grid": _parse_grid,
-}
 
 
 def _resolve(spec: dict, flags: dict, config_path: str | None) -> dict:
@@ -102,16 +91,16 @@ def _resolve(spec: dict, flags: dict, config_path: str | None) -> dict:
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     out = {}
-    for key, (cast_name, default) in spec.items():
-        flag_val = flags.get(key)
-        if flag_val is not None:
-            out[key] = _CASTS[cast_name](flag_val) if isinstance(flag_val, str) else flag_val
-        elif key in cfg_file:
-            out[key] = _CASTS[cast_name](cfg_file[key])
-        elif default is REQUIRED:
+    for key, (cast, default, _) in spec.items():
+        value = flags[key] if flags[key] is not None else cfg_file.get(key, default)
+        if value is REQUIRED:
             raise click.UsageError(f"missing required key: {key}")
-        else:
-            out[key] = default
+        if isinstance(value, str):
+            try:
+                value = (_parse_bool if cast is bool else cast)(value)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {key}: {value!r} ({exc})")
+        out[key] = value
     return out
 
 
@@ -125,15 +114,13 @@ def _jsonable(value):
     return value
 
 
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def _write_run_json(outdir: Path, command: str, cfg: dict) -> None:
-    payload = {
-        "command": command,
-        "config": _jsonable(cfg),
-        "version": __version__,
-    }
-    (outdir / "run.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(outdir / "run.json",
+                {"command": command, "config": _jsonable(cfg), "version": __version__})
 
 
 def _outdir(cfg: dict) -> Path:
@@ -169,29 +156,36 @@ def _guarded(fn):
     return wrapper
 
 
-# ---------------------------------------------------------------------------
-# shared options
-# ---------------------------------------------------------------------------
-
-_opt_config = click.option("--config", "config_path", type=str, default=None,
-                           help="key=value file; flags override it")
-_opt_out = click.option("--out", type=str, default=None, help="output directory")
-_opt_score = click.option("--score", type=str, default=None,
-                          help="rootdegree | pagerank | springrank")
-_opt_n = click.option("--n", type=int, default=None, help="number of nodes")
-_opt_m = click.option("--m", type=int, default=None, help="endorsements per step")
-_opt_lambda = click.option("--lambda", "lam", type=float, default=None,
-                           help="memory parameter in [0, 1]")
-_opt_beta1 = click.option("--beta1", type=float, default=None, help="prestige weight")
-_opt_beta2 = click.option("--beta2", type=float, default=None, help="proximity weight")
-_opt_steps = click.option("--steps", type=int, default=None, help="simulation steps")
-_opt_seed = click.option("--seed", type=int, default=None, help="base RNG seed")
-
-
 @click.group()
 @click.version_option(version=__version__, prog_name="endorse-dyn")
 def main():
     """Endorsement dynamics: simulation, regime analysis, and fitting."""
+
+
+def _command(name: str, spec: dict):
+    """Register ``body(cfg)`` as command `name`.
+
+    `spec` maps each key to ``(cast, default, help)``.  The command gets
+    --config and one flag per key, in spec order (``bool`` keys are bare
+    flags); `body` receives the configuration `_resolve` builds from them.
+    """
+
+    def decorate(body):
+        def command(config_path, **flags):
+            body(_resolve(spec, flags, config_path))
+
+        command.__doc__ = body.__doc__
+        command = _guarded(command)
+        for key, (cast, _, help_text) in reversed(spec.items()):
+            kind = ({"is_flag": True} if cast is bool
+                    else {"type": cast if cast in (int, float) else str})
+            command = click.option(f"--{key.replace('_', '-')}", key, default=None,
+                                   help=help_text, **kind)(command)
+        command = click.option("--config", "config_path", type=str, default=None,
+                               help="key=value file; flags override it")(command)
+        return main.command(name)(command)
+
+    return decorate
 
 
 # ---------------------------------------------------------------------------
@@ -199,36 +193,21 @@ def main():
 # ---------------------------------------------------------------------------
 
 _SIM_SPEC = {
-    "score": ("str", REQUIRED),
-    "n": ("int", REQUIRED),
-    "m": ("int", 1),
-    "lambda": ("float", REQUIRED),
-    "beta1": ("float", 0.0),
-    "beta2": ("float", 0.0),
-    "steps": ("int", 2000),
-    "seed": ("int", 0),
-    "out": ("str", REQUIRED),
+    "score": (str, REQUIRED, "rootdegree | pagerank | springrank"),
+    "n": (int, REQUIRED, "number of nodes"),
+    "m": (int, 1, "endorsements per step"),
+    "lambda": (float, REQUIRED, "memory parameter in [0, 1]"),
+    "beta1": (float, 0.0, "prestige weight"),
+    "beta2": (float, 0.0, "proximity weight"),
+    "steps": (int, 2000, "simulation steps"),
+    "seed": (int, 0, "base RNG seed"),
+    "out": (str, REQUIRED, "output directory"),
 }
 
 
-@main.command("simulate")
-@_opt_config
-@_opt_score
-@_opt_n
-@_opt_m
-@_opt_lambda
-@_opt_beta1
-@_opt_beta2
-@_opt_steps
-@_opt_seed
-@_opt_out
-@_guarded
-def cmd_simulate(config_path, score, n, m, lam, beta1, beta2, steps, seed, out):
+@_command("simulate", _SIM_SPEC)
+def cmd_simulate(cfg):
     """Run one trajectory; write trajectory.csv and final_adjacency.csv."""
-    cfg = _resolve(_SIM_SPEC, {
-        "score": score, "n": n, "m": m, "lambda": lam, "beta1": beta1,
-        "beta2": beta2, "steps": steps, "seed": seed, "out": out,
-    }, config_path)
     params = ModelParams(
         lam=cfg["lambda"], beta=(cfg["beta1"], cfg["beta2"]), m=cfg["m"],
         score_kind=cfg["score"], seed=cfg["seed"],
@@ -252,40 +231,22 @@ def cmd_simulate(config_path, score, n, m, lam, beta1, beta2, steps, seed, out):
 # ---------------------------------------------------------------------------
 
 _SWEEP_SPEC = {
-    "score": ("str", REQUIRED),
-    "n": ("int", REQUIRED),
-    "m": ("int", 1),
-    "lambda": ("float", REQUIRED),
-    "grid_beta1": ("grid", REQUIRED),
-    "grid_beta2": ("grid", [0.0]),
-    "steps": ("int", 2000),
-    "window": ("int", 500),
-    "seed": ("int", 0),
-    "out": ("str", REQUIRED),
+    "score": (str, REQUIRED, "rootdegree | pagerank | springrank"),
+    "n": (int, REQUIRED, "number of nodes"),
+    "m": (int, 1, "endorsements per step"),
+    "lambda": (float, REQUIRED, "memory parameter in [0, 1]"),
+    "grid_beta1": (_parse_grid, REQUIRED, "START:STOP:NUM"),
+    "grid_beta2": (_parse_grid, [0.0], "START:STOP:NUM"),
+    "steps": (int, 2000, "simulation steps"),
+    "window": (int, 500, "averaging window (final steps)"),
+    "seed": (int, 0, "base RNG seed"),
+    "out": (str, REQUIRED, "output directory"),
 }
 
 
-@main.command("sweep")
-@_opt_config
-@_opt_score
-@_opt_n
-@_opt_m
-@_opt_lambda
-@click.option("--grid-beta1", type=str, default=None, help="START:STOP:NUM")
-@click.option("--grid-beta2", type=str, default=None, help="START:STOP:NUM")
-@_opt_steps
-@click.option("--window", type=int, default=None, help="averaging window (final steps)")
-@_opt_seed
-@_opt_out
-@_guarded
-def cmd_sweep(config_path, score, n, m, lam, grid_beta1, grid_beta2, steps,
-              window, seed, out):
+@_command("sweep", _SWEEP_SPEC)
+def cmd_sweep(cfg):
     """Long-run rank-variance grid over (beta1, beta2); one row per cell."""
-    cfg = _resolve(_SWEEP_SPEC, {
-        "score": score, "n": n, "m": m, "lambda": lam, "grid_beta1": grid_beta1,
-        "grid_beta2": grid_beta2, "steps": steps, "window": window,
-        "seed": seed, "out": out,
-    }, config_path)
     params = ModelParams(lam=cfg["lambda"], m=cfg["m"], score_kind=cfg["score"],
                          seed=cfg["seed"])
     rows = variance_sweep(params, cfg["n"], cfg["grid_beta1"], cfg["grid_beta2"],
@@ -304,37 +265,22 @@ def cmd_sweep(config_path, score, n, m, lam, grid_beta1, grid_beta2, steps,
 # ---------------------------------------------------------------------------
 
 _BIF_SPEC = {
-    "score": ("str", REQUIRED),
-    "n": ("int", REQUIRED),
-    "m": ("int", 1),
-    "grid_beta1": ("grid", REQUIRED),
-    "beta2": ("float", 0.0),
-    "overlay": ("bool", False),
-    "lambda": ("float", 0.9995),
-    "steps": ("int", 50_000),
-    "window": ("int", 500),
-    "seed": ("int", 0),
-    "out": ("str", REQUIRED),
+    "score": (str, REQUIRED, "rootdegree | pagerank | springrank"),
+    "n": (int, REQUIRED, "number of nodes"),
+    "m": (int, 1, "endorsements per step"),
+    "grid_beta1": (_parse_grid, REQUIRED, "START:STOP:NUM"),
+    "beta2": (float, 0.0, "proximity weight"),
+    "overlay": (bool, False, "also simulate long-run gamma at each beta1"),
+    "lambda": (float, 0.9995, "memory parameter in [0, 1]"),
+    "steps": (int, 50_000, "simulation steps"),
+    "window": (int, 500, "overlay averaging window"),
+    "seed": (int, 0, "base RNG seed"),
+    "out": (str, REQUIRED, "output directory"),
 }
 
 
-@main.command("bifurcate")
-@_opt_config
-@_opt_score
-@_opt_n
-@_opt_m
-@click.option("--grid-beta1", type=str, default=None, help="START:STOP:NUM")
-@_opt_beta2
-@click.option("--overlay", is_flag=True, default=None,
-              help="also simulate long-run gamma at each beta1")
-@_opt_lambda
-@_opt_steps
-@click.option("--window", type=int, default=None, help="overlay averaging window")
-@_opt_seed
-@_opt_out
-@_guarded
-def cmd_bifurcate(config_path, score, n, m, grid_beta1, beta2, overlay, lam,
-                  steps, window, seed, out):
+@_command("bifurcate", _BIF_SPEC)
+def cmd_bifurcate(cfg):
     """Two-group equilibrium branches over beta1, with stability flags.
 
     Scans every elite size k = 1..n-1; egalitarian roots are reported once
@@ -342,11 +288,6 @@ def cmd_bifurcate(config_path, score, n, m, grid_beta1, beta2, overlay, lam,
     (lambda and steps configurable) add observed long-run gamma points
     for comparison against the stable branches.
     """
-    cfg = _resolve(_BIF_SPEC, {
-        "score": score, "n": n, "m": m, "grid_beta1": grid_beta1, "beta2": beta2,
-        "overlay": overlay, "lambda": lam, "steps": steps, "window": window,
-        "seed": seed, "out": out,
-    }, config_path)
     params = ModelParams(lam=cfg["lambda"], beta=(0.0, cfg["beta2"]), m=cfg["m"],
                          score_kind=cfg["score"], seed=cfg["seed"])
     nn = cfg["n"]
@@ -379,7 +320,7 @@ def cmd_bifurcate(config_path, score, n, m, grid_beta1, beta2, overlay, lam,
             fh.write("beta1,node,gamma\n")
             for idx, b1 in enumerate(grid):
                 p = params.with_(beta=(float(b1), cfg["beta2"]),
-                                 seed=cfg["seed"] + idx)
+                                 seed=_cell_seed(cfg["seed"], idx))
                 traj = run(p, a0=uniform_initial(nn, cfg["m"]), steps=cfg["steps"])
                 gam = mean_gamma(traj, window=cfg["window"])
                 for node in range(nn):
@@ -393,49 +334,30 @@ def cmd_bifurcate(config_path, score, n, m, grid_beta1, beta2, overlay, lam,
 # ---------------------------------------------------------------------------
 
 _FIT_SPEC = {
-    "data": ("str", REQUIRED),
-    "score": ("str", REQUIRED),
-    "warm_start": ("str", None),
-    "restarts": ("int", 5),
-    "out": ("str", REQUIRED),
+    "data": (str, REQUIRED, "interchange CSV"),
+    "score": (str, REQUIRED, "rootdegree | pagerank | springrank"),
+    "warm_start": (str, None, "edge CSV aggregated into A(0)"),
+    "restarts": (int, 5, "lambda restarts"),
+    "out": (str, REQUIRED, "output directory"),
 }
 
-_COMPARE_SPEC = {
-    "data": ("str", REQUIRED),
-    "warm_start": ("str", None),
-    "restarts": ("int", 5),
-    "out": ("str", REQUIRED),
-}
+_COMPARE_SPEC = {key: row for key, row in _FIT_SPEC.items() if key != "score"}
 
 
 def _load_sequence(data_path: str, warm_start: str | None) -> InteractionSequence:
     seq = load_edge_list(data_path)
-    if warm_start:
-        ws = load_edge_list(warm_start)
-        a0 = np.zeros((seq.n, seq.n))
-        index = {lab: i for i, lab in enumerate(seq.node_labels)}
-        dropped = set()
-        agg = aggregate_counts(ws)
-        for i, src in enumerate(ws.node_labels):
-            for j, dst in enumerate(ws.node_labels):
-                if agg[i, j] == 0:
-                    continue
-                if src in index and dst in index:
-                    a0[index[src], index[dst]] += agg[i, j]
-                else:
-                    dropped.add(src if src not in index else dst)
-        if dropped:
-            click.echo(
-                f"warm start: dropped {len(dropped)} labels absent from the data",
-                err=True,
-            )
-        seq = seq.with_a0(a0)
-    return seq
-
-
-def _used_m_bar(seq: InteractionSequence) -> float:
-    totals = seq.m_t if seq.a0 is not None else seq.m_t[1:]
-    return float(np.mean(totals))
+    if not warm_start:
+        return seq
+    ws = load_edge_list(warm_start)
+    index = {lab: i for i, lab in enumerate(seq.node_labels)}
+    kept = [i for i, lab in enumerate(ws.node_labels) if lab in index]
+    if len(kept) < ws.n:
+        click.echo(f"warm start: dropped {ws.n - len(kept)} labels absent from the data",
+                   err=True)
+    rows = [index[ws.node_labels[i]] for i in kept]
+    a0 = np.zeros((seq.n, seq.n))
+    a0[np.ix_(rows, rows)] = aggregate_counts(ws)[np.ix_(kept, kept)]
+    return seq.with_a0(a0)
 
 
 def _fit_json(fr) -> dict:
@@ -454,53 +376,39 @@ def _fit_json(fr) -> dict:
     }
 
 
-def _table1_row(dataset: str, fr) -> str:
-    se = fr.se if fr.se is not None else (float("nan"),) * 3
-    return ",".join([
-        dataset, fr.score_kind, _fmt(fr.lambda_hat), _fmt(se[0]),
-        _fmt(fr.beta_hat[0]), _fmt(se[1]), _fmt(fr.beta_hat[1]), _fmt(se[2]),
-        _fmt(fr.loglik),
-    ])
+def _write_tables(outdir: Path, dataset: str, seq: InteractionSequence, results) -> None:
+    """table1.csv with one row per fit; criticality.csv for the fits with SEs."""
+    with open(outdir / "table1.csv", "w", encoding="utf-8", newline="") as fh:
+        fh.write(TABLE1_HEADER + "\n")
+        for fr in results:
+            se = fr.se if fr.se is not None else (float("nan"),) * 3
+            fh.write(",".join([
+                dataset, fr.score_kind, _fmt(fr.lambda_hat), _fmt(se[0]),
+                _fmt(fr.beta_hat[0]), _fmt(se[1]), _fmt(fr.beta_hat[1]), _fmt(se[2]),
+                _fmt(fr.loglik),
+            ]) + "\n")
+    with open(outdir / "criticality.csv", "w", encoding="utf-8", newline="") as fh:
+        fh.write(TABLE2_HEADER + "\n")
+        for fr in results:
+            if fr.se is None:
+                continue
+            rep = criticality_report(fr, seq.n, seq.m_bar)
+            fh.write(",".join([
+                dataset, rep.score_kind, _fmt(rep.beta1_hat), _fmt(rep.se_beta1),
+                _fmt(rep.beta1_critical), rep.classification,
+                "true" if rep.significant else "false",
+            ]) + "\n")
 
 
-def _table2_row(dataset: str, rep) -> str:
-    return ",".join([
-        dataset, rep.score_kind, _fmt(rep.beta1_hat), _fmt(rep.se_beta1),
-        _fmt(rep.beta1_critical), rep.classification,
-        "true" if rep.significant else "false",
-    ])
-
-
-@main.command("fit")
-@_opt_config
-@click.option("--data", type=str, default=None, help="interchange CSV")
-@_opt_score
-@click.option("--warm-start", type=str, default=None,
-              help="edge CSV aggregated into A(0)")
-@click.option("--restarts", type=int, default=None, help="lambda restarts")
-@_opt_out
-@_guarded
-def cmd_fit(config_path, data, score, warm_start, restarts, out):
+@_command("fit", _FIT_SPEC)
+def cmd_fit(cfg):
     """Maximum-likelihood fit of (lambda, beta) for one score kind."""
-    cfg = _resolve(_FIT_SPEC, {
-        "data": data, "score": score, "warm_start": warm_start,
-        "restarts": restarts, "out": out,
-    }, config_path)
     seq = _load_sequence(cfg["data"], cfg["warm_start"])
     fr = fit(seq, cfg["score"], restarts=cfg["restarts"])
     dataset = Path(cfg["data"]).stem
     outdir = _outdir(cfg)
-    (outdir / "fit.json").write_text(
-        json.dumps(_fit_json(fr), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    with open(outdir / "table1.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write(TABLE1_HEADER + "\n")
-        fh.write(_table1_row(dataset, fr) + "\n")
-    with open(outdir / "criticality.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write(TABLE2_HEADER + "\n")
-        if fr.se is not None:
-            rep = criticality_report(fr, seq.n, _used_m_bar(seq))
-            fh.write(_table2_row(dataset, rep) + "\n")
+    _write_json(outdir / "fit.json", _fit_json(fr))
+    _write_tables(outdir, dataset, seq, [fr])
     _write_run_json(outdir, "fit", cfg)
     for w in fr.warnings:
         click.echo(f"warning: {w}", err=True)
@@ -510,41 +418,19 @@ def cmd_fit(config_path, data, score, warm_start, restarts, out):
     )
 
 
-@main.command("compare")
-@_opt_config
-@click.option("--data", type=str, default=None, help="interchange CSV")
-@click.option("--warm-start", type=str, default=None,
-              help="edge CSV aggregated into A(0)")
-@click.option("--restarts", type=int, default=None, help="lambda restarts")
-@_opt_out
-@_guarded
-def cmd_compare(config_path, data, warm_start, restarts, out):
+@_command("compare", _COMPARE_SPEC)
+def cmd_compare(cfg):
     """Fit all three score kinds and rank them by likelihood."""
-    cfg = _resolve(_COMPARE_SPEC, {
-        "data": data, "warm_start": warm_start, "restarts": restarts, "out": out,
-    }, config_path)
     seq = _load_sequence(cfg["data"], cfg["warm_start"])
     table = compare_scores(seq, restarts=cfg["restarts"])
     dataset = Path(cfg["data"]).stem
     outdir = _outdir(cfg)
-    payload = {
+    _write_json(outdir / "compare.json", {
         "best": table.best,
         "errors": table.errors,
         "results": [_fit_json(fr) for fr in table.results],
-    }
-    (outdir / "compare.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    m_bar = _used_m_bar(seq)
-    with open(outdir / "table1.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write(TABLE1_HEADER + "\n")
-        for fr in table.results:
-            fh.write(_table1_row(dataset, fr) + "\n")
-    with open(outdir / "criticality.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write(TABLE2_HEADER + "\n")
-        for fr in table.results:
-            if fr.se is not None:
-                fh.write(_table2_row(dataset, criticality_report(fr, seq.n, m_bar)) + "\n")
+    })
+    _write_tables(outdir, dataset, seq, table.results)
     _write_run_json(outdir, "compare", cfg)
     for kind, msg in sorted(table.errors.items()):
         click.echo(f"warning: {kind} failed: {msg}", err=True)
@@ -556,86 +442,22 @@ def cmd_compare(config_path, data, warm_start, restarts, out):
 # ---------------------------------------------------------------------------
 
 _CONVERT_SPEC = {
-    "data": ("str", None),
-    "rankings": ("str", None),
-    "k": ("int", 5),
-    "top_count": ("int", None),
-    "window": ("str", None),
-    "out": ("str", REQUIRED),
+    "data": (str, None, "interchange CSV to transform"),
+    "rankings": (str, None, "CSV period,source,target,rank to convert via top-k"),
+    "k": (int, 5, "top-k cutoff for rankings"),
+    "top_count": (int, None, "keep this many most-endorsed nodes"),
+    "window": (str, None, "period window LO:HI"),
+    "out": (str, REQUIRED, "output directory"),
 }
 
 
-def _load_ranking_csv(path: str):
-    """CSV `period,source,target,rank` -> per-period rank matrices."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError("empty file, expected header period,source,target,rank")
-        if tuple(h.strip() for h in header) != ("period", "source", "target", "rank"):
-            raise FormatError(
-                f"expected header period,source,target,rank, got {','.join(header)}",
-                line=1,
-            )
-        entries = {}
-        nodes = set()
-        for lineno, row in enumerate(reader, start=2):
-            if row == []:
-                continue
-            if len(row) != 4:
-                raise FormatError(f"expected 4 fields, got {len(row)}", line=lineno)
-            period, src, dst, rank = (f.strip() for f in row)
-            for label in (src, dst):
-                if not LABEL_RE.match(label):
-                    raise FormatError(f"bad node label {label!r}", line=lineno)
-            try:
-                r = int(rank)
-            except ValueError:
-                raise FormatError(f"rank must be an integer, got {rank!r}", line=lineno)
-            if (period, src, dst) in entries:
-                raise FormatError(f"duplicate ranking for {src}->{dst}", line=lineno)
-            entries[(period, src, dst)] = r
-            nodes.add(src)
-            nodes.add(dst)
-    if not entries:
-        raise FormatError("no rankings")
-    labels = tuple(sorted(nodes))
-    index = {lab: i for i, lab in enumerate(labels)}
-    distinct = list({p for p, _, _ in entries})
-    periods = [p for _, p in sorted(zip(_period_keys(distinct), distinct))]
-    n = len(labels)
-    mats = []
-    for p in periods:
-        mat = np.zeros((n, n), dtype=int)
-        for (pp, src, dst), r in entries.items():
-            if pp == p:
-                mat[index[src], index[dst]] = r
-        mats.append(mat)
-    return mats, labels, tuple(periods)
-
-
-@main.command("convert")
-@_opt_config
-@click.option("--data", type=str, default=None, help="interchange CSV to transform")
-@click.option("--rankings", type=str, default=None,
-              help="CSV period,source,target,rank to convert via top-k")
-@click.option("--k", type=int, default=None, help="top-k cutoff for rankings")
-@click.option("--top-count", type=int, default=None,
-              help="keep this many most-endorsed nodes")
-@click.option("--window", type=str, default=None, help="period window LO:HI")
-@_opt_out
-@_guarded
-def cmd_convert(config_path, data, rankings, k, top_count, window, out):
+@_command("convert", _CONVERT_SPEC)
+def cmd_convert(cfg):
     """Normalize and filter data into the interchange format."""
-    cfg = _resolve(_CONVERT_SPEC, {
-        "data": data, "rankings": rankings, "k": k, "top_count": top_count,
-        "window": window, "out": out,
-    }, config_path)
     if (cfg["data"] is None) == (cfg["rankings"] is None):
         raise click.UsageError("provide exactly one of --data or --rankings")
     if cfg["rankings"]:
-        mats, labels, periods = _load_ranking_csv(cfg["rankings"])
+        mats, labels, periods = load_rankings(cfg["rankings"])
         seq = convert_rankings_topk(mats, k=cfg["k"], node_labels=labels,
                                     period_labels=periods)
     else:

@@ -4,7 +4,10 @@ The canonical on-disk form is a UTF-8, LF-terminated CSV with header
 ``period,source,target,count``: one endorsement batch per row, counts
 summed over duplicate (period, source, target) triples.  Node labels are
 restricted to ``[A-Za-z0-9_.-]+``.  Periods sort numerically when every
-label parses as a number, lexicographically otherwise.
+label parses as a number other than NaN, lexicographically otherwise; the
+keys are computed over all labels at once, and labels with equal
+numeric keys (``1`` and ``1.0``) break ties lexicographically.  Ranking
+files (``period,source,target,rank``) are read by the same rules.
 """
 
 from __future__ import annotations
@@ -84,19 +87,97 @@ class InteractionSequence:
 
     @property
     def m_bar(self) -> float:
-        """Mean endorsements per period; the m used for critical values."""
-        return float(self.m_t.mean())
+        """Mean endorsements over the used periods; the m used for critical values."""
+        _, used = self.used_periods()
+        return float(np.mean([d.sum() for d in used]))
+
+    def used_periods(self):
+        """Initial state and the periods entering the likelihood.
+
+        A warm start (a0) covers every period; otherwise the first period
+        is consumed as A(0) and excluded.
+        """
+        if self.a0 is not None:
+            return np.asarray(self.a0, dtype=float), self.deltas
+        if self.t_len < 2:
+            raise DomainError("need a0 or at least 2 periods")
+        return np.asarray(self.deltas[0], dtype=float), self.deltas[1:]
 
     def with_a0(self, a0) -> "InteractionSequence":
         return replace(self, a0=a0)
 
 
 def _period_keys(labels):
-    """Numeric sort keys when every label parses as a number, else strings."""
+    """Numeric sort keys when every label parses as a number other than NaN, else strings."""
     try:
-        return [float(x) for x in labels]
+        keys = [float(x) for x in labels]
+        if not np.isnan(keys).any():
+            return keys
     except (TypeError, ValueError):
-        return [str(x) for x in labels]
+        pass
+    return [str(x) for x in labels]
+
+
+def _sorted_periods(labels) -> tuple:
+    """Period labels in interchange order: keys over all labels at once, ties by label."""
+    labels = list(labels)
+    return tuple(p for _, p in sorted(zip(_period_keys(labels), labels)))
+
+
+def _read_rows(path, value_name):
+    """Checked rows ``(line, period, source, target, value)`` of a 4-column CSV.
+
+    The header must be ``period,source,target,<value_name>``; blank rows are
+    skipped.  Every error carries the 1-based line number of its row.
+    """
+    header = ("period", "source", "target", value_name)
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            first = next(reader)
+        except StopIteration:
+            raise FormatError(f"empty file, expected header {','.join(header)}")
+        if tuple(h.strip() for h in first) != header:
+            raise FormatError(
+                f"expected header {','.join(header)}, got {','.join(first)}", line=1
+            )
+        rows = []
+        for row in reader:
+            line = reader.line_num
+            if row == []:
+                continue
+            if len(row) != 4:
+                raise FormatError(f"expected 4 fields, got {len(row)}", line=line)
+            period, src, dst, value = (f.strip() for f in row)
+            if not period:
+                raise FormatError("empty period label", line=line)
+            for label in (src, dst):
+                if not LABEL_RE.match(label):
+                    raise FormatError(f"bad node label {label!r}", line=line)
+            try:
+                value = int(value)
+            except ValueError:
+                raise FormatError(f"{value_name} must be an integer, got {value!r}", line=line)
+            rows.append((line, period, src, dst, value))
+    if not rows:
+        raise FormatError("no interactions")
+    return rows
+
+
+def _tabulate(cells: dict, dtype):
+    """``{(period, source, target): value}`` -> (matrices, node labels, period labels).
+
+    Nodes are the sorted label set; one n x n matrix per period, in
+    interchange period order.
+    """
+    nodes = tuple(sorted({s for _, s, _ in cells} | {d for _, _, d in cells}))
+    periods = _sorted_periods({p for p, _, _ in cells})
+    index = {lab: i for i, lab in enumerate(nodes)}
+    pos = {p: t for t, p in enumerate(periods)}
+    mats = np.zeros((len(periods), len(nodes), len(nodes)), dtype=dtype)
+    for (p, s, d), value in cells.items():
+        mats[pos[p], index[s], index[d]] = value
+    return tuple(mats), nodes, periods
 
 
 def load_edge_list(path) -> InteractionSequence:
@@ -105,52 +186,29 @@ def load_edge_list(path) -> InteractionSequence:
     Duplicate (period, source, target) rows are summed.  Errors carry the
     1-based line number of the offending row.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError("empty file, expected header period,source,target,count")
-        if tuple(h.strip() for h in header) != HEADER:
-            raise FormatError(
-                f"expected header period,source,target,count, got {','.join(header)}",
-                line=1,
-            )
-        counts: dict = {}
-        nodes: set = set()
-        for lineno, row in enumerate(reader, start=2):
-            if row == []:
-                continue
-            if len(row) != 4:
-                raise FormatError(f"expected 4 fields, got {len(row)}", line=lineno)
-            period, src, dst, cnt = (f.strip() for f in row)
-            if not period:
-                raise FormatError("empty period label", line=lineno)
-            for label in (src, dst):
-                if not LABEL_RE.match(label):
-                    raise FormatError(f"bad node label {label!r}", line=lineno)
-            try:
-                c = int(cnt)
-            except ValueError:
-                raise FormatError(f"count must be an integer, got {cnt!r}", line=lineno)
-            if c < 1:
-                raise DomainError(f"line {lineno}: count must be >= 1, got {c}")
-            nodes.add(src)
-            nodes.add(dst)
-            counts[(period, src, dst)] = counts.get((period, src, dst), 0) + c
-    if not counts:
-        raise FormatError("no interactions")
-    node_labels = tuple(sorted(nodes))
-    index = {lab: i for i, lab in enumerate(node_labels)}
-    periods = sorted({p for p, _, _ in counts}, key=lambda p: _period_keys([p])[0])
-    n = len(node_labels)
-    deltas = [np.zeros((n, n)) for _ in periods]
-    pos = {p: t for t, p in enumerate(periods)}
-    for (p, s, d), c in counts.items():
-        deltas[pos[p]][index[s], index[d]] += c
-    return InteractionSequence(
-        deltas=tuple(deltas), node_labels=node_labels, period_labels=tuple(periods)
-    )
+    counts: dict = {}
+    for line, period, src, dst, c in _read_rows(path, "count"):
+        if c < 1:
+            raise DomainError(f"line {line}: count must be >= 1, got {c}")
+        counts[(period, src, dst)] = counts.get((period, src, dst), 0) + c
+    deltas, nodes, periods = _tabulate(counts, float)
+    return InteractionSequence(deltas=deltas, node_labels=nodes, period_labels=periods)
+
+
+def load_rankings(path):
+    """Read a ``period,source,target,rank`` CSV into per-period rank matrices.
+
+    Returns ``(matrices, node_labels, period_labels)`` in the layout
+    ``convert_rankings_topk`` takes.  Labels and period order follow the
+    interchange format; a repeated (period, source, target) row is a
+    FormatError carrying its line number.
+    """
+    ranks: dict = {}
+    for line, period, src, dst, r in _read_rows(path, "rank"):
+        if (period, src, dst) in ranks:
+            raise FormatError(f"duplicate ranking for {src}->{dst}", line=line)
+        ranks[(period, src, dst)] = r
+    return _tabulate(ranks, int)
 
 
 def save_edge_list(seq: InteractionSequence, path) -> None:
@@ -219,8 +277,7 @@ def _window_indices(seq: InteractionSequence, window) -> list[int]:
     if window is None:
         return list(range(seq.t_len))
     lo, hi = window
-    keys = _period_keys(seq.period_labels)
-    lo_k, hi_k = _period_keys([lo, hi])
+    *keys, lo_k, hi_k = _period_keys([*seq.period_labels, lo, hi])
     idx = [t for t, key in enumerate(keys) if lo_k <= key <= hi_k]
     if not idx:
         raise DomainError(f"window {window!r} selects no periods")

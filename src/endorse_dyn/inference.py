@@ -67,25 +67,12 @@ def halflife(lam: float) -> float:
     return float(-np.log(2.0) / np.log(lam))
 
 
-def _used_periods(seq: InteractionSequence):
-    """Initial state and the periods entering the likelihood.
-
-    A warm start (seq.a0) covers every period; otherwise the first period
-    is consumed as A(0) and excluded from the likelihood.
-    """
-    if seq.a0 is not None:
-        return np.asarray(seq.a0, dtype=float), seq.deltas
-    if seq.t_len < 2:
-        raise DomainError("need a0 or at least 2 periods")
-    return np.asarray(seq.deltas[0], dtype=float), seq.deltas[1:]
-
-
 def _rolled_scores(seq, lam, score_kind, alpha_p, alpha_s):
     """Score vectors s(t) for each used period, stacked (T, n)."""
     params = ModelParams(
         lam=lam, score_kind=score_kind, alpha_p=alpha_p, alpha_s=alpha_s
     )
-    a, used = _used_periods(seq)
+    a, used = seq.used_periods()
     s_rows = []
     for delta in used:
         s_rows.append(score(a, params))

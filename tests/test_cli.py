@@ -15,6 +15,7 @@ from endorse_dyn import __version__, cli
 from endorse_dyn.core import ModelParams, uniform_initial
 from endorse_dyn.data import load_edge_list, save_edge_list, simulate_sequence
 from endorse_dyn.errors import NumericError
+from endorse_dyn.sim import _cell_seed, mean_gamma, run
 
 
 @pytest.fixture
@@ -114,6 +115,28 @@ class TestConfigFile:
         assert "config line 1" in res.stderr
 
 
+    @pytest.mark.parametrize(
+        "command,key,value",
+        [
+            ("simulate", "n", "abc"),
+            ("simulate", "lambda", "high"),
+            ("bifurcate", "overlay", "maybe"),
+            ("bifurcate", "grid_beta1", "1:2"),
+        ],
+    )
+    def test_bad_config_value_names_key_and_value(self, runner, tmp_path, command, key, value):
+        keys = {"score": "rootdegree", "n": "4", "lambda": "0.9", "grid_beta1": "1:2:2"}
+        keys = {k: v for k, v in keys.items() if k in SPECS[command]}
+        keys[key] = value
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+        res = runner.invoke(cli.main, [
+            command, "--config", str(cfg), "--out", str(tmp_path / "o"),
+        ])
+        assert res.exit_code == 2, res.output + res.stderr
+        assert res.stderr.startswith(f"error: bad value for {key}: {value!r}")
+
+
 class TestSweep:
     def test_variance_grid(self, runner, tmp_path):
         out = tmp_path / "sweep"
@@ -171,6 +194,21 @@ class TestBifurcate:
         gam = np.array([float(l.split(",")[2]) for l in lines[1:5]])
         assert gam.sum() == pytest.approx(1.0, abs=1e-9)
 
+    def test_overlay_point_uses_the_sweep_cell_seed(self, runner, tmp_path):
+        out = tmp_path / "bif"
+        res = runner.invoke(cli.main, [
+            "bifurcate", "--score", "rootdegree", "--n", "4", "--m", "2",
+            "--grid-beta1", "2.0:6.0:2", "--beta2", "-0.5", "--overlay",
+            "--lambda", "0.9", "--steps", "40", "--window", "10", "--seed", "11",
+            "--out", str(out),
+        ])
+        assert res.exit_code == 0, res.output + res.stderr
+        rows = [l.split(",") for l in (out / "overlay.csv").read_text().splitlines()[1:]]
+        params = ModelParams(lam=0.9, beta=(6.0, -0.5), m=2, score_kind="rootdegree",
+                             seed=_cell_seed(11, 1))
+        expected = mean_gamma(run(params, a0=uniform_initial(4, 2), steps=40), window=10)
+        assert [float(r[2]) for r in rows if float(r[0]) == 6.0] == expected.tolist()
+
 
 class TestFitAndCompare:
     def test_fit_outputs(self, runner, tmp_path):
@@ -208,6 +246,17 @@ class TestFitAndCompare:
         ])
         assert res.exit_code == 0, res.output + res.stderr
         assert "dropped 1 labels" in res.stderr
+        # both endpoints unknown: each absent label counts
+        warm.write_text(
+            "period,source,target,count\n0,v0,v1,3\n0,zz,v2,2\n0,zz,yy,1\n",
+            encoding="utf-8",
+        )
+        res = runner.invoke(cli.main, [
+            "fit", "--data", str(data), "--score", "rootdegree",
+            "--warm-start", str(warm), "--restarts", "1", "--out", str(out),
+        ])
+        assert res.exit_code == 0, res.output + res.stderr
+        assert "dropped 2 labels" in res.stderr
 
     def test_fit_missing_data_file(self, runner, tmp_path):
         res = runner.invoke(cli.main, [
@@ -298,6 +347,21 @@ class TestConvert:
         assert res.exit_code == 2
         assert "duplicate ranking" in res.stderr
 
+    def test_empty_ranking_period_rejected(self, runner, tmp_path):
+        src = tmp_path / "ranks.csv"
+        src.write_text(
+            "period,source,target,rank\n"
+            "1,a,b,1\n,a,c,2\n1,b,a,1\n1,b,c,2\n1,c,a,2\n1,c,b,1\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "x"
+        res = runner.invoke(cli.main, [
+            "convert", "--rankings", str(src), "--k", "1", "--out", str(out),
+        ])
+        assert res.exit_code == 2
+        assert "line 3: empty period label" in res.stderr
+        assert not (out / "edges.csv").exists()
+
     def test_exactly_one_source_required(self, runner, tmp_path):
         data = make_data_csv(tmp_path)
         res = runner.invoke(cli.main, [
@@ -329,6 +393,46 @@ class TestErrorMapping:
 
 
 SUBCOMMANDS = ("simulate", "sweep", "bifurcate", "fit", "compare", "convert")
+
+SPECS = {
+    "simulate": cli._SIM_SPEC,
+    "sweep": cli._SWEEP_SPEC,
+    "bifurcate": cli._BIF_SPEC,
+    "fit": cli._FIT_SPEC,
+    "compare": cli._COMPARE_SPEC,
+    "convert": cli._CONVERT_SPEC,
+}
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_help_lists_config_then_spec_keys(self, runner, command):
+        res = runner.invoke(cli.main, [command, "--help"])
+        assert res.exit_code == 0
+        options = [line.split()[0] for line in res.output.splitlines()
+                   if line.startswith("  --")]
+        flags = ["--" + key.replace("_", "-") for key in SPECS[command]]
+        assert options == ["--config", *flags, "--help"]
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_run_json_config_keys_are_spec_keys(self, runner, tmp_path, command):
+        data = make_data_csv(tmp_path, periods=8)
+        args = {
+            "simulate": ["--score", "rootdegree", "--n", "3", "--lambda", "0.9",
+                         "--steps", "5"],
+            "sweep": ["--score", "rootdegree", "--n", "3", "--lambda", "0.9",
+                      "--grid-beta1", "0:1:2", "--steps", "5", "--window", "2"],
+            "bifurcate": ["--score", "rootdegree", "--n", "3", "--grid-beta1", "1:1:1"],
+            "fit": ["--data", str(data), "--score", "rootdegree", "--restarts", "1"],
+            "compare": ["--data", str(data), "--restarts", "1"],
+            "convert": ["--data", str(data)],
+        }[command]
+        out = tmp_path / "o"
+        res = runner.invoke(cli.main, [command, *args, "--out", str(out)])
+        assert res.exit_code == 0, res.output + res.stderr
+        meta = json.loads((out / "run.json").read_text())
+        assert meta["command"] == command
+        assert sorted(meta["config"]) == sorted(SPECS[command])
 
 
 def _child_env():

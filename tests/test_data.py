@@ -9,6 +9,7 @@ from endorse_dyn.data import (
     aggregate_counts,
     convert_rankings_topk,
     load_edge_list,
+    load_rankings,
     restrict_top_placers,
     save_edge_list,
     simulate_sequence,
@@ -32,6 +33,16 @@ class TestInteractionSequence:
         assert seq.n == 2 and seq.t_len == 2
         assert np.array_equal(seq.m_t, [3, 3])
         assert seq.m_bar == 3.0
+
+    def test_m_bar_averages_the_used_periods(self):
+        deltas = tuple(np.array([[0, c], [0, 0]]) for c in (1, 3, 5))
+        seq = InteractionSequence(deltas, ("a", "b"), ("1", "2", "3"))
+        a0, used = seq.used_periods()
+        assert np.array_equal(a0, deltas[0]) and len(used) == 2
+        assert seq.m_bar == 4.0  # the first period is A(0), not data
+        warm = seq.with_a0(np.ones((2, 2)))
+        assert len(warm.used_periods()[1]) == 3
+        assert warm.m_bar == 3.0
 
     def test_matrices_are_read_only_copies(self):
         d = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -100,6 +111,33 @@ class TestLoadEdgeList:
             "period,source,target,count\nw10,a,b,1\nw2,a,b,1\nw1,a,b,1\n",
         )
         assert load_edge_list(p).period_labels == ("w1", "w10", "w2")
+
+    def test_mixed_period_labels_sort_lexicographically(self, tmp_path):
+        p = write(
+            tmp_path,
+            "period,source,target,count\n2,a,b,1\nx,a,b,1\n10,a,b,1\n1,a,b,1\n",
+        )
+        assert load_edge_list(p).period_labels == ("1", "10", "2", "x")
+
+    @pytest.mark.parametrize("first,second", [("1", "1.0"), ("1.0", "1")])
+    def test_equal_numeric_keys_break_ties_by_label(self, tmp_path, first, second):
+        p = write(
+            tmp_path,
+            f"period,source,target,count\n2,a,b,1\n{first},a,b,1\n{second},b,a,1\n",
+        )
+        assert load_edge_list(p).period_labels == ("1", "1.0", "2")
+
+    @pytest.mark.parametrize("order", [("nan", "2", "10"), ("10", "nan", "2")])
+    def test_nan_period_label_sorts_as_text(self, tmp_path, order):
+        rows = "".join(f"{p},a,b,1\n" for p in order)
+        p = write(tmp_path, "period,source,target,count\n" + rows)
+        assert load_edge_list(p).period_labels == ("10", "2", "nan")
+
+    def test_empty_period_reports_line(self, tmp_path):
+        p = write(tmp_path, "period,source,target,count\n1,a,b,1\n,a,b,1\n")
+        with pytest.raises(FormatError) as exc:
+            load_edge_list(p)
+        assert "line 3" in str(exc.value)
 
     def test_header_mismatch(self, tmp_path):
         p = write(tmp_path, "time,source,target,count\n1,a,b,1\n")
@@ -199,6 +237,42 @@ class TestSaveEdgeList:
             assert np.array_equal(d1, d2[np.ix_(idx, idx)])
 
 
+class TestLoadRankings:
+    HEADER = "period,source,target,rank\n"
+
+    def test_tabulates_rank_matrices(self, tmp_path):
+        p = write(
+            tmp_path,
+            self.HEADER + "10,b,a,1\n10,a,b,1\n\n2,a,b,1\n2,b,a,1\n",
+            name="ranks.csv",
+        )
+        mats, nodes, periods = load_rankings(p)
+        assert nodes == ("a", "b")
+        assert periods == ("2", "10")
+        assert all(m.dtype.kind == "i" for m in mats)
+        assert np.array_equal(mats[0], [[0, 1], [1, 0]])
+        seq = convert_rankings_topk(mats, k=1, node_labels=nodes, period_labels=periods)
+        assert seq.period_labels == ("2", "10")
+
+    @pytest.mark.parametrize(
+        "body,line,message",
+        [
+            ("", 1, "expected header"),
+            ("1,a,b,1\n1,a b,c,1\n", 3, "bad node label"),
+            ("1,a,b,1\n1,b,a,first\n", 3, "rank must be an integer"),
+            ("1,a,b,1\n\n,b,a,1\n", 4, "empty period label"),
+            ("1,a,b,1\n1,b,a,1\n1,a,b,2\n", 4, "duplicate ranking for a->b"),
+        ],
+    )
+    def test_errors_carry_line_numbers(self, tmp_path, body, line, message):
+        header = "period,source,target,count\n" if line == 1 else self.HEADER
+        p = write(tmp_path, header + body, name="ranks.csv")
+        with pytest.raises(FormatError) as exc:
+            load_rankings(p)
+        assert exc.value.line == line
+        assert f"line {line}: {message}" in str(exc.value)
+
+
 class TestConvertRankings:
     def _ranking(self, n, order_by_row):
         """order_by_row[i] lists the other nodes from most to least preferred."""
@@ -260,6 +334,14 @@ class TestWindowsAndRestriction:
     def test_empty_window_raises(self):
         with pytest.raises(DomainError):
             aggregate_counts(self._seq(), window=("7", "9"))
+
+    def test_window_keys_cover_labels_and_bounds_at_once(self):
+        seq = InteractionSequence(
+            (np.ones((2, 2)), np.ones((2, 2))), ("a", "b"), ("w1", "w2")
+        )
+        with pytest.raises(DomainError):
+            aggregate_counts(seq, window=("1", "2"))  # text order: no w-label inside
+        assert aggregate_counts(seq, window=("w1", "w1"))[0, 1] == 1
 
     def test_restrict_keeps_top_receivers(self):
         # received totals: a = 6, b = 8, c = 4, so top 2 keeps a and b
