@@ -166,8 +166,10 @@ def _command(name: str, spec: dict):
     """Register ``body(cfg)`` as command `name`.
 
     `spec` maps each key to ``(cast, default, help)``.  The command gets
-    --config and one flag per key, in spec order (``bool`` keys are bare
-    flags); `body` receives the configuration `_resolve` builds from them.
+    --config and one flag per key, in spec order (a ``bool`` key is an
+    on/off pair, ``--key/--no-key``, so a flag can override the config file
+    either way); `body` receives the configuration `_resolve` builds from
+    them.
     """
 
     def decorate(body):
@@ -177,10 +179,13 @@ def _command(name: str, spec: dict):
         command.__doc__ = body.__doc__
         command = _guarded(command)
         for key, (cast, _, help_text) in reversed(spec.items()):
-            kind = ({"is_flag": True} if cast is bool
-                    else {"type": cast if cast in (int, float) else str})
-            command = click.option(f"--{key.replace('_', '-')}", key, default=None,
-                                   help=help_text, **kind)(command)
+            flag = f"--{key.replace('_', '-')}"
+            if cast is bool:
+                decl, kind = f"{flag}/--no-{flag[2:]}", {}
+            else:
+                decl, kind = flag, {"type": cast if cast in (int, float) else str}
+            command = click.option(decl, key, default=None, help=help_text,
+                                   **kind)(command)
         command = click.option("--config", "config_path", type=str, default=None,
                                help="key=value file; flags override it")(command)
         return main.command(name)(command)
@@ -432,6 +437,9 @@ def cmd_compare(cfg):
     })
     _write_tables(outdir, dataset, seq, table.results)
     _write_run_json(outdir, "compare", cfg)
+    for fr in table.results:
+        for w in fr.warnings:
+            click.echo(f"warning: {fr.score_kind}: {w}", err=True)
     for kind, msg in sorted(table.errors.items()):
         click.echo(f"warning: {kind} failed: {msg}", err=True)
     click.echo(f"best score kind for {dataset}: {table.best}")

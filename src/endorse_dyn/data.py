@@ -239,7 +239,8 @@ def convert_rankings_topk(
     ``rank_matrices[t][i, j]`` is the rank member i assigns to member j
     (1 = most preferred); each row must rank all other members exactly once
     (the diagonal is ignored).  i endorses j with count 1 whenever the rank
-    is <= k.
+    is <= k.  Errors name a period and a ranker by label when labels are
+    given, and by index otherwise.
     """
     mats = [np.asarray(r) for r in rank_matrices]
     if not mats:
@@ -247,17 +248,24 @@ def convert_rankings_topk(
     n = mats[0].shape[0]
     if k < 1 or k > n - 1:
         raise DomainError(f"k must lie in [1, {n - 1}]")
+
+    def period(t):
+        return f"period {t}" if period_labels is None else f"period {period_labels[t]!r}"
+
+    def ranker(i):
+        return f"ranker {i}" if node_labels is None else f"ranker {node_labels[i]!r}"
+
     expected = set(range(1, n))
     deltas = []
     for t, r in enumerate(mats):
         if r.shape != (n, n):
-            raise DomainError(f"period {t}: ranking matrix shape {r.shape} != ({n},{n})")
+            raise DomainError(f"{period(t)}: ranking matrix shape {r.shape} != ({n},{n})")
         d = np.zeros((n, n))
         for i in range(n):
             row = [int(r[i, j]) for j in range(n) if j != i]
             if set(row) != expected:
                 raise FormatError(
-                    f"period {t}, ranker {i}: row is not a permutation of 1..{n - 1}"
+                    f"{period(t)}, {ranker(i)}: row is not a permutation of 1..{n - 1}"
                 )
             for j in range(n):
                 if j != i and r[i, j] <= k:

@@ -2,17 +2,21 @@
 
 The likelihood factorizes per period: roll the state forward from A(0)
 with the observed counts and the candidate lambda, score each state, and
-credit each observed endorsement i -> j with log G_ij.  Scores depend on
-lambda and the data only, never on beta, so for fixed lambda the problem
-in beta is a concave logit likelihood solved by quasi-Newton ascent with
-the exact gradient; lambda is maximized by a derivative-free 1-D search
-over restarts.  The multinomial coefficient is dropped throughout: it
-shifts the likelihood by a data constant and no comparison here needs it.
+credit each observed endorsement i -> j with log G_ij.  The rolled states
+A(t) depend on lambda and the data only, never on beta, so each lambda
+scores all of them in one stacked `score` call, and for fixed lambda the
+problem in beta is a two-parameter concave conditional logit (McFadden
+1974).  It is solved by damped Newton ascent on the exact Hessian
+-sum_i k_i Cov_{p_i}(phi); lambda is maximized by a derivative-free 1-D
+search over restarts.  The multinomial coefficient is dropped throughout:
+it shifts the likelihood by a data constant and no comparison here needs
+it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.optimize
@@ -26,6 +30,9 @@ from .stability import critical_beta1
 
 LAM_LO = 1e-6
 LAM_HI = 1.0 - 1e-6
+LAM_XATOL = 1e-4  # absolute tolerance of the 1-D lambda search
+BETA_MAX_ITER = 50  # Newton iterations per beta solve
+BETA_MAX_HALVINGS = 40  # Armijo backtracking halvings per Newton step
 
 
 @dataclass(frozen=True)
@@ -68,45 +75,88 @@ def halflife(lam: float) -> float:
 
 
 def _rolled_scores(seq, lam, score_kind, alpha_p, alpha_s):
-    """Score vectors s(t) for each used period, stacked (T, n)."""
+    """Score vectors s(t) for each used period, stacked (T, n), and the counts.
+
+    The states A(t) are rolled forward first and then scored as one stack.
+    """
     params = ModelParams(
         lam=lam, score_kind=score_kind, alpha_p=alpha_p, alpha_s=alpha_s
     )
     a, used = seq.used_periods()
-    s_rows = []
+    states = []
     for delta in used:
-        s_rows.append(score(a, params))
+        states.append(a)
         a = lam * a + (1.0 - lam) * delta
-    return np.array(s_rows), np.array(used)
+    return score(np.array(states), params), np.array(used)
 
 
-def _loglik_and_grad(s_stack, k_stack, beta, exclude_self=False):
-    """Constant-free log-likelihood and its exact beta-gradient.
+class _LogitTerms(NamedTuple):
+    """The beta-independent pieces of the likelihood at one lambda.
 
+    Only the R rows (t, i) in which i endorsed someone enter the
+    likelihood, its gradient and its Hessian (each is weighted by k_ti),
+    so only those rows are kept, each as a length-n choice over targets j.
+    """
+
+    phi1: np.ndarray  # (R, n) prestige feature s_j
+    phi2: np.ndarray  # (R, n) proximity feature (s_i - s_j)^2
+    chooser: np.ndarray  # (R,) the endorser i of each row: its own column
+    observed: np.ndarray  # flat indices of the positive counts in an (R, n) array
+    k_obs: np.ndarray  # the positive counts, in that order
+    k_row: np.ndarray  # (R,) endorsements made in each row
+    k_phi: np.ndarray  # (2,) sum of k * phi over all cells
+
+
+def _logit_terms(s_stack, k_stack) -> _LogitTerms:
+    t, i = np.nonzero(k_stack.sum(axis=2))
+    phi1 = s_stack[t]
+    diff = s_stack[t, i][:, None] - phi1
+    phi2 = diff * diff
+    k_rows = k_stack[t, i]
+    observed = np.flatnonzero(k_rows)
+    k_obs = k_rows.ravel()[observed]
+    k_phi = np.array([k_obs @ phi1.ravel()[observed], k_obs @ phi2.ravel()[observed]])
+    return _LogitTerms(phi1, phi2, i, observed, k_obs, k_rows.sum(axis=1), k_phi)
+
+
+def _terms_at(seq, lam, score_kind, alpha_p, alpha_s) -> _LogitTerms:
+    return _logit_terms(*_rolled_scores(seq, lam, score_kind, alpha_p, alpha_s))
+
+
+def _loglik_and_grad(terms: _LogitTerms, beta, exclude_self=False):
+    """Constant-free log-likelihood, its exact beta-gradient and beta-Hessian.
+
+    With p the choice probabilities of a row, the gradient is
+    sum k phi - sum_rows k_row E_p[phi] and the Hessian is
+    -sum_rows k_row Cov_p(phi), formed from the centered features.
     Everything stays in log space; a -inf can only appear when a positive
     count sits on an excluded cell.
     """
-    n = s_stack.shape[1]
-    phi1 = np.broadcast_to(s_stack[:, None, :], k_stack.shape)
-    diff = s_stack[:, :, None] - s_stack[:, None, :]
-    phi2 = diff * diff
-    u = beta[0] * phi1 + beta[1] * phi2
-    if exclude_self:
-        u = u.copy()
-        idx = np.arange(n)
-        u[:, idx, idx] = -np.inf
-    rowmax = u.max(axis=2, keepdims=True)
-    ex = np.exp(u - rowmax)
-    z = ex.sum(axis=2, keepdims=True)
-    logp = u - (np.log(z) + rowmax)
-    with np.errstate(invalid="ignore"):
-        terms = np.where(k_stack > 0, k_stack * (logp - np.log(n)), 0.0)
-    ll = float(terms.sum())
-    p = ex / z
-    k_i = k_stack.sum(axis=2)
-    g1 = float((k_stack * phi1).sum() - (k_i * (p * phi1).sum(axis=2)).sum())
-    g2 = float((k_stack * phi2).sum() - (k_i * (p * phi2).sum(axis=2)).sum())
-    return ll, np.array([g1, g2])
+    phi1, phi2, chooser, observed, k_obs, k_row, k_phi = terms
+    n = phi1.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = beta[0] * phi1 + beta[1] * phi2
+        if exclude_self:
+            u[np.arange(len(chooser)), chooser] = -np.inf
+        u -= u.max(axis=1, keepdims=True)
+        p = np.exp(u)
+        z = p.sum(axis=1)
+        ll = float(k_obs @ u.ravel()[observed] - k_row @ np.log(z)
+                   - k_obs.sum() * np.log(n))
+        p /= z[:, None]
+        mean1 = np.einsum("rj,rj->r", p, phi1)
+        mean2 = np.einsum("rj,rj->r", p, phi2)
+        g = k_phi - np.array([k_row @ mean1, k_row @ mean2])
+        c1 = phi1 - mean1[:, None]
+        c2 = phi2 - mean2[:, None]
+        w = p * k_row[:, None]
+        wc1 = w * c1
+        # einsum, not a BLAS dot: OpenBLAS threads dots this long, and the
+        # threads cost more CPU than they save here
+        h12 = -float(np.einsum("rj,rj->", wc1, c2))
+        h = np.array([[-float(np.einsum("rj,rj->", wc1, c1)), h12],
+                      [h12, -float(np.einsum("rj,rj,rj->", w, c2, c2))]])
+    return ll, g, h
 
 
 def _check_beta(beta) -> np.ndarray:
@@ -129,9 +179,8 @@ def log_likelihood(
 ) -> float:
     """Sum over periods and pairs of k_ij log G_ij (constant dropped)."""
     beta = _check_beta(beta)
-    s_stack, k_stack = _rolled_scores(seq, lam, score_kind, alpha_p, alpha_s)
-    ll, _ = _loglik_and_grad(s_stack, k_stack, beta, exclude_self)
-    return ll
+    terms = _terms_at(seq, lam, score_kind, alpha_p, alpha_s)
+    return _loglik_and_grad(terms, beta, exclude_self)[0]
 
 
 def grad_beta(
@@ -145,33 +194,64 @@ def grad_beta(
 ) -> np.ndarray:
     """Exact gradient of the log-likelihood in beta (scores held fixed)."""
     beta = _check_beta(beta)
-    s_stack, k_stack = _rolled_scores(seq, lam, score_kind, alpha_p, alpha_s)
-    _, g = _loglik_and_grad(s_stack, k_stack, beta, exclude_self)
-    return g
+    terms = _terms_at(seq, lam, score_kind, alpha_p, alpha_s)
+    return _loglik_and_grad(terms, beta, exclude_self)[1]
 
 
-def _maximize_beta(s_stack, k_stack, beta0, exclude_self):
-    """Quasi-Newton ascent in beta; returns (ll, beta, grad_inf_norm, ok)."""
+def _newton_step(g, h):
+    """Ascent step solving (-h + mu I) step = g; returns (step, mu).
 
-    def neg(b):
-        ll, g = _loglik_and_grad(s_stack, k_stack, b, exclude_self)
-        if not np.isfinite(ll):
-            return np.inf, np.zeros_like(g)
-        return -ll, -g
+    -h is the observed information in beta.  Where it is not numerically
+    positive definite (a flat or separable direction) mu > 0 shifts it
+    until it is (Levenberg damping), so the step still ascends; mu = 0 gives
+    the plain Newton step.
+    """
+    if not np.any(g):
+        return np.zeros(2), 0.0
+    info = -h
+    lo, hi = np.linalg.eigvalsh(info)
+    mu = 0.0
+    if not lo > 1e-10 * hi:
+        mu = max(-lo, 0.0) + max(1e-8 * hi, float(np.abs(g).max()))
+    return np.linalg.solve(info + mu * np.eye(2), g), mu
 
-    res = scipy.optimize.minimize(neg, np.asarray(beta0, dtype=float), jac=True,
-                                  method="BFGS", options={"gtol": 1e-9, "maxiter": 500})
-    ll, g = _loglik_and_grad(s_stack, k_stack, res.x, exclude_self)
+
+def _maximize_beta(terms, beta0, exclude_self):
+    """Damped Newton ascent in beta; returns (ll, beta, grad_inf_norm, ok).
+
+    Each iteration takes a Newton step with Armijo backtracking.  Once the
+    predicted gain g . step falls to the rounding level of ll, one last full
+    Newton step (undamped only) polishes beta and the loop stops; at most
+    BETA_MAX_ITER steps are taken either way.
+    """
+    beta = np.array(beta0, dtype=float)
+    ll, g, h = _loglik_and_grad(terms, beta, exclude_self)
     if not np.isfinite(ll):
-        return ll, res.x.copy(), np.inf, False
-    tol = 1e-7 * (1.0 + abs(ll))
-    if np.abs(g).max() > tol:
-        res = scipy.optimize.minimize(neg, res.x, jac=True, method="BFGS",
-                                      options={"gtol": tol / 10.0, "maxiter": 500})
-        ll, g = _loglik_and_grad(s_stack, k_stack, res.x, exclude_self)
+        return ll, beta, np.inf, False
+    for _ in range(BETA_MAX_ITER):
+        step, mu = _newton_step(g, h)
+        slope = float(g @ step)
+        rounding = 1e-12 * (1.0 + abs(ll))
+        if slope <= rounding:
+            if mu == 0.0 and np.any(step):
+                out = _loglik_and_grad(terms, beta + step, exclude_self)
+                if out[0] >= ll - rounding:
+                    beta = beta + step
+                    ll, g, h = out
+            break
+        t = 1.0
+        for _ in range(BETA_MAX_HALVINGS):
+            out = _loglik_and_grad(terms, beta + t * step, exclude_self)
+            if out[0] >= ll + 1e-4 * t * slope:
+                break
+            t *= 0.5
+        else:
+            break
+        beta = beta + t * step
+        ll, g, h = out
     gn = float(np.abs(g).max())
     ok = gn <= 1e-6 * (1.0 + abs(ll))
-    return ll, res.x.copy(), gn, ok
+    return ll, beta, gn, ok
 
 
 def fit(
@@ -185,13 +265,15 @@ def fit(
 ) -> FitResult:
     """Joint MLE of (lambda, beta1, beta2) for one score kind.
 
-    Inner loop: concave logit problem in beta at fixed lambda, solved by
-    BFGS with the analytic gradient.  Outer loop: scan `restarts` lambda
-    starts in parallel, then refine the best bracket with a bounded 1-D
-    search to 1e-4 in lambda.  Standard errors come from the inverse of
-    the negated central-difference Hessian of the log-likelihood at the
-    optimum; when that matrix is not positive definite the SEs are
-    reported as unavailable with a warning.
+    Inner loop: at each lambda the rolled states are scored as one stack,
+    and the concave logit problem in beta is solved by damped Newton ascent
+    on its exact Hessian.  Outer loop: scan `restarts` lambda starts in
+    parallel, then refine the best bracket with a bounded 1-D search to
+    LAM_XATOL in lambda; a lambda_hat within LAM_XATOL of LAM_LO or LAM_HI
+    is reported in `warnings`.  Standard errors come from the inverse of
+    the observed information at the optimum (exact in beta, central
+    differences in lambda); when that matrix is not positive definite the
+    SEs are reported as unavailable with a warning.
     """
     if seq.t_len < 2:
         raise DomainError("need at least 2 periods to fit")
@@ -206,8 +288,8 @@ def fit(
         lam = float(min(max(lam, LAM_LO), LAM_HI))
         if lam in cache:
             return cache[lam]
-        s_stack, k_stack = _rolled_scores(seq, lam, score_kind, alpha_p, alpha_s)
-        out = (lam,) + _maximize_beta(s_stack, k_stack, beta0, exclude_self)
+        terms = _terms_at(seq, lam, score_kind, alpha_p, alpha_s)
+        out = (lam,) + _maximize_beta(terms, beta0, exclude_self)
         cache[lam] = out
         return out
 
@@ -236,7 +318,7 @@ def fit(
 
     scipy.optimize.minimize_scalar(
         objective, bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-4, "maxiter": 200},
+        options={"xatol": LAM_XATOL, "maxiter": 200},
     )
 
     lam_hat, ll_hat, beta_hat, gn, _ = max(
@@ -244,6 +326,12 @@ def fit(
     )
 
     warnings: list[str] = []
+    for name, bound in (("LAM_LO", LAM_LO), ("LAM_HI", LAM_HI)):
+        if abs(lam_hat - bound) <= LAM_XATOL:
+            warnings.append(
+                f"lambda_hat = {lam_hat:.6g} is within {LAM_XATOL:g} of the search "
+                f"bound {name} = {bound:.6g}; the likelihood may peak beyond it"
+            )
     se = _standard_errors(
         seq, score_kind, lam_hat, beta_hat, alpha_p, alpha_s, exclude_self, warnings
     )
@@ -264,22 +352,29 @@ def fit(
 
 def _standard_errors(seq, score_kind, lam_hat, beta_hat, alpha_p, alpha_s,
                      exclude_self, warnings: list):
-    """sqrt diag of the inverted Fisher information (central-difference)."""
-    roll_cache: dict = {}
+    """sqrt diag of the inverted observed information.
 
-    def ll_at(theta):
-        lam = float(theta[0])
-        if lam not in roll_cache:
-            roll_cache[lam] = _rolled_scores(seq, lam, score_kind, alpha_p, alpha_s)
-        s_stack, k_stack = roll_cache[lam]
-        ll, _ = _loglik_and_grad(s_stack, k_stack, theta[1:], exclude_self)
-        return ll
-
-    theta = np.array([lam_hat, *beta_hat])
-    steps = 1e-4 * (1.0 + np.abs(theta))
-    steps[0] = min(steps[0], 0.5 * (LAM_HI - lam_hat) + 1e-12, 0.5 * lam_hat)
-    hess = _fd_hessian(ll_at, theta, steps)
-    fisher = -0.5 * (hess + hess.T)
+    The beta-beta block is the exact logit Hessian at the optimum; the
+    lambda row is taken by central differences in lambda at beta_hat, of
+    the log-likelihood (lambda-lambda) and of the exact beta-gradient
+    (lambda-beta).
+    """
+    beta = np.asarray(beta_hat, dtype=float)
+    step = min(1e-4 * (1.0 + lam_hat), 0.5 * (LAM_HI - lam_hat) + 1e-12, 0.5 * lam_hat)
+    ll0, _, h_beta = _loglik_and_grad(
+        _terms_at(seq, lam_hat, score_kind, alpha_p, alpha_s), beta, exclude_self
+    )
+    ll_up, g_up, _ = _loglik_and_grad(
+        _terms_at(seq, lam_hat + step, score_kind, alpha_p, alpha_s), beta, exclude_self
+    )
+    ll_dn, g_dn, _ = _loglik_and_grad(
+        _terms_at(seq, lam_hat - step, score_kind, alpha_p, alpha_s), beta, exclude_self
+    )
+    hess = np.empty((3, 3))
+    hess[0, 0] = (ll_up - 2.0 * ll0 + ll_dn) / step**2
+    hess[0, 1:] = hess[1:, 0] = (g_up - g_dn) / (2.0 * step)
+    hess[1:, 1:] = h_beta
+    fisher = -hess
     eigs = np.linalg.eigvalsh(fisher)
     if eigs.min() <= 0.0:
         warnings.append(
@@ -288,23 +383,6 @@ def _standard_errors(seq, score_kind, lam_hat, beta_hat, alpha_p, alpha_s,
         return None
     cov = np.linalg.inv(fisher)
     return tuple(float(x) for x in np.sqrt(np.diag(cov)))
-
-
-def _fd_hessian(f, x, steps):
-    d = len(x)
-    f0 = f(x)
-    hess = np.empty((d, d))
-    for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = steps[i]
-        hess[i, i] = (f(x + ei) - 2.0 * f0 + f(x - ei)) / steps[i] ** 2
-        for j in range(i + 1, d):
-            ej = np.zeros(d)
-            ej[j] = steps[j]
-            hess[i, j] = hess[j, i] = (
-                f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
-            ) / (4.0 * steps[i] * steps[j])
-    return hess
 
 
 def compare_scores(

@@ -13,7 +13,12 @@ from click.testing import CliRunner
 import endorse_dyn
 from endorse_dyn import __version__, cli
 from endorse_dyn.core import ModelParams, uniform_initial
-from endorse_dyn.data import load_edge_list, save_edge_list, simulate_sequence
+from endorse_dyn.data import (
+    InteractionSequence,
+    load_edge_list,
+    save_edge_list,
+    simulate_sequence,
+)
 from endorse_dyn.errors import NumericError
 from endorse_dyn.sim import _cell_seed, mean_gamma, run
 
@@ -135,6 +140,19 @@ class TestConfigFile:
         ])
         assert res.exit_code == 2, res.output + res.stderr
         assert res.stderr.startswith(f"error: bad value for {key}: {value!r}")
+
+    @pytest.mark.parametrize("flags,expected", [([], True), (["--no-overlay"], False),
+                                                (["--overlay"], True)])
+    def test_flags_override_config_for_bool_keys(self, runner, tmp_path, flags, expected):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("score = rootdegree\nn = 3\ngrid_beta1 = 1:1:1\noverlay = true\n"
+                       "lambda = 0.9\nsteps = 20\nwindow = 5\n")
+        out = tmp_path / "o"
+        res = runner.invoke(cli.main, ["bifurcate", "--config", str(cfg), *flags,
+                                       "--out", str(out)])
+        assert res.exit_code == 0, res.output + res.stderr
+        assert json.loads((out / "run.json").read_text())["config"]["overlay"] is expected
+        assert (out / "overlay.csv").exists() is expected
 
 
 class TestSweep:
@@ -291,6 +309,36 @@ class TestFitAndCompare:
         t1 = (out / "table1.csv").read_text().splitlines()
         assert len(t1) == 4
 
+    def test_lambda_on_a_bound_is_printed(self, runner, tmp_path):
+        # A(0) ranks node a on top and every period follows it, plus two
+        # endorsements of a node that changes each period: the rootdegree
+        # likelihood rises with memory all the way to LAM_HI
+        labels = ("a", "b", "c", "d")
+        deltas = []
+        for t in range(12):
+            d = np.zeros((4, 4))
+            d[1:, 0] = 1
+            d[0, 1] = 1
+            d[(t + 1) % 4, (t + 2) % 4] += 2
+            deltas.append(d)
+        a0 = np.zeros((4, 4))
+        a0[1:, 0] = 10
+        a0[0, 1] = 10
+        data, warm = tmp_path / "long.csv", tmp_path / "long-a0.csv"
+        save_edge_list(InteractionSequence(tuple(deltas), labels,
+                                           tuple(map(str, range(12)))), data)
+        save_edge_list(InteractionSequence((a0,), labels, ("a0",)), warm)
+        common = ["--data", str(data), "--warm-start", str(warm), "--restarts", "3"]
+        res = runner.invoke(cli.main, ["fit", *common, "--score", "rootdegree",
+                                       "--out", str(tmp_path / "fit")])
+        assert res.exit_code == 0, res.output + res.stderr
+        assert "warning: lambda_hat" in res.stderr and "bound LAM_HI" in res.stderr
+        fit_json = json.loads((tmp_path / "fit" / "fit.json").read_text())
+        assert any("LAM_HI" in w for w in fit_json["warnings"])
+        res = runner.invoke(cli.main, ["compare", *common, "--out", str(tmp_path / "cmp")])
+        assert res.exit_code == 0, res.output + res.stderr
+        assert "warning: rootdegree: lambda_hat" in res.stderr
+
 
 class TestConvert:
     def test_data_top_count_window(self, runner, tmp_path):
@@ -362,6 +410,20 @@ class TestConvert:
         assert "line 3: empty period label" in res.stderr
         assert not (out / "edges.csv").exists()
 
+    def test_ranking_error_names_period_and_ranker_labels(self, runner, tmp_path):
+        src = tmp_path / "ranks.csv"
+        src.write_text(
+            "period,source,target,rank\n"
+            "1998,a,b,1\n1998,a,c,2\n1998,b,a,1\n1998,b,c,2\n1998,c,a,2\n1998,c,b,1\n"
+            "1999,a,b,1\n1999,a,c,2\n",
+            encoding="utf-8",
+        )
+        res = runner.invoke(cli.main, [
+            "convert", "--rankings", str(src), "--k", "1", "--out", str(tmp_path / "x"),
+        ])
+        assert res.exit_code == 2
+        assert "period '1999', ranker 'b': row is not a permutation of 1..2" in res.stderr
+
     def test_exactly_one_source_required(self, runner, tmp_path):
         data = make_data_csv(tmp_path)
         res = runner.invoke(cli.main, [
@@ -409,9 +471,13 @@ class TestCommandTable:
     def test_help_lists_config_then_spec_keys(self, runner, command):
         res = runner.invoke(cli.main, [command, "--help"])
         assert res.exit_code == 0
-        options = [line.split()[0] for line in res.output.splitlines()
-                   if line.startswith("  --")]
-        flags = ["--" + key.replace("_", "-") for key in SPECS[command]]
+        # a bool key is listed as its on/off pair, "--key / --no-key"
+        options = [line.split()[0] if line.split()[1] != "/" else " ".join(line.split()[:3])
+                   for line in res.output.splitlines() if line.startswith("  --")]
+        flags = []
+        for key, (cast, _, _) in SPECS[command].items():
+            flag = "--" + key.replace("_", "-")
+            flags.append(f"{flag} / --no-{flag[2:]}" if cast is bool else flag)
         assert options == ["--config", *flags, "--help"]
 
     @pytest.mark.parametrize("command", SUBCOMMANDS)

@@ -308,6 +308,14 @@ class TestConvertRankings:
             convert_rankings_topk([r], k=1)
         assert "ranker 1" in str(exc.value)
 
+    def test_invalid_permutation_names_labels_when_given(self):
+        r = self._ranking(3, [[1, 2], [0, 2], [0, 1]])
+        r[1, 0] = 2
+        with pytest.raises(FormatError) as exc:
+            convert_rankings_topk([r, r], k=1, node_labels=("a", "b", "c"),
+                                  period_labels=("1998", "1999"))
+        assert "period '1998', ranker 'b'" in str(exc.value)
+
     def test_k_out_of_range(self):
         r = self._ranking(3, [[1, 2], [0, 2], [0, 1]])
         with pytest.raises(DomainError):

@@ -9,13 +9,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from endorse_dyn import inference
 from endorse_dyn.core import ModelParams, uniform_initial
 from endorse_dyn.data import InteractionSequence, simulate_sequence
 from endorse_dyn.errors import DomainError
 from endorse_dyn.inference import (
+    BETA_MAX_HALVINGS,
+    BETA_MAX_ITER,
     ComparisonTable,
     FitResult,
     compare_scores,
@@ -206,6 +210,136 @@ class TestGradient:
             assert lmid >= lavg - 1e-9
 
 
+def _no_self_counts(seq):
+    deltas = []
+    for d in seq.deltas:
+        d = d.copy()
+        np.fill_diagonal(d, 0)
+        deltas.append(d)
+    return InteractionSequence(tuple(deltas), seq.node_labels, seq.period_labels, seq.a0)
+
+
+class TestBetaNewton:
+    """The exact beta-Hessian and the Newton solve, each against an oracle."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("exclude_self", [False, True])
+    def test_hessian_matches_central_differences_of_grad_beta(self, kind, exclude_self):
+        rng = np.random.default_rng(21)
+        seq = _no_self_counts(random_sequence(rng, n=5, t_len=7, m=6, a0=True))
+        lam, beta = 0.8, np.array([0.7, -0.4])
+        terms = inference._terms_at(seq, lam, kind, 0.85, 1e-8)
+        _, _, hess = inference._loglik_and_grad(terms, beta, exclude_self)
+        for k in range(2):
+            h = 1e-5 * (1 + abs(beta[k]))
+            bp, bm = beta.copy(), beta.copy()
+            bp[k] += h
+            bm[k] -= h
+            fd = (grad_beta(seq, lam, bp, kind, exclude_self=exclude_self)
+                  - grad_beta(seq, lam, bm, kind, exclude_self=exclude_self)) / (2 * h)
+            assert np.all(np.abs(hess[:, k] - fd) <= 1e-6 * (1 + np.abs(fd))), (hess, k, fd)
+        assert hess[0, 1] == hess[1, 0]
+        assert np.all(np.linalg.eigvalsh(hess) < 0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_newton_matches_a_bfgs_reference(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        kind = KINDS[seed % 3]
+        exclude_self = seed >= 3
+        seq = random_sequence(rng, n=int(rng.integers(3, 7)), t_len=8, m=7, a0=True)
+        if exclude_self:
+            seq = _no_self_counts(seq)
+        lam = float(rng.uniform(0.3, 0.95))
+        terms = inference._terms_at(seq, lam, kind, 0.85, 1e-8)
+
+        def neg(b):
+            ll, g, _ = inference._loglik_and_grad(terms, b, exclude_self)
+            return -ll, -g
+
+        ref = scipy.optimize.minimize(neg, np.zeros(2), jac=True, method="BFGS",
+                                      options={"gtol": 1e-10, "maxiter": 1000})
+        ll, beta, gn, ok = inference._maximize_beta(terms, (0.0, 0.0), exclude_self)
+        assert ok
+        assert np.max(np.abs(beta - ref.x)) <= 1e-6, (beta, ref.x)
+        # no lower, up to the rounding of a sum of this many terms
+        assert ll >= -ref.fun - 1e-12 * abs(ref.fun)
+        assert gn <= 1e-6 * (1 + abs(ll))
+
+
+def _separable():
+    """Every node endorses node 0 and node 0 endorses node 1, in every period
+    and in A(0): the states never move, and the beta MLE does not exist."""
+    d = np.zeros((4, 4))
+    d[1:, 0] = 1
+    d[0, 1] = 1
+    return InteractionSequence(tuple(d.copy() for _ in range(6)), tuple("abcd"),
+                               tuple(map(str, range(6)))).with_a0(d.copy())
+
+
+def _flat():
+    """Everyone endorses everyone: all scores are equal at every lambda, so the
+    likelihood does not depend on beta at all."""
+    d = np.ones((4, 4))
+    return InteractionSequence(tuple(d.copy() for _ in range(6)), tuple("abcd"),
+                               tuple(map(str, range(6)))).with_a0(d.copy())
+
+
+def _one_chooser():
+    """Two nodes and only node 0 endorses, once itself and twice node 1:
+    each period has one row with two choices, so the utility difference
+    beta1 (s_1 - s_0) + beta2 (s_1 - s_0)^2 is all the data can fix, and the
+    beta MLE is a line (a singular observed information)."""
+    d = np.array([[1.0, 2.0], [0.0, 0.0]])
+    return InteractionSequence(tuple(d.copy() for _ in range(6)), ("a", "b"),
+                               tuple(map(str, range(6)))).with_a0(d.copy())
+
+
+class TestDegenerateBetaProblems:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("make", [_separable, _flat, _one_chooser])
+    def test_terminates_within_the_iteration_cap(self, kind, make, monkeypatch):
+        seq = make()
+        calls = []
+        evaluate = inference._loglik_and_grad
+
+        def counted(*args):
+            calls.append(1)
+            return evaluate(*args)
+
+        monkeypatch.setattr(inference, "_loglik_and_grad", counted)
+        for lam in (0.1, 0.5, 0.9):
+            terms = inference._terms_at(seq, lam, kind, 0.85, 1e-8)
+            calls.clear()
+            ll, beta, gn, _ = inference._maximize_beta(terms, (0.0, 0.0), False)
+            assert np.isfinite(ll) and np.all(np.isfinite(beta))
+            assert len(calls) <= 1 + BETA_MAX_ITER * BETA_MAX_HALVINGS
+        res = fit(seq, kind, restarts=2)
+        assert res.se is None
+        assert any("observed information is not positive definite" in w
+                   for w in res.warnings)
+
+    @pytest.mark.parametrize("h", [np.zeros((2, 2)), np.diag([-1.0, 1.0]),
+                                   np.array([[-1.0, -1.0], [-1.0, -1.0]])])
+    def test_damped_step_ascends_where_the_information_is_not_positive_definite(self, h):
+        g = np.array([1.0, -2.0])
+        step, mu = inference._newton_step(g, h)
+        assert mu > 0
+        assert np.all(np.isfinite(step)) and g @ step > 0
+
+    def test_undamped_step_is_the_newton_step(self):
+        g, h = np.array([1.0, -2.0]), np.array([[-2.0, 0.5], [0.5, -1.0]])
+        step, mu = inference._newton_step(g, h)
+        assert mu == 0.0
+        assert np.allclose(-h @ step, g, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_flat_likelihood_stays_at_the_start(self, kind):
+        terms = inference._terms_at(_flat(), 0.5, kind, 0.85, 1e-8)
+        ll, beta, gn, ok = inference._maximize_beta(terms, (0.3, -0.2), False)
+        assert ok and gn == 0.0
+        assert np.array_equal(beta, [0.3, -0.2])
+
+
 class TestHalflife:
     def test_exact_values(self):
         assert halflife(0.5) == 1.0
@@ -247,6 +381,28 @@ class TestFit:
             assert len(res.se) == 3
             assert all(s > 0 and np.isfinite(s) for s in res.se)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_standard_errors_match_a_central_difference_hessian(self, kind):
+        # oracle: the 3 x 3 Hessian of log_likelihood by central differences
+        seq = self._synthetic()
+        res = fit(seq, kind, restarts=2)
+        theta = np.array([res.lambda_hat, *res.beta_hat])
+        steps = 1e-4 * (1 + np.abs(theta))
+
+        def ll(x):
+            return log_likelihood(seq, x[0], x[1:], kind)
+
+        hess = np.empty((3, 3))
+        for i in range(3):
+            for j in range(3):
+                ei, ej = np.eye(3)[i] * steps[i], np.eye(3)[j] * steps[j]
+                hess[i, j] = (ll(theta + ei + ej) - ll(theta + ei - ej)
+                              - ll(theta - ei + ej) + ll(theta - ei - ej)) / (
+                    4 * steps[i] * steps[j])
+        ref = np.sqrt(np.diag(np.linalg.inv(-hess)))
+        assert res.se is not None, res.warnings
+        assert np.all(np.abs(np.array(res.se) / ref - 1) <= 1e-4), (res.se, ref)
+
     def test_deterministic(self):
         seq = self._synthetic()
         r1 = fit(seq, "rootdegree", restarts=2)
@@ -267,11 +423,54 @@ class TestFit:
         with pytest.raises(DomainError):
             fit(one, "rootdegree")
 
+    def test_no_bound_warning_inside_the_search_range(self):
+        res = fit(self._synthetic(), "rootdegree", restarts=3)
+        assert not any("search bound" in w for w in res.warnings)
+
+    @pytest.mark.parametrize("memory,kind,bound", [("long", "rootdegree", "LAM_HI"),
+                                                   ("short", "springrank", "LAM_LO")])
+    def test_warns_when_lambda_hat_sits_on_a_bound(self, memory, kind, bound):
+        res = fit(_bound_sequence(memory), kind, restarts=3)
+        limit = {"LAM_LO": inference.LAM_LO, "LAM_HI": inference.LAM_HI}[bound]
+        assert abs(res.lambda_hat - limit) <= inference.LAM_XATOL
+        assert any(f"search bound {bound}" in w for w in res.warnings), res.warnings
+
     def test_exclude_self_with_diagonal_counts_rejected(self):
         d = np.array([[2.0, 1.0], [1.0, 0.0]])
         seq = InteractionSequence((d, d), ("a", "b"), ("1", "2"))
         with pytest.raises(DomainError):
             fit(seq, "rootdegree", exclude_self=True)
+
+
+def _bound_sequence(memory):
+    """Data whose likelihood peaks at a lambda bound.
+
+    long: A(0) ranks node 0 on top and every period follows it, plus two
+    endorsements of a node that changes each period, so the longest memory
+    predicts best.  short: each period's endorsers all pick the node the
+    previous period picked, so the last period alone predicts best.
+    """
+    n, t_len = 4, 12
+    deltas = []
+    for t in range(t_len):
+        d = np.zeros((n, n))
+        if memory == "long":
+            d[1:, 0] = 1
+            d[0, 1] = 1
+            d[(t + 1) % n, (t + 2) % n] += 2
+        else:
+            c = t % n
+            d[:, c] = 1
+            d[c, c] = 0
+            d[c, (t + 1) % n] += 1
+        deltas.append(d)
+    seq = InteractionSequence(tuple(deltas), tuple("abcd"), tuple(map(str, range(t_len))))
+    if memory == "long":
+        a0 = np.zeros((n, n))
+        a0[1:, 0] = 10
+        a0[0, 1] = 10
+        seq = seq.with_a0(a0)
+    return seq
 
 
 class TestCompareScores:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.sparse.csgraph import connected_components
 
 from endorse_dyn.errors import DomainError, NumericError
 from endorse_dyn.scores import (
@@ -156,3 +157,86 @@ class TestDispatch:
         assert np.array_equal(score(a, p), pagerank_score(a, 0.6))
         p2 = ModelParams(lam=0.9, score_kind="rootdegree")
         assert np.array_equal(score(a, p2), root_degree_score(a))
+
+
+def _stack_with_edge_cases(n, rng):
+    """Random sparse count matrices plus an empty one, a dangling row, a node
+    nobody endorses and an isolated node (no row, no column)."""
+    stack = np.round(rng.random((12, n, n)) * 4 * (rng.random((12, n, n)) < 0.5))
+    stack[0] = 0.0
+    stack[1, 0] = 0.0
+    stack[2, :, n - 1] = 0.0
+    stack[3, n - 1] = 0.0
+    stack[3, :, n - 1] = 0.0
+    stack[4] = rng.random((n, n))
+    return stack
+
+
+class TestStacks:
+    """A stack is scored slice by slice as a lone matrix is; the per-slice
+    call is the oracle."""
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_rootdegree_stack_equals_slices_exactly(self, n):
+        stack = _stack_with_edge_cases(n, np.random.default_rng(n))
+        s = root_degree_score(stack)
+        assert s.shape == (12, n)
+        assert np.array_equal(s, [root_degree_score(a) for a in stack])
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_pagerank_stack_equals_slices_exactly(self, n):
+        # each slice stops at the iterate where it would stop alone
+        stack = _stack_with_edge_cases(n, np.random.default_rng(10 + n))
+        s = pagerank_score(stack, 0.85)
+        assert np.array_equal(s, [pagerank_score(a, 0.85) for a in stack])
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_springrank_stack_matches_slices(self, n):
+        stack = _stack_with_edge_cases(n, np.random.default_rng(20 + n))
+        # a well-conditioned Laplacian: the stacked and single solves agree
+        # to rounding
+        s = springrank_score(stack, alpha_s=1e-3)
+        ref = np.array([springrank_score(a, alpha_s=1e-3) for a in stack])
+        assert np.max(np.abs(s - ref)) <= 1e-12
+        # At the default alpha_s, the mean of each weakly connected component
+        # is fixed only to about eps * |L| / alpha_s (the exact one is 0), so
+        # two correct solvers agree on it to that bound; the scores relative
+        # to their component's mean agree to rounding.
+        s = springrank_score(stack)
+        ref = np.array([springrank_score(a) for a in stack])
+        several = 0
+        for a, st, rt in zip(stack, s, ref):
+            k, label = connected_components(a + a.T, directed=False)
+            lap = np.diag(a.sum(axis=0) + a.sum(axis=1)) - a - a.T
+            bound = 4.0 * np.finfo(float).eps * np.linalg.norm(lap, 2) / 1e-8
+            for c in range(k):
+                part = label == c
+                off, off_ref = st[part].mean(), rt[part].mean()
+                assert abs(off) <= bound and abs(off_ref) <= bound
+                assert abs(off - off_ref) <= bound
+                assert np.max(np.abs((st[part] - off) - (rt[part] - off_ref))) <= 1e-12
+            several += 1 < k and lap.any()
+        assert n == 2 or several
+
+    @pytest.mark.parametrize("kind", ["rootdegree", "pagerank", "springrank"])
+    def test_score_dispatches_stacks(self, kind):
+        from endorse_dyn.core import ModelParams
+
+        stack = np.random.default_rng(30).random((3, 2, 4, 4))
+        p = ModelParams(lam=0.9, score_kind=kind)
+        s = score(stack, p)
+        assert s.shape == (3, 2, 4)
+        assert np.max(np.abs(s[1, 0] - score(stack[1, 0], p))) <= 1e-12
+
+    def test_stacked_nonconvergence_raises(self):
+        a = np.ones((2, 4, 4))
+        a[1, 0, 1] = 100.0
+        with pytest.raises(NumericError) as exc:
+            pagerank_score(a, 0.85, max_iter=2)
+        assert exc.value.diagnostics["iterations"] == 2
+
+    def test_rejects_non_square_stack(self):
+        with pytest.raises(DomainError):
+            springrank_score(np.ones((2, 3, 4)))
+        with pytest.raises(DomainError):
+            pagerank_score(np.ones(3))
