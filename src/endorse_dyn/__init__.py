@@ -8,22 +8,12 @@ likelihood fitting of the model to temporal interaction data.
 
 __version__ = "0.1.0"
 
-from .choice import (
-    CANONICAL_FEATURES,
-    PRESTIGE,
-    PROXIMITY,
-    FeatureMap,
-    choice_probabilities,
-    log_choice_probabilities,
-    sample_delta,
-    utility,
-)
+from .choice import choice_probabilities, sample_delta, utility
 from .core import (
     SCORE_KINDS,
     EndorsementState,
     ModelParams,
     rank_vector,
-    rate_matrix,
     sparse_random_initial,
     step,
     uniform_initial,
@@ -51,7 +41,6 @@ from .inference import (
     log_likelihood,
 )
 from .scores import (
-    SCORE_FUNCTIONS,
     in_degree,
     out_degree,
     pagerank_score,
@@ -83,14 +72,13 @@ __all__ = [
     # errors
     "ConfigError", "DomainError", "FormatError", "NumericError",
     # core
-    "EndorsementState", "ModelParams", "SCORE_KINDS", "step", "rate_matrix",
-    "rank_vector", "uniform_initial", "sparse_random_initial",
+    "EndorsementState", "ModelParams", "SCORE_KINDS", "step", "rank_vector",
+    "uniform_initial", "sparse_random_initial",
     # scores
-    "SCORE_FUNCTIONS", "in_degree", "out_degree", "root_degree_score",
-    "pagerank_score", "springrank_score", "score",
+    "in_degree", "out_degree", "root_degree_score", "pagerank_score",
+    "springrank_score", "score",
     # choice
-    "FeatureMap", "PRESTIGE", "PROXIMITY", "CANONICAL_FEATURES", "utility",
-    "choice_probabilities", "log_choice_probabilities", "sample_delta",
+    "utility", "choice_probabilities", "sample_delta",
     # sim
     "Trajectory", "run", "rank_variance", "mean_gamma", "variance_sweep",
     # stability

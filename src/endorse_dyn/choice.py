@@ -1,62 +1,37 @@
-"""Feature maps, utilities, logit choice probabilities, and sampling.
+"""Utilities, logit choice probabilities, and sampling.
 
-An endorser i weighs every candidate j through a utility
+An endorser i weighs every candidate j through the utility
 
-    u_ij = sum_l beta_l * phi_l(s)_ij
+    u_ij = beta1 * s_j + beta2 * (s_i - s_j)^2
 
-and endorses j with the multinomial-logit probability
-p_ij = exp(u_ij) / sum_j' exp(u_ij').  The canonical features are the
-endorsee's score (prestige) and the squared score gap (proximity):
-
-    phi1_ij = s_j          phi2_ij = (s_i - s_j)^2
+built from the endorsee's score (prestige) and the squared score gap
+(proximity), and endorses j with the multinomial-logit probability
+p_ij = exp(u_ij) / sum_j' exp(u_ij').
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class FeatureMap:
-    """A named map s -> phi(s), an n x n matrix indexed [endorser, endorsee]."""
+def utility(s: np.ndarray, beta) -> np.ndarray:
+    """u_ij = beta1 * s_j + beta2 * (s_i - s_j)^2.
 
-    name: str
-    eval: Callable[[np.ndarray], np.ndarray]
-
-
-def _prestige_eval(s: np.ndarray) -> np.ndarray:
-    n = s.shape[0]
-    return np.tile(s, (n, 1))
-
-
-def _proximity_eval(s: np.ndarray) -> np.ndarray:
-    diff = s[:, None] - s[None, :]
-    return diff**2
-
-
-PRESTIGE = FeatureMap("prestige", _prestige_eval)
-PROXIMITY = FeatureMap("proximity", _proximity_eval)
-CANONICAL_FEATURES = (PRESTIGE, PROXIMITY)
-
-
-def utility(s: np.ndarray, beta, features=CANONICAL_FEATURES) -> np.ndarray:
-    """u_ij = sum_l beta_l phi_l(s)_ij."""
+    A zero coefficient drops its term, so an infinite score under a zero
+    weight contributes nothing rather than 0 * inf = nan.
+    """
     s = np.asarray(s, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape[0] != len(features):
-        raise DomainError(
-            f"got {beta.shape[0]} coefficients for {len(features)} features"
-        )
+    if len(beta) != 2:
+        raise DomainError(f"beta needs 2 coefficients (prestige, proximity), got {len(beta)}")
+    b1, b2 = (float(b) for b in beta)
     n = s.shape[0]
     u = np.zeros((n, n))
-    for b, feat in zip(beta, features):
-        if b != 0.0:
-            u += b * feat.eval(s)
+    if b1 != 0.0:
+        u += b1 * s
+    if b2 != 0.0:
+        u += b2 * (s[:, None] - s[None, :]) ** 2
     return u
 
 
@@ -75,17 +50,6 @@ def choice_probabilities(u: np.ndarray, exclude_self: bool = False) -> np.ndarra
     shifted = u - u.max(axis=1, keepdims=True)
     ex = np.exp(shifted)
     return ex / ex.sum(axis=1, keepdims=True)
-
-
-def log_choice_probabilities(u: np.ndarray, exclude_self: bool = False) -> np.ndarray:
-    """log p_ij kept in log space end to end (no underflow on the way out)."""
-    u = np.asarray(u, dtype=float)
-    if exclude_self:
-        u = u.copy()
-        np.fill_diagonal(u, -np.inf)
-    shifted = u - u.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return shifted - lse
 
 
 def sample_delta(p: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:

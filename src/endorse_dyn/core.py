@@ -10,6 +10,10 @@ update matrix ``delta`` and folds them in with memory parameter ``lam``:
 so the total remembered weight relaxes geometrically toward ``m``.  Score
 functions over ``a`` live in :mod:`endorse_dyn.scores`; utilities, choice
 probabilities, and sampling live in :mod:`endorse_dyn.choice`.
+
+`step` and `rank_vector` check every input, for callers that hold an
+`EndorsementState`.  The simulation kernel in :mod:`endorse_dyn.sim`
+validates A(0) once and applies the same update in place.
 """
 
 from __future__ import annotations
@@ -64,10 +68,9 @@ class EndorsementState:
 class ModelParams:
     """Everything that pins down one model instance.
 
-    ``beta`` pairs with the canonical feature maps of
-    :mod:`endorse_dyn.choice`: ``beta[0]`` weights the endorsee's score
-    (prestige) and ``beta[1]`` the squared score gap (proximity).  Longer
-    vectors are allowed when custom features are supplied.
+    ``beta`` holds the two utility weights of :mod:`endorse_dyn.choice`:
+    ``beta[0]`` weights the endorsee's score (prestige) and ``beta[1]`` the
+    squared score gap (proximity).
     """
 
     lam: float
@@ -83,6 +86,10 @@ class ModelParams:
         if not 0.0 <= self.lam <= 1.0:
             raise DomainError(f"lambda must lie in [0, 1], got {self.lam}")
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
+        if len(self.beta) != 2:
+            raise DomainError(
+                f"beta needs 2 coefficients (prestige, proximity), got {len(self.beta)}"
+            )
         if not all(np.isfinite(self.beta)):
             raise DomainError("beta has non-finite entries")
         if self.m < 1:
@@ -112,12 +119,6 @@ def step(state: EndorsementState, delta: np.ndarray, lam: float) -> EndorsementS
     if not 0.0 <= lam <= 1.0:
         raise DomainError(f"lambda must lie in [0, 1], got {lam}")
     return EndorsementState(a=lam * state.a + (1.0 - lam) * delta, t=state.t + 1)
-
-
-def rate_matrix(p: np.ndarray) -> np.ndarray:
-    """G = [n^-1 p_ij]; rows sum to 1/n, total sum 1."""
-    p = np.asarray(p, dtype=float)
-    return p / p.shape[0]
 
 
 def rank_vector(p: np.ndarray) -> np.ndarray:

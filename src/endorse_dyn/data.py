@@ -18,9 +18,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import EndorsementState, ModelParams
+from .core import ModelParams
 from .errors import DomainError, FormatError
-from .sim import _steps
+from .sim import _initial, _steps
 
 LABEL_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
 HEADER = ("period", "source", "target", "count")
@@ -346,9 +346,9 @@ def simulate_sequence(
     """
     if periods < 1:
         raise DomainError("periods must be >= 1")
-    state = EndorsementState(a=np.asarray(a0, dtype=float))
-    n = state.n
-    deltas = [delta for _, _, delta, _ in _steps(params, state, periods)]
+    a = _initial(a0)
+    n = a.shape[0]
+    deltas = [delta for _, delta in _steps(params, a, periods, unit="period")]
     if node_labels is None:
         width = len(str(n - 1))
         node_labels = tuple(f"v{idx:0{width}d}" for idx in range(n))

@@ -1,4 +1,4 @@
-"""The three score functions sigma: A -> s, plus a plug-in registry.
+"""The three score functions sigma: A -> s, and `score`, which picks one by kind.
 
 Degree conventions used throughout the package: the in-degree of node i is
 the column sum ``sum_j a[j, i]`` (weight received), the out-degree the row
@@ -162,20 +162,16 @@ def springrank_score(a: np.ndarray, alpha_s: float = 1e-8) -> np.ndarray:
     return s - s.mean(axis=-1, keepdims=True)
 
 
-SCORE_FUNCTIONS = {
-    "rootdegree": lambda a, params: root_degree_score(a),
-    "pagerank": lambda a, params: pagerank_score(a, params.alpha_p),
-    "springrank": lambda a, params: springrank_score(a, params.alpha_s),
-}
-
-
 def score(a: np.ndarray, params) -> np.ndarray:
-    """Dispatch on params.score_kind; extensible via SCORE_FUNCTIONS.
+    """Score `a` with the function params.score_kind names.
 
     `a` is one (n, n) matrix or an (..., n, n) stack; see the module notes.
     """
-    try:
-        fn = SCORE_FUNCTIONS[params.score_kind]
-    except KeyError:
-        raise DomainError(f"unknown score kind {params.score_kind!r}") from None
-    return fn(a, params)
+    kind = params.score_kind
+    if kind == "rootdegree":
+        return root_degree_score(a)
+    if kind == "pagerank":
+        return pagerank_score(a, params.alpha_p)
+    if kind == "springrank":
+        return springrank_score(a, params.alpha_s)
+    raise DomainError(f"unknown score kind {kind!r}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import choice, scores
-from .core import EndorsementState, ModelParams, rank_vector, step, uniform_initial
+from .core import EndorsementState, ModelParams, uniform_initial
 from .errors import DomainError, NumericError
 from .parallel import parallel_map
 
@@ -24,8 +24,6 @@ class Trajectory:
     gamma_t: np.ndarray  # steps x n rank-vector history
     a_final: np.ndarray  # adjacency after the last update
     params: ModelParams
-    seed: int
-    s_t: np.ndarray | None = None  # optional steps x n score history
 
     @property
     def steps(self) -> int:
@@ -36,31 +34,41 @@ def _step_rng(seed: int, t: int) -> np.random.Generator:
     return np.random.default_rng((int(seed), int(t)))
 
 
-def _steps(params: ModelParams, state: EndorsementState, steps: int):
-    """The simulation loop: yield (s, p, delta, next state) for each step.
+def _initial(a0) -> np.ndarray:
+    """A(0), validated once, as a private array `_steps` may update in place."""
+    return EndorsementState(a=np.asarray(a0, dtype=float)).a.copy()
 
-    s and p are the scores and choice matrix of the state before the
-    update; delta is drawn from the generator seeded with (seed, t).
+
+def _steps(params: ModelParams, a: np.ndarray, steps: int, unit: str = "step"):
+    """The simulation kernel: yield (gamma, delta) for each step t.
+
+    `a` comes from `_initial` and holds A(t); each step overwrites it with
+    A(t+1) = lam A(t) + (1 - lam) delta(t), the float operations of
+    `core.step`.  gamma is the rank vector of A(t), the column mean of its
+    choice matrix, and delta is drawn from the generator seeded with
+    (seed, t).  Errors name the step, called `unit` in their messages; an
+    overflowing utility raises DomainError without numpy's overflow warning.
     """
+    lam = params.lam
     for t in range(steps):
         try:
-            s = scores.score(state.a, params)
+            s = scores.score(a, params)
         except NumericError as exc:
-            raise NumericError(f"score failed at step {t}: {exc}", exc.diagnostics) from exc
-        u = choice.utility(s, params.beta)
-        p = choice.choice_probabilities(u, exclude_self=params.exclude_self)
+            raise NumericError(f"score failed at {unit} {t}: {exc}", exc.diagnostics) from exc
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = choice.utility(s, params.beta)
+        try:
+            p = choice.choice_probabilities(u, exclude_self=params.exclude_self)
+        except DomainError as exc:
+            raise DomainError(f"{unit} {t}: {exc}") from exc
         delta = choice.sample_delta(p, params.m, _step_rng(params.seed, t))
-        state = step(state, delta, params.lam)
-        yield s, p, delta, state
+        a *= lam
+        a += (1.0 - lam) * delta
+        yield p.mean(axis=0), delta
 
 
-def run(
-    params: ModelParams,
-    a0: np.ndarray | None = None,
-    steps: int = 2000,
-    record_scores: bool = False,
-) -> Trajectory:
-    """Simulate `steps` updates from a0 (default: the uniform start).
+def run(params: ModelParams, a0: np.ndarray | None = None, steps: int = 2000) -> Trajectory:
+    """Simulate `steps` updates from a0 (for example `uniform_initial(n, m)`).
 
     gamma(t) is recorded from the state *before* update t, so row t of the
     history describes A(t) for t = 0..steps-1 and a_final is A(steps).
@@ -69,21 +77,11 @@ def run(
         raise DomainError("steps must be nonnegative")
     if a0 is None:
         raise DomainError("a0 is required; use uniform_initial(n, m) for the default")
-    state = EndorsementState(a=np.asarray(a0, dtype=float))
-    n = state.n
-    gamma_hist = np.empty((steps, n))
-    s_hist = np.empty((steps, n)) if record_scores else None
-    for t, (s, p, _, state) in enumerate(_steps(params, state, steps)):
-        gamma_hist[t] = rank_vector(p)
-        if record_scores:
-            s_hist[t] = s
-    return Trajectory(
-        gamma_t=gamma_hist,
-        a_final=np.asarray(state.a),
-        params=params,
-        seed=params.seed,
-        s_t=s_hist,
-    )
+    a = _initial(a0)
+    gamma_hist = np.empty((steps, a.shape[0]))
+    for t, (gamma, _) in enumerate(_steps(params, a, steps)):
+        gamma_hist[t] = gamma
+    return Trajectory(gamma_t=gamma_hist, a_final=a, params=params)
 
 
 def rank_variance(traj: Trajectory, window: int = 500) -> float:

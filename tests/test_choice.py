@@ -4,12 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from endorse_dyn.choice import (
-    choice_probabilities,
-    log_choice_probabilities,
-    sample_delta,
-    utility,
-)
+from endorse_dyn.choice import choice_probabilities, sample_delta, utility
 from endorse_dyn.errors import DomainError
 
 score_vec = arrays(
@@ -57,14 +52,6 @@ class TestChoiceProbabilities:
         p = choice_probabilities(u)
         assert np.all(np.isfinite(p))
         assert p[0, 0] == pytest.approx(1.0)
-        lp = log_choice_probabilities(u)
-        assert np.all(np.isfinite(lp[0]))
-        assert lp[0, 1] == pytest.approx(-800.0, rel=1e-12)
-
-    def test_log_matches_probabilities(self):
-        rng = np.random.default_rng(1)
-        u = rng.normal(size=(5, 5)) * 3
-        assert np.allclose(log_choice_probabilities(u), np.log(choice_probabilities(u)), atol=1e-12)
 
     def test_exclude_self_zeroes_diagonal(self):
         rng = np.random.default_rng(2)

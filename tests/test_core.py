@@ -7,7 +7,6 @@ from endorse_dyn.core import (
     EndorsementState,
     ModelParams,
     rank_vector,
-    rate_matrix,
     sparse_random_initial,
     step,
     uniform_initial,
@@ -69,6 +68,8 @@ class TestModelParams:
             {"lam": 0.5, "alpha_p": 0.0},
             {"lam": 0.5, "alpha_s": 0.0},
             {"lam": 0.5, "beta": (np.inf, 0.0)},
+            {"lam": 0.5, "beta": (1.0, 2.0, 3.0)},
+            {"lam": 0.5, "beta": (1.0,)},
         ],
     )
     def test_rejects_bad_values(self, kw):
@@ -116,12 +117,6 @@ class TestStep:
 
 
 class TestRateAndRank:
-    def test_rate_matrix_scaling(self):
-        p = np.array([[0.5, 0.5], [1.0, 0.0]])
-        g = rate_matrix(p)
-        assert np.array_equal(g, p / 2)
-        assert g.sum() == pytest.approx(1.0)
-
     def test_rank_vector_is_column_mean(self):
         p = np.array([[0.25, 0.75], [0.5, 0.5]])
         gamma = rank_vector(p)

@@ -14,7 +14,6 @@ from scipy.sparse.csgraph import connected_components
 
 from endorse_dyn.errors import DomainError, NumericError
 from endorse_dyn.scores import (
-    SCORE_FUNCTIONS,
     in_degree,
     out_degree,
     pagerank_score,
@@ -139,14 +138,14 @@ class TestSpringRank:
 
 
 class TestDispatch:
-    def test_registry_matches_direct_calls(self):
+    def test_dispatch_matches_direct_calls(self):
         from endorse_dyn.core import ModelParams
 
         rng = np.random.default_rng(13)
         a = rng.random((5, 5))
         p = ModelParams(lam=0.9)
-        assert np.array_equal(SCORE_FUNCTIONS["rootdegree"](a, p), root_degree_score(a))
-        assert np.array_equal(SCORE_FUNCTIONS["springrank"](a, p), springrank_score(a, p.alpha_s))
+        assert np.array_equal(score(a, p.with_(score_kind="rootdegree")), root_degree_score(a))
+        assert np.array_equal(score(a, p), springrank_score(a, p.alpha_s))
 
     def test_score_uses_params(self):
         from endorse_dyn.core import ModelParams

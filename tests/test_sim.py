@@ -1,25 +1,46 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from endorse_dyn import choice, scores
 from endorse_dyn.core import EndorsementState, ModelParams, rank_vector, step, uniform_initial
+from endorse_dyn.data import simulate_sequence
 from endorse_dyn.errors import DomainError
 from endorse_dyn.sim import Trajectory, _step_rng, mean_gamma, rank_variance, run, variance_sweep
 
 
+def tiled_utility(s, beta):
+    """u_ij = beta1 s_j + beta2 (s_i - s_j)^2 built from tiled feature
+    matrices, skipping zero coefficients: the reference for choice.utility."""
+    n = s.shape[0]
+    u = np.zeros((n, n))
+    if beta[0] != 0.0:
+        u += beta[0] * np.tile(s, (n, 1))
+    if beta[1] != 0.0:
+        u += beta[1] * (s[:, None] - s[None, :]) ** 2
+    return u
+
+
 def manual_run(params, a0, steps):
-    """Re-simulate with plain loops, no Trajectory plumbing."""
+    """Re-simulate with plain loops through EndorsementState, step and
+    rank_vector, no Trajectory plumbing."""
     state = EndorsementState(a=np.asarray(a0, dtype=float))
-    hist = []
+    hist, deltas = [], []
     for t in range(steps):
         s = scores.score(state.a, params)
         p = choice.choice_probabilities(
-            choice.utility(s, params.beta), exclude_self=params.exclude_self
+            tiled_utility(s, params.beta), exclude_self=params.exclude_self
         )
         hist.append(rank_vector(p))
         delta = choice.sample_delta(p, params.m, _step_rng(params.seed, t))
+        deltas.append(delta)
         state = step(state, delta, params.lam)
-    return np.array(hist), state.a
+    return np.array(hist), state.a, deltas
+
+
+# rootdegree scores of this start are (1, 2, 1), so beta1 = 1e308 overflows
+OVERFLOW_A0 = [[0.0, 4.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
 
 
 class TestRun:
@@ -31,14 +52,48 @@ class TestRun:
         assert np.array_equal(t1.gamma_t, t2.gamma_t)
         assert np.array_equal(t1.a_final, t2.a_final)
 
+    @pytest.mark.parametrize("lam", [0.0, 0.8, 1.0])
+    @pytest.mark.parametrize("exclude_self", [False, True])
     @pytest.mark.parametrize("kind", ["rootdegree", "pagerank", "springrank"])
-    def test_matches_manual_replay(self, kind):
-        p = ModelParams(lam=0.8, beta=(2.0, -1.0), m=2, score_kind=kind, seed=7)
+    def test_matches_manual_replay(self, kind, exclude_self, lam):
+        p = ModelParams(lam=lam, beta=(2.0, -1.0), m=2, score_kind=kind, seed=7,
+                        exclude_self=exclude_self)
         a0 = uniform_initial(4, 2)
         traj = run(p, a0=a0, steps=25)
-        hist, a_last = manual_run(p, a0, 25)
+        hist, a_last, _ = manual_run(p, a0, 25)
         assert np.array_equal(traj.gamma_t, hist)
         assert np.array_equal(traj.a_final, a_last)
+
+    @pytest.mark.parametrize("kind", ["rootdegree", "pagerank", "springrank"])
+    def test_simulate_sequence_matches_manual_replay(self, kind):
+        p = ModelParams(lam=0.8, beta=(2.0, -1.0), m=3, score_kind=kind, seed=9)
+        a0 = uniform_initial(5, 3)
+        seq = simulate_sequence(p, a0, periods=20)
+        _, _, deltas = manual_run(p, a0, 20)
+        assert len(seq.deltas) == len(deltas)
+        assert all(np.array_equal(d, e) for d, e in zip(seq.deltas, deltas))
+
+    def test_run_does_not_modify_a0(self):
+        p = ModelParams(lam=0.5, beta=(1.0, 0.0), m=2, score_kind="rootdegree", seed=2)
+        a0 = uniform_initial(4, 2)
+        before = a0.copy()
+        traj = run(p, a0=a0, steps=5)
+        assert np.array_equal(a0, before)
+        assert not np.array_equal(traj.a_final, before)
+
+    def test_utility_overflow_names_the_step(self):
+        p = ModelParams(lam=0.5, beta=(1e308, 0.0), score_kind="rootdegree", seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="step 0: utilities must be finite"):
+                run(p, a0=OVERFLOW_A0, steps=3)
+
+    def test_utility_overflow_names_the_period(self):
+        p = ModelParams(lam=0.5, beta=(1e308, 0.0), score_kind="rootdegree", seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="period 0: utilities must be finite"):
+                simulate_sequence(p, OVERFLOW_A0, periods=3)
 
     def test_gamma_rows_are_distributions(self):
         p = ModelParams(lam=0.95, beta=(3.0, 0.0), m=1, score_kind="pagerank", seed=1)
@@ -60,12 +115,6 @@ class TestRun:
         assert traj.gamma_t.shape == (0, 3)
         assert np.array_equal(traj.a_final, a0)
 
-    def test_record_scores(self):
-        p = ModelParams(lam=0.9, beta=(1.0, 0.0), score_kind="rootdegree", seed=3)
-        traj = run(p, a0=uniform_initial(4, 1), steps=10, record_scores=True)
-        assert traj.s_t.shape == (10, 4)
-        assert np.array_equal(traj.s_t[0], scores.root_degree_score(uniform_initial(4, 1)))
-
     def test_requires_a0(self):
         with pytest.raises(DomainError):
             run(ModelParams(lam=0.9), a0=None, steps=5)
@@ -82,7 +131,6 @@ class TestSummaries:
             gamma_t=g,
             a_final=np.zeros((len(gamma_row), len(gamma_row))),
             params=ModelParams(lam=0.9),
-            seed=0,
         )
 
     def test_rank_variance_concentrated_oracle(self):
@@ -100,7 +148,7 @@ class TestSummaries:
         g[:2] = [1.0, 0.0]
         g[2:] = [0.0, 1.0]
         traj = Trajectory(
-            gamma_t=g, a_final=np.zeros((2, 2)), params=ModelParams(lam=0.9), seed=0
+            gamma_t=g, a_final=np.zeros((2, 2)), params=ModelParams(lam=0.9)
         )
         assert np.allclose(mean_gamma(traj, window=2), [0.0, 1.0])
         assert np.allclose(mean_gamma(traj, window=4), [0.5, 0.5])
