@@ -10,10 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+import scipy.linalg
 from scipy.sparse.csgraph import connected_components
 
+from endorse_dyn import scores
+from endorse_dyn.core import ModelParams
 from endorse_dyn.errors import DomainError, NumericError
 from endorse_dyn.scores import (
+    PAGERANK_DIRECT_MAX_N,
     in_degree,
     out_degree,
     pagerank_score,
@@ -89,7 +93,9 @@ class TestPageRank:
         assert np.allclose(pagerank_score(a, 0.85), pagerank_score(17.0 * a, 0.85), atol=1e-12)
 
     def test_nonconvergence_raises(self):
-        a = np.ones((4, 4))
+        # tol and max_iter govern only the power iteration, above the crossover
+        n = PAGERANK_DIRECT_MAX_N + 1
+        a = np.ones((n, n))
         a[0, 1] = 100.0
         with pytest.raises(NumericError) as exc:
             pagerank_score(a, 0.85, max_iter=2)
@@ -98,6 +104,22 @@ class TestPageRank:
     def test_rejects_bad_alpha(self):
         with pytest.raises(DomainError):
             pagerank_score(np.ones((3, 3)), alpha_p=1.0)
+
+    @pytest.mark.parametrize("n", [PAGERANK_DIRECT_MAX_N, PAGERANK_DIRECT_MAX_N + 1])
+    def test_direct_and_power_agree_at_crossover(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        a = rng.random((n, n)) * (rng.random((n, n)) < 0.3)
+        a[0] = 0.0
+        alpha, tol = 0.85, 1e-12
+        s = pagerank_score(a, alpha, tol)
+        # up to the crossover the score is the dense solve, bit for bit
+        direct = pagerank_dense(a, alpha)
+        monkeypatch.setattr(scores, "PAGERANK_DIRECT_MAX_N", 0)
+        power = pagerank_score(a, alpha, tol)
+        assert np.array_equal(s, direct if n <= PAGERANK_DIRECT_MAX_N else power)
+        # power iteration stops when its L1 step is <= tol, which leaves pi
+        # within alpha / (1 - alpha) * tol of the fixed point; s = n pi
+        assert np.abs(direct - power).sum() <= n * alpha / (1 - alpha) * tol
 
 
 class TestSpringRank:
@@ -136,11 +158,44 @@ class TestSpringRank:
         s = springrank_score(a)
         assert abs(s.mean()) < 1e-9 * (1 + np.abs(s).max())
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 33, 64, 100, 256])
+    def test_single_matrix_equals_scipy_solve_exactly(self, n):
+        # the oracle is the wrapper the LAPACK calls replaced
+        rng = np.random.default_rng(40 + n)
+        counts = np.round(rng.random((n, n)) * 4 * (rng.random((n, n)) < 0.5)).astype(int)
+        cases = [counts, rng.random((n, n))]
+        for edit in ("dangling row", "zero column", "isolated node"):
+            a = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
+            if edit != "zero column":
+                a[n - 1] = 0.0
+            if edit != "dangling row":
+                a[:, n - 1] = 0.0
+            cases.append(a)
+        for a in cases:
+            af = np.asarray(a, dtype=float)
+            din, dout = af.sum(axis=0), af.sum(axis=1)
+            lap = np.diag(din + dout) - (af + af.T) + 1e-8 * np.eye(n)
+            x = scipy.linalg.solve(lap, din - dout, assume_a="pos")
+            assert np.array_equal(springrank_score(a), x - x.mean())
+
+    def test_ill_conditioned_system_warns(self):
+        a = np.round(np.random.default_rng(1).random((8, 8)) * 4)
+        with pytest.warns(scipy.linalg.LinAlgWarning):
+            s = springrank_score(a, alpha_s=1e-14)
+        assert np.all(np.isfinite(s))
+        din, dout = a.sum(axis=0), a.sum(axis=1)
+        lap = np.diag(din + dout) - (a + a.T) + 1e-14 * np.eye(8)
+        with pytest.warns(scipy.linalg.LinAlgWarning):
+            scipy.linalg.solve(lap, din - dout, assume_a="pos")
+
+    def test_singular_system_raises(self):
+        # 1 + 1e-300 == 1, so the Laplacian of one edge stays singular
+        with pytest.raises(NumericError, match="not positive definite"):
+            springrank_score(np.array([[0.0, 1.0], [0.0, 0.0]]), alpha_s=1e-300)
+
 
 class TestDispatch:
     def test_dispatch_matches_direct_calls(self):
-        from endorse_dyn.core import ModelParams
-
         rng = np.random.default_rng(13)
         a = rng.random((5, 5))
         p = ModelParams(lam=0.9)
@@ -148,8 +203,6 @@ class TestDispatch:
         assert np.array_equal(score(a, p), springrank_score(a, p.alpha_s))
 
     def test_score_uses_params(self):
-        from endorse_dyn.core import ModelParams
-
         rng = np.random.default_rng(14)
         a = rng.random((5, 5))
         p = ModelParams(lam=0.9, score_kind="pagerank", alpha_p=0.6)
@@ -219,8 +272,6 @@ class TestStacks:
 
     @pytest.mark.parametrize("kind", ["rootdegree", "pagerank", "springrank"])
     def test_score_dispatches_stacks(self, kind):
-        from endorse_dyn.core import ModelParams
-
         stack = np.random.default_rng(30).random((3, 2, 4, 4))
         p = ModelParams(lam=0.9, score_kind=kind)
         s = score(stack, p)
@@ -228,7 +279,8 @@ class TestStacks:
         assert np.max(np.abs(s[1, 0] - score(stack[1, 0], p))) <= 1e-12
 
     def test_stacked_nonconvergence_raises(self):
-        a = np.ones((2, 4, 4))
+        n = PAGERANK_DIRECT_MAX_N + 1
+        a = np.ones((2, n, n))
         a[1, 0, 1] = 100.0
         with pytest.raises(NumericError) as exc:
             pagerank_score(a, 0.85, max_iter=2)
@@ -239,3 +291,22 @@ class TestStacks:
             springrank_score(np.ones((2, 3, 4)))
         with pytest.raises(DomainError):
             pagerank_score(np.ones(3))
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "non-square"])
+    @pytest.mark.parametrize("kind", ["rootdegree", "pagerank", "springrank"])
+    def test_rejects_bad_matrix(self, kind, bad, stacked):
+        a = np.ones((4, 5) if bad == "non-square" else (4, 4))
+        a[1, 2] = {"nan": np.nan, "inf": np.inf}.get(bad, 1.0)
+        if stacked:
+            a = np.stack([np.ones_like(a), a])
+        with pytest.raises(DomainError):
+            score(a, ModelParams(lam=0.9, score_kind=kind))
+
+    def test_power_path_rejects_nan_before_iterating(self):
+        a = np.ones((PAGERANK_DIRECT_MAX_N + 1,) * 2)
+        a[0, 0] = np.nan
+        with pytest.raises(DomainError, match="non-finite"):
+            pagerank_score(a)

@@ -7,7 +7,18 @@ from endorse_dyn import choice, scores
 from endorse_dyn.core import EndorsementState, ModelParams, rank_vector, step, uniform_initial
 from endorse_dyn.data import simulate_sequence
 from endorse_dyn.errors import DomainError
-from endorse_dyn.sim import Trajectory, _step_rng, mean_gamma, rank_variance, run, variance_sweep
+from endorse_dyn.sim import (
+    Trajectory,
+    _cell_seed,
+    _initial,
+    _step_rng,
+    _steps,
+    mean_gamma,
+    rank_variance,
+    run,
+    variance_sweep,
+)
+from endorse_dyn.stability import critical_beta1
 
 
 def tiled_utility(s, beta):
@@ -178,3 +189,44 @@ class TestVarianceSweep:
                               steps=80, window=30)
         # same parameters, different cell index: different draw stream
         assert rows[0][2] != rows[1][2]
+
+
+def _pagerank_history(params, n, steps):
+    """(gamma, delta) of every step and the final state of one run from
+    uniform_initial(n, 1), through the simulation kernel."""
+    a = _initial(uniform_initial(n, 1))
+    return list(_steps(params, a, steps)), a
+
+
+class TestPageRankSolverSwap:
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_run_matches_power_iteration_replay(self, n, monkeypatch):
+        """The direct solve draws the power iteration's realizations.
+
+        The cells are the sweep-small benchmark's: m=1, lambda=0.995, beta1
+        at 0.5 and 1.5 times critical, cell seeds from base seeds 1-10.  A
+        realization can still part where two nodes tie: numpy's multinomial
+        draws cell by cell with binomials that branch at probability 1/2, so
+        rounding decides between two tied cells.  Up to that draw the paths
+        agree, and the draw's gamma shows the tie.
+        """
+        assert n <= scores.PAGERANK_DIRECT_MAX_N
+        bc = critical_beta1("pagerank", n, 1)
+        for seed in range(1, 11):
+            for index, factor in enumerate((0.5, 1.5)):
+                p = ModelParams(lam=0.995, beta=(factor * bc, 0.0), m=1,
+                                score_kind="pagerank", seed=_cell_seed(seed, index))
+                direct, a_direct = _pagerank_history(p, n, 200)
+                with monkeypatch.context() as patch:
+                    patch.setattr(scores, "PAGERANK_DIRECT_MAX_N", 0)
+                    power, a_power = _pagerank_history(p, n, 200)
+                parted = None
+                for t, ((g, d), (g_ref, d_ref)) in enumerate(zip(direct, power)):
+                    assert np.max(np.abs(g - g_ref)) <= 1e-12
+                    if not np.array_equal(d, d_ref):
+                        parted = t
+                        break
+                if parted is None:
+                    assert np.array_equal(a_direct, a_power)
+                else:
+                    assert np.min(np.diff(np.sort(power[parted][0]))) <= 1e-12
