@@ -15,23 +15,24 @@ up through `_kind`.
 
 ``two_group_equilibria`` continues fixed points with k nodes at one score
 value and n-k at another across a beta1 grid and classifies their linear
-stability, which is what a bifurcation diagram needs.  Equilibrium a/b
-values are reported in each kind's own state space (in-degree units for
-rootdegree, score units otherwise).
+stability, which is what a bifurcation diagram needs.  It solves and
+classifies on the two-group quotient, at a cost that does not grow with n.
+Equilibrium a/b values are reported in each kind's own state space
+(in-degree units for rootdegree, score units otherwise).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import exp, isfinite, sqrt
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .choice import choice_probabilities, utility
 from .core import ModelParams
 from .errors import DomainError, NumericError
-from .scores import in_degree, out_degree, pagerank_score, springrank_score
+from .scores import _cholesky_solve, in_degree, out_degree, pagerank_score, springrank_score
 
 
 @dataclass(frozen=True)
@@ -44,9 +45,11 @@ class _Kind:
     egalitarian: Callable  # (n, m) -> the egalitarian root
     critical: Callable  # (n, m, alpha_p, alpha_s) -> critical beta1
     root_residual: Callable  # (s, params) -> root system, zero at fixed points
-    reported_residual: Callable  # (s, params) -> residual reported per root
     drift: Callable  # (s, a or None, params) -> closed-form drift
     jacobian: Callable  # (s*, params) -> drift Jacobian at a fixed point
+    # the two-group quotient (see below), each (a, b, k, n, params) ->
+    quotient: Callable  # [F_0, F_k] of root_residual, and its 2x2 Jacobian
+    quotient_drift: Callable  # sup-norm drift residual, drift Jacobian quotient, lam
     seeds: Callable  # (n, k, m) -> fresh two-group Newton starts (a, b)
     nonneg: bool  # the state must stay nonnegative
 
@@ -238,7 +241,7 @@ def _solve_projected(l_alpha: np.ndarray, rhs: np.ndarray, x_mean: float) -> np.
     part and reattach the analytically known mean instead.
     """
     rhs_perp = rhs - rhs.mean(axis=0)
-    x = scipy.linalg.solve(l_alpha, rhs_perp, assume_a="pos")
+    x = _cholesky_solve(l_alpha, rhs_perp)
     return x - x.mean(axis=0) + x_mean
 
 
@@ -409,6 +412,187 @@ def _springrank_jacobian(s_star: np.ndarray, params: ModelParams) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# the two-group quotient
+# ---------------------------------------------------------------------------
+# A two-group state puts the k elite nodes (group 0) at a and the other n - k
+# (group 1) at b.  Permuting nodes within a group leaves the state, and every
+# operator built from it, unchanged.  Such an n x n matrix J has one diagonal
+# and one off-diagonal value per group and one value per ordered pair of
+# groups, so it maps group-constant vectors by the 2x2 quotient
+# Q[X, Y] = sum over j in Y of J[i, j] (any i in X), and a vector that lives
+# on group X and sums to zero to lam_X times itself, lam_X = J_ii - J_ij
+# (i != j, both in X).  Its spectrum is eig(Q), lam_0 (k - 1 times) and
+# lam_1 (n - k - 1 times): the equitable-partition quotient (Godsil & Royle,
+# Algebraic Graph Theory, 2001, ch. 9) and its isotypic split.  The functions
+# below evaluate root systems, their Jacobians and drift spectra there, on
+# Python floats, at a cost that does not grow with n; the n-dimensional
+# functions above are their test oracles.
+
+
+def _two_group_logit(r, k: int, n: int, beta):
+    """Block choice probabilities at group scores r = (r_0, r_1).
+
+    p[X][Y] is p_ij for i in group X and j in group Y; dp[X][Y][Z] is its
+    derivative as every score of group Z moves together,
+
+        dp_XY / dr_Z = p_XY (du_XY / dr_Z - sum_W n_W p_XW du_XW / dr_Z)
+
+    with group sizes n_0 = k and n_1 = n - k.  A non-finite utility raises
+    DomainError.
+    """
+    b1, b2 = beta
+    d = r[0] - r[1]
+    prox = b2 * (d * d)
+    g = 2.0 * b2 * d
+    # u[X][Y] = b1 r_Y + b2 (r_X - r_Y)^2 and du[X][Y][Z] = d u_XY / d r_Z
+    u = ((b1 * r[0], b1 * r[1] + prox), (b1 * r[0] + prox, b1 * r[1]))
+    du = (((b1, 0.0), (g, b1 - g)), ((b1 + g, -g), (0.0, b1)))
+    p, dp = [], []
+    for (u0, u1), (du0, du1) in zip(u, du):
+        if not (isfinite(u0) and isfinite(u1)):
+            raise DomainError("utilities must be finite")
+        top = max(u0, u1)
+        e0, e1 = exp(u0 - top), exp(u1 - top)
+        z = k * e0 + (n - k) * e1
+        p0, p1 = e0 / z, e1 / z
+        mean = (k * p0 * du0[0] + (n - k) * p1 * du1[0],
+                k * p0 * du0[1] + (n - k) * p1 * du1[1])
+        p.append((p0, p1))
+        dp.append(((p0 * (du0[0] - mean[0]), p0 * (du0[1] - mean[1])),
+                   (p1 * (du1[0] - mean[0]), p1 * (du1[1] - mean[1]))))
+    return p, dp
+
+
+def _within_group_contractions(p, r, k: int, n: int, beta, w):
+    """lam_Y of the contractions fwd and bwd of `_logit_derivatives`.
+
+    For group weights w, all that is not block-constant in fwd is the
+    diagonal sum_X n_X w_X h_XY, and in bwd the diagonal
+    sum_X n_X w_X e_YX; a block-constant matrix has lam = 0.
+    """
+    b1, b2 = beta
+    nw = (k, n - k)
+    fwd, bwd = [], []
+    for y in (0, 1):
+        fwd.append(sum(nw[x] * w[x] * p[x][y] * (b1 - 2.0 * b2 * (r[x] - r[y]))
+                       for x in (0, 1)))
+        spread = sum(nw[j] * p[y][j] * (r[y] - r[j]) for j in (0, 1))
+        bwd.append(sum(nw[x] * w[x] * 2.0 * b2 * p[y][x] * ((r[y] - r[x]) - spread)
+                       for x in (0, 1)))
+    return fwd, bwd
+
+
+def _rootdegree_quotient(a: float, b: float, k: int, n: int, params: ModelParams):
+    """f_degree = m gamma - d on the quotient, and its 2x2 Jacobian."""
+    r = (sqrt(a), sqrt(b))
+    p, dp = _two_group_logit(r, k, n, params.beta)
+    m = params.m
+    slope = (0.5 / r[0], 0.5 / r[1])  # Newton keeps in-degrees positive
+    f, jac = [], []
+    for y, s_y in enumerate((a, b)):
+        f.append(m * (k * p[0][y] + (n - k) * p[1][y]) / n - s_y)
+        jac.append(tuple(m * (k * dp[0][y][z] + (n - k) * dp[1][y][z]) / n * slope[z]
+                         - (y == z) for z in (0, 1)))
+    return f, jac
+
+
+def _rootdegree_quotient_drift(a: float, b: float, k: int, n: int, params: ModelParams):
+    # the root system is the drift: J = m M - I, and M = fwd(e/n) diag(slope)
+    f, jac = _rootdegree_quotient(a, b, k, n, params)
+    r = (sqrt(a), sqrt(b))
+    p, _ = _two_group_logit(r, k, n, params.beta)
+    fwd, _ = _within_group_contractions(p, r, k, n, params.beta, (1.0 / n, 1.0 / n))
+    lam = [params.m * fwd[y] * (0.5 / r[y]) - 1.0 for y in (0, 1)]
+    return max(abs(f[0]), abs(f[1])), jac, lam
+
+
+def _pagerank_quotient(a: float, b: float, k: int, n: int, params: ModelParams):
+    """alpha n G^T s + (1 - alpha) - s on the quotient, and its 2x2 Jacobian."""
+    s = (a, b)
+    nw = (k, n - k)
+    p, dp = _two_group_logit(s, k, n, params.beta)
+    al = params.alpha_p
+    f, jac = [], []
+    for y in (0, 1):
+        f.append(al * (k * p[0][y] * a + (n - k) * p[1][y] * b) + (1.0 - al) - s[y])
+        jac.append(tuple(al * (k * dp[0][y][z] * a + (n - k) * dp[1][y][z] * b
+                               + nw[z] * p[z][y]) - (y == z) for z in (0, 1)))
+    return f, jac
+
+
+def _pagerank_quotient_drift(a: float, b: float, k: int, n: int, params: ModelParams):
+    # J = alpha (I - alpha P^T)^-1 fwd(s) - I; P^T is block-constant (lam 0)
+    s = (a, b)
+    nw = (k, n - k)
+    p, dp = _two_group_logit(s, k, n, params.beta)
+    al = params.alpha_p
+    total = k * a + (n - k) * b
+    residual = max(abs((k * p[0][y] * a + (n - k) * p[1][y] * b) / n
+                       + (1.0 - al) / (al * n * n) * total - s[y] / (al * n))
+                   for y in (0, 1))
+    resolvent = np.eye(2) - al * np.array([[nw[z] * p[z][y] for z in (0, 1)] for y in (0, 1)])
+    rhs = np.array([[k * a * dp[0][y][z] + (n - k) * b * dp[1][y][z] for z in (0, 1)]
+                    for y in (0, 1)])
+    quotient = al * np.linalg.solve(resolvent, rhs) - np.eye(2)
+    fwd, _ = _within_group_contractions(p, s, k, n, params.beta, s)
+    return residual, quotient, [al * fwd[y] - 1.0 for y in (0, 1)]
+
+
+def _springrank_quotient(a: float, b: float, k: int, n: int, params: ModelParams):
+    """`_springrank_forcing` on the quotient, and its 2x2 Jacobian.
+
+        F_Y = alpha_s s_Y + m ((gamma_Y + 1/n) s_Y - q_Y + 1/n - gamma_Y)
+
+    with q = (G + G^T) s.
+    """
+    s = (a, b)
+    nw = (k, n - k)
+    p, dp = _two_group_logit(s, k, n, params.beta)
+    m, al = params.m, params.alpha_s
+    f, jac = [], []
+    for y in (0, 1):
+        gam = (k * p[0][y] + (n - k) * p[1][y]) / n
+        q = (k * (p[y][0] + p[0][y]) * a + (n - k) * (p[y][1] + p[1][y]) * b) / n
+        f.append(al * s[y] + m * ((gam + 1.0 / n) * s[y] - q + 1.0 / n - gam))
+        row = []
+        for z in (0, 1):
+            dgam = (k * dp[0][y][z] + (n - k) * dp[1][y][z]) / n
+            dq = (k * (dp[y][0][z] + dp[0][y][z]) * a + (n - k) * (dp[y][1][z] + dp[1][y][z]) * b
+                  + nw[z] * (p[y][z] + p[z][y])) / n
+            row.append((al + m * (gam + 1.0 / n)) * (y == z) + m * (dgam * s[y] - dq - dgam))
+        jac.append(tuple(row))
+    return f, jac
+
+
+def _springrank_quotient_drift(a: float, b: float, k: int, n: int, params: ModelParams):
+    # The drift is -P L^-1 P F - mean(s) e and J = -P L^-1 P dF - E/n, where
+    # L = m L_G + alpha_s I and P = I - E/n.  On the quotient P maps onto the
+    # mean-zero direction (n - k, -k), on which L acts as
+    # mu = m (p_01 + p_10) + alpha_s; so P L^-1 P = P / mu there, and the
+    # 1/alpha_s of L's e-direction never enters.
+    s = (a, b)
+    f, df = _springrank_quotient(a, b, k, n, params)
+    p, _ = _two_group_logit(s, k, n, params.beta)
+    m, al = params.m, params.alpha_s
+    mu = m * (p[0][1] + p[1][0]) + al
+    f_mean = (k * f[0] + (n - k) * f[1]) / n
+    s_mean = (k * a + (n - k) * b) / n
+    residual = max(abs((f[y] - f_mean) / mu + s_mean) for y in (0, 1))
+    quotient = np.array([[-(df[y][z] - (k * df[0][z] + (n - k) * df[1][z]) / n) / mu
+                          - (k if z == 0 else n - k) / n for z in (0, 1)] for y in (0, 1)])
+    # lam of dF = alpha_s I + m (L_G + diag(s) M - (fwd(s) + bwd(s)) / n - M)
+    # over lam of L = m (gamma + 1/n) + alpha_s
+    m_lam, _ = _within_group_contractions(p, s, k, n, params.beta, (1.0 / n, 1.0 / n))
+    fwd, bwd = _within_group_contractions(p, s, k, n, params.beta, s)
+    lam = []
+    for y in (0, 1):
+        gam = (k * p[0][y] + (n - k) * p[1][y]) / n
+        df_lam = al + m * (gam + 1.0 / n + s[y] * m_lam[y] - (fwd[y] + bwd[y]) / n - m_lam[y])
+        lam.append(-df_lam / (m * (gam + 1.0 / n) + al))
+    return residual, quotient, lam
+
+
+# ---------------------------------------------------------------------------
 # one record per score kind
 # ---------------------------------------------------------------------------
 
@@ -438,9 +622,10 @@ _KINDS = {
         egalitarian=lambda n, m: np.full(n, m / n),
         critical=lambda n, m, alpha_p, alpha_s: 2.0 * np.sqrt(n / m),
         root_residual=f_degree,
-        reported_residual=f_degree,
         drift=lambda s, a, params: f_degree(s, params),
         jacobian=_rootdegree_jacobian,
+        quotient=_rootdegree_quotient,
+        quotient_drift=_rootdegree_quotient_drift,
         seeds=_mass_seeds,
         nonneg=True,
     ),
@@ -451,9 +636,10 @@ _KINDS = {
         egalitarian=lambda n, m: np.ones(n),
         critical=_pagerank_critical,
         root_residual=_pagerank_root_residual,
-        reported_residual=_pagerank_residual,
         drift=_pagerank_drift,
         jacobian=_pagerank_jacobian,
+        quotient=_pagerank_quotient,
+        quotient_drift=_pagerank_quotient_drift,
         seeds=lambda n, k, m: _mass_seeds(n, k, n),
         nonneg=False,
     ),
@@ -464,9 +650,10 @@ _KINDS = {
         egalitarian=lambda n, m: np.zeros(n),
         critical=_springrank_critical,
         root_residual=_springrank_forcing,
-        reported_residual=lambda s, params: _springrank_drift(s, None, params),
         drift=_springrank_drift,
         jacobian=_springrank_jacobian,
+        quotient=_springrank_quotient,
+        quotient_drift=_springrank_quotient_drift,
         seeds=_centered_seeds,
         nonneg=False,
     ),
@@ -521,85 +708,85 @@ def _newton_two_group(
     tol: float = 1e-11,
     max_iter: int = 80,
 ) -> np.ndarray | None:
-    """Damped Newton on the 2-variable reduced system; None on failure."""
+    """Damped Newton on the 2-variable reduced system; None on failure.
 
-    nonneg = _kind(score_kind).nonneg
-
-    def resid(x):
-        s = _two_group_vector(x[0], x[1], k, n)
-        full = _full_residual(score_kind, s, params)
-        return np.array([full[0], full[k]])
-
-    x = np.asarray(x0, dtype=float).copy()
-    if nonneg:
-        x = np.maximum(x, 1e-12)
-    fx = resid(x)
-    norm = np.abs(fx).max()
-    best_x, best_norm = x.copy(), norm
-    # iterate past `tol` while steps still improve: downstream residual
-    # reporting divides by a possibly small spectral gap, so polish to the
-    # numerical floor when it is cheap
-    for _ in range(max_iter):
-        if norm <= 1e-15 * (1.0 + np.abs(x).max()):
-            break
-        jac = np.empty((2, 2))
-        for j in range(2):
-            h = 1e-7 * (1.0 + abs(x[j]))
-            xp = x.copy()
-            xm = x.copy()
-            xp[j] += h
-            xm[j] -= h
-            if nonneg:
-                xm[j] = max(xm[j], 0.0)
-            jac[:, j] = (resid(xp) - resid(xm)) / (xp[j] - xm[j])
-        try:
-            dx = np.linalg.solve(jac, fx)
-        except np.linalg.LinAlgError:
-            break
-        # backtrack until the residual actually drops (and stays in domain)
-        step = 1.0
-        improved = False
-        for _ in range(40):
-            xn = x - step * dx
-            if nonneg and np.any(xn < 0):
-                step *= 0.5
-                continue
-            fn = resid(xn)
-            if np.abs(fn).max() < norm:
-                x, fx = xn, fn
-                norm = np.abs(fx).max()
-                improved = True
+    Each iterate evaluates [F_0, F_k] and its analytic 2x2 Jacobian on the
+    two-group quotient (`_Kind.quotient`), at a cost that does not grow
+    with n, and takes the Newton step by Cramer's rule.  A non-finite
+    utility raises DomainError naming the kind, k and beta1.
+    """
+    kind = _kind(score_kind)
+    a, b = float(x0[0]), float(x0[1])
+    if kind.nonneg:
+        a, b = max(a, 1e-12), max(b, 1e-12)
+    try:
+        (f0, f1), jac = kind.quotient(a, b, k, n, params)
+        if not (isfinite(f0) and isfinite(f1)):
+            return None
+        norm = max(abs(f0), abs(f1))
+        # iterate past `tol` while steps still improve: downstream residual
+        # reporting divides by a possibly small spectral gap, so polish to the
+        # numerical floor when it is cheap
+        for _ in range(max_iter):
+            if norm <= 1e-15 * (1.0 + max(abs(a), abs(b))):
                 break
-            step *= 0.5
-        if not improved:
-            break
-        if norm < best_norm:
-            best_x, best_norm = x.copy(), norm
-    return best_x if best_norm <= tol else None
+            (j00, j01), (j10, j11) = jac
+            det = j00 * j11 - j01 * j10
+            if det == 0.0 or not isfinite(det):
+                break
+            da = (j11 * f0 - j01 * f1) / det
+            db = (j00 * f1 - j10 * f0) / det
+            # backtrack until the residual actually drops and the state stays
+            # in the domain: positive for in-degrees, where sqrt' is finite
+            step = 1.0
+            for _ in range(40):
+                an, bn = a - step * da, b - step * db
+                if kind.nonneg and (an <= 0.0 or bn <= 0.0):
+                    step *= 0.5
+                    continue
+                (g0, g1), gjac = kind.quotient(an, bn, k, n, params)
+                if abs(g0) < norm and abs(g1) < norm:
+                    a, b, f0, f1, jac = an, bn, g0, g1, gjac
+                    norm = max(abs(f0), abs(f1))
+                    break
+                step *= 0.5
+            else:
+                break
+    except DomainError as exc:
+        raise DomainError(
+            f"{score_kind} two-group root at k={k}, beta1={params.beta[0]!r}: {exc}"
+        ) from None
+    return np.array([a, b]) if norm <= tol else None
 
 
 def _classify(score_kind: str, x: np.ndarray, k: int, n: int, params: ModelParams) -> Equilibrium:
+    """Canonicalize a reduced root and read its residual and spectrum off the quotient.
+
+    The drift Jacobian's spectrum is the 2x2 quotient block's two
+    eigenvalues, lam_0 with multiplicity k - 1 and lam_1 with multiplicity
+    n - k - 1, for the partition the root is canonicalized to.
+    """
     a, b = float(x[0]), float(x[1])
     tie = abs(a - b) < 1e-9 * (1.0 + abs(a) + abs(b))
     if tie:
-        mid = 0.5 * (a + b)
-        a = b = mid
+        # a constant state: any partition gives its spectrum; keep k's
+        a = b = 0.5 * (a + b)
         k_out = 0
-        s = np.full(n, mid)
-    elif a > b:
+        s = np.full(n, a)
+    else:
+        if a < b:
+            # canonical form: elite group = larger score value
+            a, b, k = b, a, n - k
         k_out = k
         s = _two_group_vector(a, b, k, n)
-    else:
-        # canonical form: elite group = larger score value
-        a, b = b, a
-        k_out = n - k
-        s = _two_group_vector(a, b, k_out, n)
-    jac = fixed_point_jacobian(score_kind, s, params)
-    eigs = np.linalg.eigvals(jac)
+    residual, quotient, lam = _kind(score_kind).quotient_drift(a, b, k, n, params)
+    eigs = np.concatenate([
+        np.linalg.eigvals(quotient), np.full(k - 1, lam[0]), np.full(n - k - 1, lam[1])
+    ])
     max_re = float(eigs.real.max())
     return Equilibrium(
         s_star=s,
-        residual=float(np.abs(_kind(score_kind).reported_residual(s, params)).max()),
+        residual=float(residual),
         jacobian_eigs=eigs,
         stable=max_re < 0.0,
         marginal=abs(max_re) < 1e-10,
@@ -621,9 +808,9 @@ def two_group_equilibria(
     For each beta1, roots of the reduced system with k_elite nodes at value
     a and n-k_elite at value b are found from fresh seeds plus continuation
     from the previous grid point's roots, deduplicated, canonicalized to
-    a >= b, and classified by the full drift-Jacobian spectrum.  A
-    root-finder failure at one grid point leaves a gap in the affected
-    branch rather than aborting the sweep.
+    a >= b, and classified by the drift-Jacobian spectrum read off the
+    two-group quotient.  A root-finder failure at one grid point leaves a
+    gap in the affected branch rather than aborting the sweep.
     """
     kind = _kind(score_kind)
     if not 1 <= k_elite < n:

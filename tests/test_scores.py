@@ -295,11 +295,11 @@ class TestStacks:
 
 class TestInputChecks:
     @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
-    @pytest.mark.parametrize("bad", ["nan", "inf", "non-square"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "non-square", "negative"])
     @pytest.mark.parametrize("kind", ["rootdegree", "pagerank", "springrank"])
     def test_rejects_bad_matrix(self, kind, bad, stacked):
         a = np.ones((4, 5) if bad == "non-square" else (4, 4))
-        a[1, 2] = {"nan": np.nan, "inf": np.inf}.get(bad, 1.0)
+        a[1, 2] = {"nan": np.nan, "inf": np.inf, "negative": -1.0}.get(bad, 1.0)
         if stacked:
             a = np.stack([np.ones_like(a), a])
         with pytest.raises(DomainError):
@@ -309,4 +309,20 @@ class TestInputChecks:
         a = np.ones((PAGERANK_DIRECT_MAX_N + 1,) * 2)
         a[0, 0] = np.nan
         with pytest.raises(DomainError, match="non-finite"):
+            pagerank_score(a)
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+    @pytest.mark.parametrize("kind", ["rootdegree", "pagerank", "springrank"])
+    def test_rejects_negative_entry_with_positive_degrees(self, kind, stacked):
+        # every in- and out-degree is positive; only the entry is negative
+        a = np.array([[0.0, -1.0, 2.0], [1.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
+        if stacked:
+            a = np.stack([np.ones_like(a), a])
+        with pytest.raises(DomainError, match="negative"):
+            score(a, ModelParams(lam=0.9, score_kind=kind))
+
+    def test_power_path_rejects_negative_entry(self):
+        a = np.ones((PAGERANK_DIRECT_MAX_N + 1,) * 2)
+        a[0, 1] = -0.5
+        with pytest.raises(DomainError, match="negative"):
             pagerank_score(a)

@@ -8,12 +8,18 @@ spectrum, with every remaining eigenvalue equal to -1.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from endorse_dyn.choice import choice_probabilities
 from endorse_dyn.core import SCORE_KINDS, ModelParams
 from endorse_dyn.errors import DomainError, NumericError
 from endorse_dyn.stability import (
     _KINDS,
+    _classify,
+    _full_residual,
+    _newton_two_group,
+    _pagerank_residual,
+    _two_group_vector,
     dgamma_ds,
     dprob_tensor,
     egalitarian_root,
@@ -424,3 +430,153 @@ class TestTwoGroupContinuation:
             two_group_equilibria("rootdegree", p, 6, 0, [1.0])
         with pytest.raises(DomainError):
             two_group_equilibria("rootdegree", p, 6, 6, [1.0])
+
+
+# ---------------------------------------------------------------------------
+# the two-group quotient against its n-dimensional oracles
+# ---------------------------------------------------------------------------
+
+QUOTIENT_CASES = [
+    (kind, n, k) for kind in KINDS for n in (5, 8, 16) for k in sorted({1, n // 2, n - 1})
+]
+
+
+def quotient_point(kind, n, k, order):
+    """Parameters with beta2 != 0 and a two-group state (a, b) that is no root.
+
+    order: "elite-high" (a > b), "elite-low" (a < b, which `_classify`
+    relabels to n - k elite nodes) or "tie" (a = b, k_elite 0).
+    """
+    rng = np.random.default_rng(1000 * n + 10 * k + KINDS.index(kind))
+    p = params_for(kind, 1.0 + 2.0 * rng.random(), -0.2 - rng.random(), m=2)
+    hi, lo = 0.6 + rng.random(), 0.1 + 0.4 * rng.random()
+    if kind == "springrank":
+        hi, lo = hi - 0.5, lo - 0.5
+    a, b = {"elite-high": (hi, lo), "elite-low": (lo, hi), "tie": (hi, hi)}[order]
+    return p, a, b
+
+
+def reported_residual(kind, s, params):
+    """The n-dimensional drift whose sup norm each Equilibrium reports."""
+    if kind == "rootdegree":
+        return f_degree(s, params)
+    if kind == "pagerank":
+        return _pagerank_residual(s, params)
+    return f_drift("springrank", s, None, params)
+
+
+class TestTwoGroupQuotient:
+    @pytest.mark.parametrize("order", ["elite-high", "elite-low", "tie"])
+    @pytest.mark.parametrize("kind,n,k", QUOTIENT_CASES)
+    def test_residual_matches_full_root_system(self, kind, n, k, order):
+        p, a, b = quotient_point(kind, n, k, order)
+        full = _full_residual(kind, _two_group_vector(a, b, k, n), p)[[0, k]]
+        (f0, f1), _ = _KINDS[kind].quotient(a, b, k, n, p)
+        assert np.abs(np.array([f0, f1]) - full).max() <= 1e-14 * max(1.0, np.abs(full).max())
+
+    @pytest.mark.parametrize("order", ["elite-high", "elite-low", "tie"])
+    @pytest.mark.parametrize("kind,n,k", QUOTIENT_CASES)
+    def test_jacobian_matches_central_differences(self, kind, n, k, order):
+        p, a, b = quotient_point(kind, n, k, order)
+        _, jac = _KINDS[kind].quotient(a, b, k, n, p)
+        fd = np.empty((2, 2))
+        for j in range(2):
+            h = 1e-6 * (1.0 + abs((a, b)[j]))
+            xp, xm = [a, b], [a, b]
+            xp[j] += h
+            xm[j] -= h
+            fp, _ = _KINDS[kind].quotient(*xp, k, n, p)
+            fm, _ = _KINDS[kind].quotient(*xm, k, n, p)
+            fd[:, j] = (np.array(fp) - np.array(fm)) / (2.0 * h)
+        assert np.abs(np.array(jac) - fd).max() <= 1e-7 * max(1.0, np.abs(fd).max())
+
+    @pytest.mark.parametrize("order", ["elite-high", "elite-low", "tie"])
+    @pytest.mark.parametrize("kind,n,k", QUOTIENT_CASES)
+    def test_classification_matches_full_spectrum(self, kind, n, k, order):
+        p, a, b = quotient_point(kind, n, k, order)
+        eq = _classify(kind, np.array([a, b]), k, n, p)
+        assert eq.k_elite == {"elite-high": k, "elite-low": n - k, "tie": 0}[order]
+        assert eq.a >= eq.b
+        assert np.array_equal(eq.s_star, _two_group_vector(eq.a, eq.b, eq.k_elite, n))
+        full = np.linalg.eigvals(fixed_point_jacobian(kind, eq.s_star, p))
+        ref = full.real.max()
+        assert abs(eq.max_eig_real - ref) <= 1e-12 * max(1.0, abs(ref))
+        # the whole spectrum, multiplicities included
+        assert eq.jacobian_eigs.shape == (n,)
+        assert np.abs(np.sort_complex(eq.jacobian_eigs) - np.sort_complex(full)).max() < 1e-10
+        reported = np.abs(reported_residual(kind, eq.s_star, p)).max()
+        assert abs(eq.residual - reported) <= 1e-14 * max(1.0, reported)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_roots_at_n256_match_full_oracles(self, kind):
+        n, m = 256, 1
+        bc = critical_beta1(kind, n, m)
+        p = params_for(kind, 0.0, 0.0, m=m)
+        roots = []
+        for k in (1, 64, 255):
+            for br in two_group_equilibria(kind, p, n, k, [0.8 * bc, 1.2 * bc]):
+                roots += [(b1, eq) for b1, eq in zip(br.beta1, br.equilibria) if eq.k_elite]
+        assert len(roots) >= 3
+        for b1, eq in roots:
+            pb = p.with_(beta=(b1, 0.0))
+            reported = np.abs(reported_residual(kind, eq.s_star, pb)).max()
+            assert reported <= 1e-8
+            assert abs(eq.residual - reported) <= 1e-12
+            ref = np.linalg.eigvals(fixed_point_jacobian(kind, eq.s_star, pb)).real.max()
+            # LAPACK resolves the nonsymmetric J's within-group eigenvalue,
+            # of multiplicity up to 254 here, only to about 4e-11
+            assert abs(eq.max_eig_real - ref) <= 1e-10
+
+
+    def test_rootdegree_root_with_vanishing_rest_classifies(self):
+        # at n=1000 the rest's in-degree at the one-elite root underflows to
+        # ~1e-28; Newton keeps it positive, so sqrt's slope stays finite
+        n = 1000
+        b1 = 0.9 * critical_beta1("rootdegree", n, 1)
+        p = params_for("rootdegree", 0.0, 0.0, m=1)
+        eqs = [eq for br in two_group_equilibria("rootdegree", p, n, 1, [b1])
+               for eq in br.equilibria]
+        assert any(eq.k_elite == 1 and eq.stable for eq in eqs)
+        pb = p.with_(beta=(b1, 0.0))
+        for eq in eqs:
+            assert np.all(np.isfinite(eq.jacobian_eigs))
+            assert eq.b > 0.0
+            assert np.abs(f_degree(eq.s_star, pb)).max() <= 1e-8
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_overflowing_utility_names_kind_k_and_beta1(self, kind):
+        p = params_for(kind, 1e308, 0.0, m=1)
+        with pytest.raises(DomainError, match=rf"{kind} .*k=2, beta1=1e\+308.*finite"):
+            _newton_two_group(kind, p, 6, 2, np.array([9.0, 1.0]))
+
+    def test_sweep_raises_domain_error(self):
+        # the egalitarian seed s = 1 keeps beta1 s finite; the next seed does not
+        p = params_for("pagerank", 0.0, -1.0, m=1)
+        with pytest.raises(DomainError, match=r"pagerank .*k=1, beta1=1e\+308"):
+            two_group_equilibria("pagerank", p, 8, 1, [1e308])
+
+
+class TestOneSpdSolvePath:
+    """The stability solves take scores._cholesky_solve, with the bits of
+    scipy.linalg.solve(assume_a="pos")."""
+
+    @pytest.mark.parametrize("n", [5, 16, 64])
+    def test_springrank_drift_and_jacobian_bits(self, n, monkeypatch):
+        import endorse_dyn.stability as stability
+
+        rng = np.random.default_rng(n)
+        p = params_for("springrank", 1.7, -0.4, m=3)
+        s = random_state("springrank", n, rng)
+        a = rng.random((n, n)) * 3
+        got = (f_drift("springrank", s, a, p), f_drift("springrank", s, None, p),
+               fixed_point_jacobian("springrank", s, p))
+        monkeypatch.setattr(
+            stability, "_cholesky_solve",
+            lambda lap, rhs: scipy.linalg.solve(lap, rhs, assume_a="pos"),
+        )
+        want = (f_drift("springrank", s, a, p), f_drift("springrank", s, None, p),
+                fixed_point_jacobian("springrank", s, p))
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
