@@ -50,7 +50,6 @@ from .scores import (
 )
 from .sim import Trajectory, mean_gamma, rank_variance, run, variance_sweep
 from .stability import (
-    Branch,
     Equilibrium,
     critical_beta1,
     dgamma_ds,
@@ -82,7 +81,7 @@ __all__ = [
     # sim
     "Trajectory", "run", "rank_variance", "mean_gamma", "variance_sweep",
     # stability
-    "Branch", "Equilibrium", "critical_beta1", "dgamma_ds", "egalitarian_root",
+    "Equilibrium", "critical_beta1", "dgamma_ds", "egalitarian_root",
     "f_degree", "f_drift", "f_pagerank_root_system", "f_springrank",
     "finite_memory_drift", "fixed_point_jacobian", "jacobian_egalitarian",
     "pagerank_alternating_solve", "state_rank_vector", "two_group_equilibria",

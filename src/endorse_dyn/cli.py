@@ -288,38 +288,22 @@ _BIF_SPEC = {
 def cmd_bifurcate(cfg):
     """Two-group equilibrium branches over beta1, with stability flags.
 
-    Scans every elite size k = 1..n-1; egalitarian roots are reported once
-    per beta1 with k_elite = 0.  With --overlay, long-memory simulations
-    (lambda and steps configurable) add observed long-run gamma points
-    for comparison against the stable branches.
+    Writes every two-group root once per beta1, over all elite sizes;
+    egalitarian roots carry k_elite = 0.  With --overlay, long-memory
+    simulations (lambda and steps configurable) add observed long-run gamma
+    points for comparison against the stable branches.
     """
     params = ModelParams(lam=cfg["lambda"], beta=(0.0, cfg["beta2"]), m=cfg["m"],
                          score_kind=cfg["score"], seed=cfg["seed"])
     nn = cfg["n"]
     grid = cfg["grid_beta1"]
-    # complementary elite sizes k and n-k rediscover the same root after
-    # canonicalization, so collect per (beta1, k_elite) and dedup by value
-    kept: dict = {}
-    for k in range(1, nn):
-        for branch in two_group_equilibria(cfg["score"], params, nn, k, grid):
-            for b1, eq in zip(branch.beta1, branch.equilibria):
-                group = kept.setdefault((round(float(b1), 12), eq.k_elite), [])
-                scale = 1.0 + abs(eq.a) + abs(eq.b)
-                if any(abs(eq.a - a) + abs(eq.b - b) < 1e-6 * scale for _, a, b in group):
-                    continue
-                group.append((eq, eq.a, eq.b))
-    rows = [
-        (b1, k_el, eq.a, eq.b, eq.stable, eq.max_eig_real)
-        for (b1, k_el), group in kept.items()
-        for eq, _, _ in group
-    ]
-    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
+    rows = two_group_equilibria(cfg["score"], params, nn, grid)
     outdir = _outdir(cfg)
     with open(outdir / "branches.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("beta1,k_elite,a,b,stable,max_eig_real\n")
-        for b1, k, a, b, stable, mer in rows:
-            fh.write(f"{_fmt(b1)},{k},{_fmt(a)},{_fmt(b)},"
-                     f"{'true' if stable else 'false'},{_fmt(mer)}\n")
+        for b1, eq in rows:
+            fh.write(f"{_fmt(b1)},{eq.k_elite},{_fmt(eq.a)},{_fmt(eq.b)},"
+                     f"{'true' if eq.stable else 'false'},{_fmt(eq.max_eig_real)}\n")
     if cfg["overlay"]:
         with open(outdir / "overlay.csv", "w", encoding="utf-8", newline="") as fh:
             fh.write("beta1,node,gamma\n")

@@ -13,16 +13,18 @@ Everything that differs between kinds lives in one `_Kind` record per kind
 (``_KINDS``); the public functions take the kind's name and look its record
 up through `_kind`.
 
-``two_group_equilibria`` continues fixed points with k nodes at one score
-value and n-k at another across a beta1 grid and classifies their linear
+``two_group_equilibria`` finds every fixed point with k nodes at one score
+value and n-k at another across a beta1 grid and classifies its linear
 stability, which is what a bifurcation diagram needs.  It solves and
-classifies on the two-group quotient, at a cost that does not grow with n.
+classifies on the two-group quotient, at a cost per root that does not grow
+with n.  The model that allows self-endorsement is the one analysed.
 Equilibrium a/b values are reported in each kind's own state space
 (in-degree units for rootdegree, score units otherwise).
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import exp, isfinite, sqrt
 from typing import Callable
@@ -59,6 +61,13 @@ def _kind(score_kind: str) -> _Kind:
         return _KINDS[score_kind]
     except KeyError:
         raise DomainError(f"unknown score kind {score_kind!r}") from None
+
+
+def _analysed_kind(score_kind: str, params: ModelParams) -> _Kind:
+    """`_kind`, for parameters of the model that allows self-endorsement."""
+    if params.exclude_self:
+        raise DomainError("the long-memory analysis does not support exclude_self=True")
+    return _kind(score_kind)
 
 
 def egalitarian_root(score_kind: str, n: int, m: int) -> np.ndarray:
@@ -276,7 +285,7 @@ def f_drift(score_kind: str, s: np.ndarray, a: np.ndarray | None, params: ModelP
     `a` is required for pagerank; for springrank it defaults to m G(s), and
     rootdegree ignores it.
     """
-    return _kind(score_kind).drift(s, a, params)
+    return _analysed_kind(score_kind, params).drift(s, a, params)
 
 
 def _pagerank_drift(s: np.ndarray, a: np.ndarray | None, params: ModelParams) -> np.ndarray:
@@ -315,6 +324,7 @@ def finite_memory_drift(
     the closed-form drifts; exposed because it is the model-agnostic way to
     attach a drift to a custom score function.
     """
+    _analysed_kind(score_kind, params)
     s = np.asarray(s, dtype=float)
     a = np.asarray(a, dtype=float)
     g = state_rate_matrix(score_kind, s, params.beta)
@@ -372,7 +382,7 @@ def fixed_point_jacobian(score_kind: str, s_star: np.ndarray, params: ModelParam
     A* = m G(s*); the A-space linearization shares this spectrum apart from
     extra -1 eigenvalues.
     """
-    return _kind(score_kind).jacobian(np.asarray(s_star, dtype=float), params)
+    return _analysed_kind(score_kind, params).jacobian(np.asarray(s_star, dtype=float), params)
 
 
 def _rootdegree_jacobian(d_star: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -661,8 +671,13 @@ _KINDS = {
 
 
 # ---------------------------------------------------------------------------
-# two-group equilibria and continuation
+# two-group equilibria
 # ---------------------------------------------------------------------------
+
+# Newton on the reduced system accepts a root once the sup norm of its
+# residual is at most NEWTON_TOL, and gives up after NEWTON_MAX_ITER steps.
+NEWTON_TOL = 1e-11
+NEWTON_MAX_ITER = 80
 
 
 @dataclass(frozen=True)
@@ -671,7 +686,6 @@ class Equilibrium:
     residual: float
     jacobian_eigs: np.ndarray
     stable: bool
-    marginal: bool
     k_elite: int  # 0 marks the egalitarian (degenerate a = b) root
     a: float
     b: float
@@ -679,13 +693,6 @@ class Equilibrium:
     @property
     def max_eig_real(self) -> float:
         return float(self.jacobian_eigs.real.max())
-
-
-@dataclass(frozen=True)
-class Branch:
-    k_elite: int
-    beta1: np.ndarray
-    equilibria: tuple
 
 
 def _full_residual(score_kind: str, s: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -699,14 +706,21 @@ def _two_group_vector(a: float, b: float, k: int, n: int) -> np.ndarray:
     return s
 
 
+@contextmanager
+def _naming_root(score_kind: str, k: int, beta1: float):
+    """Re-raise a DomainError naming the kind, elite size and beta1 it hit."""
+    try:
+        yield
+    except DomainError as exc:
+        raise DomainError(f"{score_kind} two-group root at k={k}, beta1={beta1!r}: {exc}") from None
+
+
 def _newton_two_group(
     score_kind: str,
     params: ModelParams,
     n: int,
     k: int,
     x0: np.ndarray,
-    tol: float = 1e-11,
-    max_iter: int = 80,
 ) -> np.ndarray | None:
     """Damped Newton on the 2-variable reduced system; None on failure.
 
@@ -719,15 +733,15 @@ def _newton_two_group(
     a, b = float(x0[0]), float(x0[1])
     if kind.nonneg:
         a, b = max(a, 1e-12), max(b, 1e-12)
-    try:
+    with _naming_root(score_kind, k, params.beta[0]):
         (f0, f1), jac = kind.quotient(a, b, k, n, params)
         if not (isfinite(f0) and isfinite(f1)):
             return None
         norm = max(abs(f0), abs(f1))
-        # iterate past `tol` while steps still improve: downstream residual
-        # reporting divides by a possibly small spectral gap, so polish to the
-        # numerical floor when it is cheap
-        for _ in range(max_iter):
+        # iterate past NEWTON_TOL while steps still improve: downstream
+        # residual reporting divides by a possibly small spectral gap, so
+        # polish to the numerical floor when it is cheap
+        for _ in range(NEWTON_MAX_ITER):
             if norm <= 1e-15 * (1.0 + max(abs(a), abs(b))):
                 break
             (j00, j01), (j10, j11) = jac
@@ -752,45 +766,42 @@ def _newton_two_group(
                 step *= 0.5
             else:
                 break
-    except DomainError as exc:
-        raise DomainError(
-            f"{score_kind} two-group root at k={k}, beta1={params.beta[0]!r}: {exc}"
-        ) from None
-    return np.array([a, b]) if norm <= tol else None
+    return np.array([a, b]) if norm <= NEWTON_TOL else None
 
 
-def _classify(score_kind: str, x: np.ndarray, k: int, n: int, params: ModelParams) -> Equilibrium:
+def _canonical(x, k: int, n: int) -> tuple[float, float, int]:
+    """(a, b, k_elite) with the k_elite elite nodes at the larger value a.
+
+    A tie a = b is the egalitarian root, k_elite 0.
+    """
+    a, b = float(x[0]), float(x[1])
+    if abs(a - b) < 1e-9 * (1.0 + abs(a) + abs(b)):
+        return 0.5 * (a + b), 0.5 * (a + b), 0
+    return (a, b, k) if a > b else (b, a, n - k)
+
+
+def _classify(score_kind: str, x, k: int, n: int, params: ModelParams) -> Equilibrium:
     """Canonicalize a reduced root and read its residual and spectrum off the quotient.
 
     The drift Jacobian's spectrum is the 2x2 quotient block's two
     eigenvalues, lam_0 with multiplicity k - 1 and lam_1 with multiplicity
-    n - k - 1, for the partition the root is canonicalized to.
+    n - k - 1, for the partition the root is canonicalized to; a tie is a
+    constant state, which k's own partition describes as well as any.
     """
-    a, b = float(x[0]), float(x[1])
-    tie = abs(a - b) < 1e-9 * (1.0 + abs(a) + abs(b))
-    if tie:
-        # a constant state: any partition gives its spectrum; keep k's
-        a = b = 0.5 * (a + b)
-        k_out = 0
-        s = np.full(n, a)
-    else:
-        if a < b:
-            # canonical form: elite group = larger score value
-            a, b, k = b, a, n - k
-        k_out = k
-        s = _two_group_vector(a, b, k, n)
+    a, b, k_elite = _canonical(x, k, n)
+    k = k_elite or k
     residual, quotient, lam = _kind(score_kind).quotient_drift(a, b, k, n, params)
+    if not (np.isfinite(quotient).all() and isfinite(lam[0]) and isfinite(lam[1])):
+        raise DomainError("the drift Jacobian is not finite")
     eigs = np.concatenate([
         np.linalg.eigvals(quotient), np.full(k - 1, lam[0]), np.full(n - k - 1, lam[1])
     ])
-    max_re = float(eigs.real.max())
     return Equilibrium(
-        s_star=s,
+        s_star=_two_group_vector(a, b, k, n),
         residual=float(residual),
         jacobian_eigs=eigs,
-        stable=max_re < 0.0,
-        marginal=abs(max_re) < 1e-10,
-        k_elite=k_out,
+        stable=float(eigs.real.max()) < 0.0,
+        k_elite=k_elite,
         a=a,
         b=b,
     )
@@ -800,79 +811,45 @@ def two_group_equilibria(
     score_kind: str,
     params: ModelParams,
     n: int,
-    k_elite: int,
     beta1_grid,
-) -> list[Branch]:
-    """Continue two-group fixed points over a beta1 grid.
+) -> list[tuple[float, Equilibrium]]:
+    """Every two-group fixed point at each beta1 of a grid, once, classified.
 
-    For each beta1, roots of the reduced system with k_elite nodes at value
-    a and n-k_elite at value b are found from fresh seeds plus continuation
-    from the previous grid point's roots, deduplicated, canonicalized to
-    a >= b, and classified by the drift-Jacobian spectrum read off the
-    two-group quotient.  A root-finder failure at one grid point leaves a
-    gap in the affected branch rather than aborting the sweep.
+    Returns (beta1, Equilibrium) pairs sorted by (beta1, k_elite, a, b).
+    The egalitarian root (k_elite 0) is classified at its closed form.  k
+    nodes at a and n - k at b is the state n - k nodes at b and k at a, so
+    only elite sizes k = 1..n//2 are solved, each from the kind's seeds for
+    k, the mirrored seeds for n - k and the roots found at k at the
+    previous grid point.  Each root is canonicalized to a > b, with k_elite
+    k or n - k, deduplicated, and classified by the drift-Jacobian spectrum
+    read off the two-group quotient; ties are the egalitarian root and are
+    dropped.  A root-finder failure at one grid point loses that root there
+    rather than aborting the scan.
     """
-    kind = _kind(score_kind)
-    if not 1 <= k_elite < n:
-        raise DomainError("need 1 <= k_elite < n")
-    beta1_grid = [float(b) for b in beta1_grid]
-
-    per_point: list[list[Equilibrium]] = []
-    carried: list[np.ndarray] = []
-    for b1 in beta1_grid:
+    kind = _analysed_kind(score_kind, params)
+    if n < 2:
+        raise DomainError(f"two-group equilibria need n >= 2, got n={n}")
+    carried: dict[int, list] = {k: [] for k in range(1, n // 2 + 1)}
+    out = []
+    for b1 in map(float, beta1_grid):
         p = params.with_(beta=(b1,) + params.beta[1:])
-        candidates = []
-        for x0 in kind.seeds(n, k_elite, p.m) + carried:
-            x = _newton_two_group(score_kind, p, n, k_elite, x0)
-            if x is not None:
-                candidates.append(x)
-        uniq: list[np.ndarray] = []
-        for x in candidates:
-            scale = 1.0 + abs(x[0]) + abs(x[1])
-            if not any(np.abs(x - u).max() < 1e-7 * scale for u in uniq):
-                uniq.append(x)
-        carried = uniq
-        per_point.append([_classify(score_kind, x, k_elite, n, p) for x in uniq])
-
-    return _link_branches(beta1_grid, per_point)
-
-
-def _link_branches(beta1_grid, per_point) -> list[Branch]:
-    """Greedy nearest-continuation linking of per-grid-point roots."""
-    open_branches: list[dict] = []
-    closed: list[dict] = []
-    for idx, (b1, eqs) in enumerate(zip(beta1_grid, per_point)):
-        still_open = []
-        used = set()
-        for br in open_branches:
-            if br["last_idx"] != idx - 1:
-                closed.append(br)
-                continue
-            last = br["eqs"][-1]
-            best_j, best_d = None, np.inf
-            for j, eq in enumerate(eqs):
-                if j in used or eq.k_elite != br["k"]:
+        egal = float(kind.egalitarian(n, p.m)[0])
+        with _naming_root(score_kind, 0, b1):
+            out.append((b1, _classify(score_kind, (egal, egal), 1, n, p)))
+        for k, previous in carried.items():
+            seeds = kind.seeds(n, k, p.m) + [x[::-1] for x in kind.seeds(n, n - k, p.m)]
+            roots: list[tuple[float, float, int]] = []
+            for x0 in seeds + previous:
+                x = _newton_two_group(score_kind, p, n, k, x0)
+                if x is None:
                     continue
-                d = abs(eq.a - last.a) + abs(eq.b - last.b)
-                if d < best_d:
-                    best_j, best_d = j, d
-            scale = 1.0 + abs(last.a) + abs(last.b)
-            if best_j is not None and best_d < 0.5 * scale:
-                br["beta1"].append(b1)
-                br["eqs"].append(eqs[best_j])
-                br["last_idx"] = idx
-                used.add(best_j)
-                still_open.append(br)
-            else:
-                closed.append(br)
-        for j, eq in enumerate(eqs):
-            if j not in used:
-                still_open.append(
-                    {"k": eq.k_elite, "beta1": [b1], "eqs": [eq], "last_idx": idx}
-                )
-        open_branches = still_open
-    closed.extend(open_branches)
-    return [
-        Branch(k_elite=br["k"], beta1=np.array(br["beta1"]), equilibria=tuple(br["eqs"]))
-        for br in closed
-    ]
+                a, b, k_elite = _canonical(x, k, n)
+                tol = 1e-6 * (1.0 + abs(a) + abs(b))
+                if k_elite and not any(k_elite == kr and abs(a - ar) + abs(b - br) < tol
+                                       for ar, br, kr in roots):
+                    roots.append((a, b, k_elite))
+            carried[k] = [np.array((a, b) if kr == k else (b, a)) for a, b, kr in roots]
+            with _naming_root(score_kind, k, b1):
+                out += [(b1, _classify(score_kind, (a, b), kr, n, p)) for a, b, kr in roots]
+    out.sort(key=lambda row: (row[0], row[1].k_elite, row[1].a, row[1].b))
+    return out

@@ -106,14 +106,11 @@ def test_criterion_04_closed_form_drift_matches_defining_limit():
 
 def _stable_branch_rank_vectors(kind, b1, beta2, n, m):
     base = ModelParams(lam=0.999, beta=(0.0, beta2), m=m, score_kind=kind)
-    vecs = []
-    for k in range(1, n):
-        for br in two_group_equilibria(kind, base, n, k, [b1]):
-            for eq in br.equilibria:
-                if eq.stable:
-                    gamma = state_rank_vector(kind, eq.s_star, (b1, beta2))
-                    vecs.append(np.sort(gamma))
-    return vecs
+    return [
+        np.sort(state_rank_vector(kind, eq.s_star, (b1, beta2)))
+        for _, eq in two_group_equilibria(kind, base, n, [b1])
+        if eq.stable
+    ]
 
 
 def test_criterion_05_simulations_settle_on_stable_branches():
@@ -139,12 +136,8 @@ def test_criterion_05_simulations_settle_on_stable_branches():
             base = ModelParams(lam=0.999, beta=(0.0, 0.0), m=m, score_kind=kind)
             bistable = False
             for frac in (0.85, 0.90):
-                eqs = [
-                    eq
-                    for br in two_group_equilibria(kind, base, n, 1, [frac * bc])
-                    for eq in br.equilibria
-                ]
-                stable_ks = {eq.k_elite for eq in eqs if eq.stable}
+                roots = two_group_equilibria(kind, base, n, [frac * bc])
+                stable_ks = {eq.k_elite for _, eq in roots if eq.stable}
                 if 0 in stable_ks and 1 in stable_ks:
                     bistable = True
                     break

@@ -20,6 +20,7 @@ REMOVED = (
     "log_choice_probabilities",
     "SCORE_FUNCTIONS",
     "rate_matrix",
+    "Branch",
 )
 
 
@@ -32,7 +33,8 @@ def test_exported_name_resolves(name):
 def test_removed_name_is_absent(name):
     assert name not in endorse_dyn.__all__
     assert not hasattr(endorse_dyn, name)
-    for module in (endorse_dyn.choice, endorse_dyn.core, endorse_dyn.scores):
+    for module in (endorse_dyn.choice, endorse_dyn.core, endorse_dyn.scores,
+                   endorse_dyn.stability):
         assert not hasattr(module, name)
 
 

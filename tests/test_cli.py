@@ -228,6 +228,51 @@ class TestBifurcate:
         assert [float(r[2]) for r in rows if float(r[0]) == 6.0] == expected.tolist()
 
 
+    def test_beta1_column_is_the_grid(self, runner, tmp_path):
+        # linspace points need more than 12 decimals: 1.1666666666666667, ...
+        out = tmp_path / "bif"
+        res = runner.invoke(cli.main, [
+            "bifurcate", "--score", "rootdegree", "--n", "4", "--m", "1",
+            "--grid-beta1", "1:2:7", "--overlay", "--lambda", "0.9",
+            "--steps", "20", "--window", "5", "--out", str(out),
+        ])
+        assert res.exit_code == 0, res.output + res.stderr
+        grid = cli._parse_grid("1:2:7")
+        branch_b1 = [float(l.split(",")[0])
+                     for l in (out / "branches.csv").read_text().splitlines()[1:]]
+        overlay_b1 = [float(l.split(",")[0])
+                      for l in (out / "overlay.csv").read_text().splitlines()[1:]]
+        assert sorted(set(branch_b1)) == grid
+        assert sorted(set(overlay_b1)) == grid
+
+    def test_every_elite_size_at_n256(self, runner, tmp_path):
+        # beta1_c = 2 sqrt(n / m) = 32 for rootdegree
+        out = tmp_path / "bif"
+        res = runner.invoke(cli.main, [
+            "bifurcate", "--score", "rootdegree", "--n", "256", "--m", "1",
+            "--grid-beta1", "28:36:2", "--out", str(out),
+        ])
+        assert res.exit_code == 0, res.output + res.stderr
+        rows = [l.split(",") for l in (out / "branches.csv").read_text().splitlines()[1:]]
+        rows = [(float(b1), int(k), float(a), float(b)) for b1, k, a, b, _, _ in rows]
+        for b1 in (28.0, 36.0):
+            assert sum(1 for r in rows if r[0] == b1 and r[1] == 0) == 1
+        assert {r[1] for r in rows} - {0}, "expected hierarchical roots"
+        for i, (b1, k, a, b) in enumerate(rows):
+            assert a >= b
+            tol = 1e-6 * (1.0 + abs(a) + abs(b))
+            assert not any(r[0] == b1 and r[1] == k and abs(r[2] - a) + abs(r[3] - b) < tol
+                           for r in rows[i + 1:])
+
+    def test_one_node_is_a_domain_error(self, runner, tmp_path):
+        res = runner.invoke(cli.main, [
+            "bifurcate", "--score", "rootdegree", "--n", "1",
+            "--grid-beta1", "1:2:2", "--out", str(tmp_path / "bif"),
+        ])
+        assert res.exit_code == 2
+        assert "n >= 2" in res.stderr
+
+
 class TestFitAndCompare:
     def test_fit_outputs(self, runner, tmp_path):
         data = make_data_csv(tmp_path)

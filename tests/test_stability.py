@@ -76,7 +76,7 @@ class TestKindRecords:
             lambda: critical_beta1("nope", 5, 1),
             lambda: jacobian_egalitarian("nope", ModelParams(lam=0.9), 5),
             lambda: fixed_point_jacobian("nope", np.ones(3), ModelParams(lam=0.9)),
-            lambda: two_group_equilibria("nope", ModelParams(lam=0.9), 5, 1, [1.0]),
+            lambda: two_group_equilibria("nope", ModelParams(lam=0.9), 5, [1.0]),
         ],
         ids=[
             "egalitarian_root", "state_of", "state_probabilities", "state_rate_matrix",
@@ -365,11 +365,9 @@ class TestFixedPointJacobian:
         n, m = 5, 2
         bc = critical_beta1(kind, n, m)
         p = params_for(kind, 1.5 * bc, -0.3, m=m)
-        branches = two_group_equilibria(kind, p, n, 1, [1.5 * bc])
         hier = [
             eq
-            for br in branches
-            for eq in br.equilibria
+            for _, eq in two_group_equilibria(kind, p, n, [1.5 * bc])
             if eq.k_elite == 1 and eq.stable
         ]
         assert hier, "expected a stable one-elite equilibrium above threshold"
@@ -389,8 +387,7 @@ class TestTwoGroupContinuation:
         n, m = 8, 1
         bc = critical_beta1(kind, n, m)
         p = params_for(kind, 0.0, 0.0, m=m)
-        branches = two_group_equilibria(kind, p, n, 1, [1.5 * bc])
-        eqs = [eq for br in branches for eq in br.equilibria]
+        eqs = [eq for _, eq in two_group_equilibria(kind, p, n, [1.5 * bc])]
         egal = [eq for eq in eqs if eq.k_elite == 0]
         hier = [eq for eq in eqs if eq.k_elite == 1]
         assert egal and not egal[0].stable
@@ -402,8 +399,7 @@ class TestTwoGroupContinuation:
         n, m = 8, 1
         bc = critical_beta1(kind, n, m)
         p = params_for(kind, 0.0, 0.0, m=m)
-        branches = two_group_equilibria(kind, p, n, 1, [0.9 * bc])
-        eqs = [eq for br in branches for eq in br.equilibria]
+        eqs = [eq for _, eq in two_group_equilibria(kind, p, n, [0.9 * bc])]
         stable_egal = [eq for eq in eqs if eq.k_elite == 0 and eq.stable]
         stable_hier = [eq for eq in eqs if eq.k_elite == 1 and eq.stable]
         assert stable_egal and stable_hier
@@ -413,23 +409,84 @@ class TestTwoGroupContinuation:
         bc = critical_beta1("rootdegree", n, m)
         grid = np.linspace(0.5 * bc, 1.5 * bc, 5)
         p = params_for("rootdegree", 0.0, 0.0, m=m)
-        branches = two_group_equilibria("rootdegree", p, n, 1, grid)
-        egal = [br for br in branches if br.k_elite == 0]
-        assert len(egal) == 1
-        br = egal[0]
-        assert np.allclose(br.beta1, grid)
-        stab = [eq.stable for eq in br.equilibria]
+        egal = [(b1, eq) for b1, eq in two_group_equilibria("rootdegree", p, n, grid)
+                if eq.k_elite == 0]
+        assert np.allclose([b1 for b1, _ in egal], grid)
+        stab = [eq.stable for _, eq in egal]
         assert stab[0] and not stab[-1]
-        # each linked branch stores one equilibrium per covered grid point
-        for other in branches:
-            assert len(other.equilibria) == other.beta1.shape[0]
 
-    def test_rejects_bad_group_size(self):
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_rejects_fewer_than_two_nodes(self, n):
         p = params_for("rootdegree", 1.0)
-        with pytest.raises(DomainError):
-            two_group_equilibria("rootdegree", p, 6, 0, [1.0])
-        with pytest.raises(DomainError):
-            two_group_equilibria("rootdegree", p, 6, 6, [1.0])
+        with pytest.raises(DomainError, match="n >= 2"):
+            two_group_equilibria("rootdegree", p, n, [1.0])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rejects_exclude_self(self, kind):
+        # the analysis is of the model that allows self-endorsement
+        p = params_for(kind, 2.0).with_(exclude_self=True)
+        s = random_state(kind, 6, np.random.default_rng(4))
+        a = p.m * state_rate_matrix(kind, s, p.beta)
+        calls = [
+            lambda: two_group_equilibria(kind, p, 6, [10.0]),
+            lambda: f_drift(kind, s, a, p),
+            lambda: fixed_point_jacobian(kind, s, p),
+            lambda: finite_memory_drift(kind, s, a, p),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="exclude_self"):
+                call()
+
+
+def scan_every_k(kind, params, n, grid):
+    """Two-group roots by a scan of every k = 1..n-1, as an oracle.
+
+    Each k continues its own roots over the grid from the kind's seeds for
+    k only, deduplicates them, and classifies them; roots are then
+    deduplicated by value per (beta1, k_elite), the first found kept, and
+    sorted like `two_group_equilibria`'s.
+    """
+    kept = {}
+    for k in range(1, n):
+        carried = []
+        for b1 in grid:
+            p = params.with_(beta=(b1, params.beta[1]))
+            uniq = []
+            for x0 in _KINDS[kind].seeds(n, k, p.m) + carried:
+                x = _newton_two_group(kind, p, n, k, x0)
+                if x is None:
+                    continue
+                scale = 1.0 + abs(x[0]) + abs(x[1])
+                if not any(np.abs(x - u).max() < 1e-7 * scale for u in uniq):
+                    uniq.append(x)
+            carried = uniq
+            for x in uniq:
+                eq = _classify(kind, x, k, n, p)
+                group = kept.setdefault((b1, eq.k_elite), [])
+                scale = 1.0 + abs(eq.a) + abs(eq.b)
+                if not any(abs(eq.a - o.a) + abs(eq.b - o.b) < 1e-6 * scale for o in group):
+                    group.append(eq)
+    rows = [(b1, eq) for (b1, _), group in kept.items() for eq in group]
+    return sorted(rows, key=lambda r: (r[0], r[1].k_elite, r[1].a, r[1].b))
+
+
+class TestOneScan:
+    @pytest.mark.parametrize("n", [5, 8, 16])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_scan_of_every_k(self, kind, n):
+        bc = critical_beta1(kind, n, 1)
+        grid = [0.6 * bc, 0.9 * bc, 1.1 * bc, 1.6 * bc]
+        p = params_for(kind, 0.0, -0.3, m=1)
+        got = two_group_equilibria(kind, p, n, grid)
+        want = scan_every_k(kind, p, n, grid)
+        key = lambda rows: [(b1, eq.k_elite, eq.stable) for b1, eq in rows]
+        assert key(got) == key(want)
+        for (_, g), (_, w) in zip(got, want):
+            if kind == "springrank":
+                assert abs(g.a - w.a) <= 1e-8 and abs(g.b - w.b) <= 1e-8
+            else:
+                assert abs(g.a - w.a) <= 1e-12 * abs(w.a) and abs(g.b - w.b) <= 1e-12 * abs(w.b)
+            assert abs(g.max_eig_real - w.max_eig_real) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -512,10 +569,9 @@ class TestTwoGroupQuotient:
         n, m = 256, 1
         bc = critical_beta1(kind, n, m)
         p = params_for(kind, 0.0, 0.0, m=m)
-        roots = []
-        for k in (1, 64, 255):
-            for br in two_group_equilibria(kind, p, n, k, [0.8 * bc, 1.2 * bc]):
-                roots += [(b1, eq) for b1, eq in zip(br.beta1, br.equilibria) if eq.k_elite]
+        # elite sizes 1, 64 and 255 and their canonical partners n - k
+        roots = [(b1, eq) for b1, eq in two_group_equilibria(kind, p, n, [0.8 * bc, 1.2 * bc])
+                 if eq.k_elite in (1, 64, 192, 255)]
         assert len(roots) >= 3
         for b1, eq in roots:
             pb = p.with_(beta=(b1, 0.0))
@@ -534,8 +590,9 @@ class TestTwoGroupQuotient:
         n = 1000
         b1 = 0.9 * critical_beta1("rootdegree", n, 1)
         p = params_for("rootdegree", 0.0, 0.0, m=1)
-        eqs = [eq for br in two_group_equilibria("rootdegree", p, n, 1, [b1])
-               for eq in br.equilibria]
+        # the roots a scan at k = 1 alone finds, canonicalized
+        eqs = [eq for _, eq in two_group_equilibria("rootdegree", p, n, [b1])
+               if eq.k_elite in (0, 1, n - 1)]
         assert any(eq.k_elite == 1 and eq.stable for eq in eqs)
         pb = p.with_(beta=(b1, 0.0))
         for eq in eqs:
@@ -555,7 +612,13 @@ class TestTypedErrors:
         # the egalitarian seed s = 1 keeps beta1 s finite; the next seed does not
         p = params_for("pagerank", 0.0, -1.0, m=1)
         with pytest.raises(DomainError, match=r"pagerank .*k=1, beta1=1e\+308"):
-            two_group_equilibria("pagerank", p, 8, 1, [1e308])
+            two_group_equilibria("pagerank", p, 8, [1e308])
+
+    def test_egalitarian_root_names_k_0(self):
+        # sqrt(m / n) > 1 at the egalitarian root, so beta1 sqrt(m / n) overflows
+        p = params_for("rootdegree", 0.0, 0.0, m=4)
+        with pytest.raises(DomainError, match=r"rootdegree .*k=0, beta1=1e\+308.*finite"):
+            two_group_equilibria("rootdegree", p, 2, [1e308])
 
 
 class TestOneSpdSolvePath:
