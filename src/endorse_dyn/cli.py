@@ -30,7 +30,7 @@ from .data import (
 )
 from .errors import ConfigError, DomainError, FormatError, NumericError
 from .inference import compare_scores, criticality_report, fit
-from .sim import _cell_seed, mean_gamma, run, variance_sweep
+from .sim import run, simulate_cells, variance_sweep
 from .stability import two_group_equilibria
 
 REQUIRED = object()
@@ -295,9 +295,11 @@ def cmd_bifurcate(cfg):
     """
     params = ModelParams(lam=cfg["lambda"], beta=(0.0, cfg["beta2"]), m=cfg["m"],
                          score_kind=cfg["score"], seed=cfg["seed"])
-    nn = cfg["n"]
     grid = cfg["grid_beta1"]
-    rows = two_group_equilibria(cfg["score"], params, nn, grid)
+    if cfg["overlay"]:
+        cells = simulate_cells(params, cfg["n"], [(b1, cfg["beta2"]) for b1 in grid],
+                               steps=cfg["steps"], window=cfg["window"])
+    rows = two_group_equilibria(cfg["score"], params, cfg["n"], grid)
     outdir = _outdir(cfg)
     with open(outdir / "branches.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("beta1,k_elite,a,b,stable,max_eig_real\n")
@@ -307,13 +309,9 @@ def cmd_bifurcate(cfg):
     if cfg["overlay"]:
         with open(outdir / "overlay.csv", "w", encoding="utf-8", newline="") as fh:
             fh.write("beta1,node,gamma\n")
-            for idx, b1 in enumerate(grid):
-                p = params.with_(beta=(float(b1), cfg["beta2"]),
-                                 seed=_cell_seed(cfg["seed"], idx))
-                traj = run(p, a0=uniform_initial(nn, cfg["m"]), steps=cfg["steps"])
-                gam = mean_gamma(traj, window=cfg["window"])
-                for node in range(nn):
-                    fh.write(f"{_fmt(b1)},{node},{_fmt(gam[node])}\n")
+            for b1, (gam, _) in zip(grid, cells):
+                for node, g in enumerate(gam):
+                    fh.write(f"{_fmt(b1)},{node},{_fmt(g)}\n")
     _write_run_json(outdir, "bifurcate", cfg)
     click.echo(f"wrote {outdir}/branches.csv ({len(rows)} rows)")
 
@@ -454,14 +452,15 @@ def cmd_convert(cfg):
                                     period_labels=periods)
     else:
         seq = load_edge_list(cfg["data"])
-    if cfg["top_count"] is not None:
-        win = None
-        if cfg["window"] is not None:
-            parts = str(cfg["window"]).split(":")
-            if len(parts) != 2:
-                raise ConfigError(f"window must be LO:HI, got {cfg['window']!r}")
-            win = (parts[0], parts[1])
-        seq = restrict_top_placers(seq, cfg["top_count"], window=win)
+    win = None
+    if cfg["window"] is not None:
+        parts = str(cfg["window"]).split(":")
+        if len(parts) != 2:
+            raise ConfigError(f"window must be LO:HI, got {cfg['window']!r}")
+        win = (parts[0], parts[1])
+    if cfg["top_count"] is not None or win is not None:
+        count = seq.n if cfg["top_count"] is None else cfg["top_count"]
+        seq = restrict_top_placers(seq, count, window=win)
     outdir = _outdir(cfg)
     save_edge_list(seq, outdir / "edges.csv")
     _write_run_json(outdir, "convert", cfg)

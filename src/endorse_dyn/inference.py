@@ -261,14 +261,13 @@ def fit(
     alpha_p: float = 0.85,
     alpha_s: float = 1e-8,
     exclude_self: bool = False,
-    threads: int | None = None,
 ) -> FitResult:
     """Joint MLE of (lambda, beta1, beta2) for one score kind.
 
     Inner loop: at each lambda the rolled states are scored as one stack,
     and the concave logit problem in beta is solved by damped Newton ascent
     on its exact Hessian.  Outer loop: scan `restarts` lambda starts in
-    parallel, then refine the best bracket with a bounded 1-D search to
+    turn, then refine the best bracket with a bounded 1-D search to
     LAM_XATOL in lambda; a lambda_hat within LAM_XATOL of LAM_LO or LAM_HI
     is reported in `warnings`.  Standard errors come from the inverse of
     the observed information at the optimum (exact in beta, central
@@ -294,7 +293,7 @@ def fit(
         return out
 
     starts = [0.5] if restarts == 1 else list(np.linspace(0.1, 0.9, restarts))
-    scanned = parallel_map(eval_lam, starts, threads=threads)
+    scanned = [eval_lam(lam) for lam in starts]
     converged = [r for r in scanned if r[4]]
     if not converged:
         raise NumericError(
@@ -392,9 +391,8 @@ def compare_scores(
     alpha_p: float = 0.85,
     alpha_s: float = 1e-8,
     exclude_self: bool = False,
-    threads: int | None = None,
 ) -> ComparisonTable:
-    """Fit each score kind on the same sequence and rank by likelihood.
+    """Fit each score kind, one per pool worker, and rank by likelihood.
 
     A fit failure for one kind is recorded in `errors` and does not abort
     the others; ordering of the input kinds never affects the table.
@@ -412,7 +410,7 @@ def compare_scores(
         except (DomainError, NumericError) as exc:
             return kind, None, str(exc)
 
-    outcomes = parallel_map(one, kinds, threads=threads)
+    outcomes = parallel_map(one, kinds)
     results = sorted(
         (r for _, r, _ in outcomes if r is not None),
         key=lambda r: (-r.loglik, r.score_kind),

@@ -21,11 +21,10 @@ def thread_count() -> int:
     return n
 
 
-def parallel_map(fn, items, threads: int | None = None) -> list:
+def parallel_map(fn, items) -> list:
     """Map preserving input order, so merges are deterministic by key."""
     items = list(items)
-    workers = threads if threads is not None else thread_count()
-    workers = max(1, min(workers, len(items) or 1))
+    workers = min(thread_count(), len(items) or 1)
     if workers == 1:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -108,27 +108,30 @@ def _cell_seed(base_seed: int, index: int) -> int:
     return int(np.random.SeedSequence((int(base_seed), int(index))).generate_state(1)[0])
 
 
-def variance_sweep(
-    params: ModelParams,
-    n: int,
-    beta1_values,
-    beta2_values,
-    steps: int = 2000,
-    window: int = 500,
-    threads: int | None = None,
-) -> list[tuple[float, float, float]]:
-    """Grid of long-run rank variances over (beta1, beta2).
-
-    Returns long-format rows (beta1, beta2, variance), ordered by the grid,
-    regardless of which worker finished first.
-    """
-    grid = [(b1, b2) for b1 in beta1_values for b2 in beta2_values]
+def simulate_cells(params: ModelParams, n: int, betas, steps: int = 2000,
+                   window: int = 500) -> list[tuple[np.ndarray, float]]:
+    """(mean_gamma, rank_variance) over the final window of one run per
+    (beta1, beta2) cell, in grid order, from the thread pool.  Cell i runs
+    from uniform_initial(n, m) with seed _cell_seed(seed, i)."""
+    if window < 1 or window > steps:
+        raise DomainError(f"window must lie in [1, {steps}]")
     a0 = uniform_initial(n, params.m)
 
     def one(item):
-        index, (b1, b2) = item
-        p = params.with_(beta=(float(b1), float(b2)), seed=_cell_seed(params.seed, index))
-        traj = run(p, a0=a0, steps=steps)
-        return (float(b1), float(b2), rank_variance(traj, window))
+        index, beta = item
+        traj = run(params.with_(beta=beta, seed=_cell_seed(params.seed, index)),
+                   a0=a0, steps=steps)
+        return mean_gamma(traj, window), rank_variance(traj, window)
 
-    return parallel_map(one, enumerate(grid), threads=threads)
+    return parallel_map(one, enumerate(betas))
+
+
+def variance_sweep(params: ModelParams, n: int, beta1_values, beta2_values,
+                   steps: int = 2000, window: int = 500) -> list[tuple[float, float, float]]:
+    """Grid of long-run rank variances over (beta1, beta2).
+
+    Returns long-format rows (beta1, beta2, variance), ordered by the grid.
+    """
+    grid = [(float(b1), float(b2)) for b1 in beta1_values for b2 in beta2_values]
+    cells = simulate_cells(params, n, grid, steps, window)
+    return [(b1, b2, var) for (b1, b2), (_, var) in zip(grid, cells)]

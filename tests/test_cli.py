@@ -177,6 +177,23 @@ class TestSweep:
         assert res.exit_code == 2
         assert "START:STOP:NUM" in res.stderr
 
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--lambda", "0.95", "--grid-beta1", "0:4:3"],
+        ["bifurcate", "--grid-beta1", "2.0:6.0:2", "--overlay"],
+    ])
+    def test_window_checked_before_simulating(self, runner, tmp_path, monkeypatch, command):
+        calls = []
+        monkeypatch.setattr(endorse_dyn.sim, "run", lambda *a, **k: calls.append(a))
+        out = tmp_path / "out"
+        res = runner.invoke(cli.main, [
+            *command, "--score", "rootdegree", "--n", "4", "--steps", "20",
+            "--window", "30", "--out", str(out),
+        ])
+        assert res.exit_code == 2
+        assert "window must lie in [1, 20]" in res.stderr
+        assert calls == []
+        assert not out.exists()
+
 
 class TestBifurcate:
     def test_single_point_grid(self, runner, tmp_path):
@@ -405,6 +422,22 @@ class TestConvert:
         assert seq.period_labels == ("1", "2")  # restricted to the window
         assert seq.n == 2
 
+    def test_window_without_top_count_keeps_every_node(self, runner, tmp_path):
+        src = tmp_path / "src.csv"
+        src.write_text(
+            "period,source,target,count\n"
+            "1,a,b,5\n2,b,c,3\n3,c,a,4\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "conv"
+        res = runner.invoke(cli.main, [
+            "convert", "--data", str(src), "--window", "2:3", "--out", str(out),
+        ])
+        assert res.exit_code == 0, res.output + res.stderr
+        seq = load_edge_list(out / "edges.csv")
+        assert seq.period_labels == ("2", "3")
+        assert seq.node_labels == ("a", "b", "c")
+
     def test_rankings_topk(self, runner, tmp_path):
         src = tmp_path / "ranks.csv"
         src.write_text(
@@ -479,6 +512,44 @@ class TestConvert:
         assert "exactly one" in res.stderr
         res = runner.invoke(cli.main, ["convert", "--out", str(tmp_path / "x")])
         assert res.exit_code == 2
+
+
+class TestThreadCount:
+    """ENDORSE_DYN_THREADS sizes the pools of sweep, the overlay and compare."""
+
+    @staticmethod
+    def _command(tmp_path, name):
+        if name == "compare":
+            data = make_data_csv(tmp_path, seed=4, periods=20)
+            return ["compare", "--data", str(data), "--restarts", "2"], "compare.json"
+        if name == "sweep":
+            return ["sweep", "--score", "rootdegree", "--n", "4", "--lambda", "0.95",
+                    "--grid-beta1", "0:4:3", "--grid-beta2", "-1:0:2", "--steps", "60",
+                    "--window", "20"], "variance.csv"
+        return ["bifurcate", "--score", "pagerank", "--n", "4", "--grid-beta1", "2:6:3",
+                "--overlay", "--lambda", "0.95", "--steps", "60", "--window", "20"], \
+            "overlay.csv"
+
+    @pytest.mark.parametrize("name", ["sweep", "bifurcate", "compare"])
+    def test_outputs_do_not_depend_on_thread_count(self, runner, tmp_path, name):
+        args, output = self._command(tmp_path, name)
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            res = runner.invoke(cli.main, [*args, "--out", str(out)],
+                                env={"ENDORSE_DYN_THREADS": threads})
+            assert res.exit_code == 0, res.output + res.stderr
+            outputs.append((out / output).read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("value", ["0", "x"])
+    @pytest.mark.parametrize("name", ["sweep", "compare"])
+    def test_bad_value_is_a_usage_error(self, runner, tmp_path, name, value):
+        args, _ = self._command(tmp_path, name)
+        res = runner.invoke(cli.main, [*args, "--out", str(tmp_path / "out")],
+                            env={"ENDORSE_DYN_THREADS": value})
+        assert res.exit_code == 2
+        assert "ENDORSE_DYN_THREADS" in res.stderr
 
 
 class TestErrorMapping:

@@ -13,7 +13,7 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endorse_dyn import inference
+from endorse_dyn import inference, parallel
 from endorse_dyn.core import ModelParams, uniform_initial
 from endorse_dyn.data import InteractionSequence, simulate_sequence
 from endorse_dyn.errors import DomainError
@@ -484,6 +484,24 @@ class TestCompareScores:
         lls = [r.loglik for r in t1.results]
         assert lls == sorted(lls, reverse=True)
         assert t1.errors == {}
+
+    def test_pool_only_over_kinds(self, monkeypatch):
+        # the lambda restarts run inline, so fit opens no pool and compare
+        # opens one, over the kinds, and none nests inside it
+        opened = []
+
+        class CountingPool(parallel.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setenv("ENDORSE_DYN_THREADS", "2")
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", CountingPool)
+        seq = TestFit()._synthetic(seed=11)
+        fit(seq, "rootdegree", restarts=3)
+        assert opened == []
+        compare_scores(seq, ("rootdegree", "springrank"), restarts=3)
+        assert opened == [2]
 
     def test_rejects_degenerate_kind_sets(self):
         seq = TestFit()._synthetic()

@@ -16,6 +16,7 @@ from endorse_dyn.sim import (
     mean_gamma,
     rank_variance,
     run,
+    simulate_cells,
     variance_sweep,
 )
 from endorse_dyn.stability import critical_beta1
@@ -173,15 +174,26 @@ class TestSummaries:
 
 
 class TestVarianceSweep:
-    def test_rows_follow_grid_order_and_thread_invariance(self):
+    def test_rows_follow_grid_order_and_thread_invariance(self, monkeypatch):
         p = ModelParams(lam=0.97, m=1, score_kind="rootdegree", seed=5)
-        rows1 = variance_sweep(p, n=4, beta1_values=[0.0, 2.0], beta2_values=[0.0, -1.0],
-                               steps=80, window=30, threads=1)
-        rows2 = variance_sweep(p, n=4, beta1_values=[0.0, 2.0], beta2_values=[0.0, -1.0],
-                               steps=80, window=30, threads=3)
-        assert [(r[0], r[1]) for r in rows1] == [
+        rows = []
+        for threads in ("1", "3"):
+            monkeypatch.setenv("ENDORSE_DYN_THREADS", threads)
+            rows.append(variance_sweep(p, n=4, beta1_values=[0.0, 2.0],
+                                       beta2_values=[0.0, -1.0], steps=80, window=30))
+        assert [(r[0], r[1]) for r in rows[0]] == [
             (0.0, 0.0), (0.0, -1.0), (2.0, 0.0), (2.0, -1.0)]
-        assert rows1 == rows2
+        assert rows[0] == rows[1]
+
+    def test_cells_match_standalone_runs(self):
+        p = ModelParams(lam=0.97, m=2, score_kind="pagerank", seed=8)
+        betas = [(0.0, 0.0), (3.0, -1.0)]
+        cells = simulate_cells(p, 4, betas, steps=60, window=20)
+        for index, (beta, (gam, var)) in enumerate(zip(betas, cells)):
+            traj = run(p.with_(beta=beta, seed=_cell_seed(8, index)),
+                       a0=uniform_initial(4, 2), steps=60)
+            assert np.array_equal(gam, mean_gamma(traj, 20))
+            assert var == rank_variance(traj, 20)
 
     def test_cells_use_independent_streams(self):
         p = ModelParams(lam=0.97, m=1, score_kind="rootdegree", seed=5)
