@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -347,22 +348,6 @@ def _load_sequence(data_path: str, warm_start: str | None) -> InteractionSequenc
     return seq.with_a0(a0)
 
 
-def _fit_json(fr) -> dict:
-    return {
-        "score_kind": fr.score_kind,
-        "lambda_hat": fr.lambda_hat,
-        "beta_hat": list(fr.beta_hat),
-        "se": None if fr.se is None else list(fr.se),
-        "loglik": fr.loglik,
-        "halflife": fr.halflife,
-        "grad_norm": fr.grad_norm,
-        "restarts": fr.restarts,
-        "alpha_p": fr.alpha_p,
-        "alpha_s": fr.alpha_s,
-        "warnings": list(fr.warnings),
-    }
-
-
 def _write_tables(outdir: Path, dataset: str, seq: InteractionSequence, results) -> None:
     """table1.csv with one row per fit; criticality.csv for the fits with SEs."""
     with open(outdir / "table1.csv", "w", encoding="utf-8", newline="") as fh:
@@ -394,7 +379,7 @@ def cmd_fit(cfg):
     fr = fit(seq, cfg["score"], restarts=cfg["restarts"])
     dataset = Path(cfg["data"]).stem
     outdir = _outdir(cfg)
-    _write_json(outdir / "fit.json", _fit_json(fr))
+    _write_json(outdir / "fit.json", asdict(fr))
     _write_tables(outdir, dataset, seq, [fr])
     _write_run_json(outdir, "fit", cfg)
     for w in fr.warnings:
@@ -415,7 +400,7 @@ def cmd_compare(cfg):
     _write_json(outdir / "compare.json", {
         "best": table.best,
         "errors": table.errors,
-        "results": [_fit_json(fr) for fr in table.results],
+        "results": [asdict(fr) for fr in table.results],
     })
     _write_tables(outdir, dataset, seq, table.results)
     _write_run_json(outdir, "compare", cfg)

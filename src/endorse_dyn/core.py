@@ -18,7 +18,8 @@ validates A(0) once and applies the same update in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,23 +86,23 @@ class ModelParams:
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise DomainError(f"lambda must lie in [0, 1], got {self.lam}")
+        if np.ndim(self.beta) != 1 or len(self.beta) != 2:
+            raise DomainError(f"beta needs 2 coefficients (prestige, proximity), got {self.beta!r}")
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
-        if len(self.beta) != 2:
-            raise DomainError(
-                f"beta needs 2 coefficients (prestige, proximity), got {len(self.beta)}"
-            )
         if not all(np.isfinite(self.beta)):
             raise DomainError("beta has non-finite entries")
-        if self.m < 1:
-            raise DomainError("m must be a positive integer")
+        if not (float(self.m).is_integer() and self.m >= 1):
+            raise DomainError(f"m must be a positive integer, got {self.m}")
         if self.score_kind not in SCORE_KINDS:
             raise DomainError(
                 f"unknown score kind {self.score_kind!r}; choose from {SCORE_KINDS}"
             )
         if not 0.0 < self.alpha_p < 1.0:
             raise DomainError("alpha_p must lie in (0, 1)")
-        if self.alpha_s <= 0.0:
-            raise DomainError("alpha_s must be positive")
+        if not 0.0 < self.alpha_s < np.inf:
+            raise DomainError(f"alpha_s must be positive and finite, got {self.alpha_s}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise DomainError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     def with_(self, **kw) -> "ModelParams":
         return replace(self, **kw)

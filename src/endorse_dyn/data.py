@@ -212,20 +212,42 @@ def load_rankings(path):
 
 
 def save_edge_list(seq: InteractionSequence, path) -> None:
-    """Write the interchange CSV (LF endings, zero cells omitted)."""
+    """Write the interchange CSV (LF endings, zero cells omitted).
+
+    Only what `load_edge_list` reads back as the same labelled sequence is
+    written.  Node labels must match LABEL_RE and be distinct; period
+    labels must read back as themselves (no comma, quote, NUL, line break
+    or edge whitespace) and stand in interchange order without repeats.
+    Otherwise DomainError names the label before the file is opened.  The
+    format cannot carry an empty period, a node without edges or a0: a
+    reload drops them.
+    """
+    nodes = sorted(seq.node_labels)
+    for label, nxt in zip(nodes, nodes[1:] + [None]):
+        if not LABEL_RE.match(label) or label == nxt:
+            raise DomainError(f"node label {label!r} is malformed or repeats")
+    periods = [str(p) for p in seq.period_labels]
+    for p in periods:
+        if not p or p != p.strip() or re.search(r'[,"\x00\r\n]', p):
+            raise DomainError(f"period label {p!r} would not read back as itself")
+    # a reload sorts only the periods with endorsements, so both orders must hold
+    kept = [p for p, d in zip(periods, seq.deltas) if d.any()]
+    for labels in (periods, kept):
+        for p, q, nxt in zip(labels, _sorted_periods(labels), labels[1:] + [None]):
+            if p != q or p == nxt:
+                raise DomainError(f"period label {p!r} is out of interchange order or repeats")
+    rows = []
+    for period, d in zip(periods, seq.deltas):
+        for i, j in zip(*np.nonzero(d)):
+            c = d[i, j]
+            if abs(c - round(c)) > 1e-9:
+                raise DomainError(f"period {period}: count at ({i},{j}) is not an integer")
+            rows.append(f"{period},{seq.node_labels[i]},{seq.node_labels[j]},{int(round(c))}\n")
+    if np.count_nonzero(sum(d.sum(axis=0) + d.sum(axis=1) for d in seq.deltas)) < 2:
+        raise DomainError("endorsements touch fewer than 2 nodes; a reload needs 2")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(HEADER) + "\n")
-        for t, period in enumerate(seq.period_labels):
-            d = seq.deltas[t]
-            for i, j in zip(*np.nonzero(d)):
-                c = d[i, j]
-                if abs(c - round(c)) > 1e-9:
-                    raise DomainError(
-                        f"period {period}: count at ({i},{j}) is not an integer"
-                    )
-                fh.write(
-                    f"{period},{seq.node_labels[i]},{seq.node_labels[j]},{int(round(c))}\n"
-                )
+        fh.writelines(rows)
 
 
 def convert_rankings_topk(

@@ -2,15 +2,15 @@
 
 The likelihood factorizes per period: roll the state forward from A(0)
 with the observed counts and the candidate lambda, score each state, and
-credit each observed endorsement i -> j with log G_ij.  The rolled states
-A(t) depend on lambda and the data only, never on beta, so each lambda
-scores all of them in one stacked `score` call, and for fixed lambda the
-problem in beta is a two-parameter concave conditional logit (McFadden
-1974).  It is solved by damped Newton ascent on the exact Hessian
--sum_i k_i Cov_{p_i}(phi); lambda is maximized by a derivative-free 1-D
-search over restarts.  The multinomial coefficient is dropped throughout:
-it shifts the likelihood by a data constant and no comparison here needs
-it.
+credit each observed endorsement i -> j with log G_ij.  The counts are
+tabulated once per fit (`_counts`); each lambda only rolls the states
+A(t), which never depend on beta, scores them in one stacked `score` call
+and gathers the features.  For fixed lambda the problem in beta is a
+two-parameter concave conditional logit (McFadden 1974).  It is solved by
+damped Newton ascent on the exact Hessian -sum_i k_i Cov_{p_i}(phi);
+lambda is maximized by a derivative-free 1-D search over restarts.  The
+multinomial coefficient is dropped throughout: it shifts the likelihood by
+a data constant and no comparison here needs it.
 """
 
 from __future__ import annotations
@@ -74,56 +74,69 @@ def halflife(lam: float) -> float:
     return float(-np.log(2.0) / np.log(lam))
 
 
-def _rolled_scores(seq, lam, score_kind, alpha_p, alpha_s):
-    """Score vectors s(t) for each used period, stacked (T, n), and the counts.
-
-    The states A(t) are rolled forward first and then scored as one stack.
-    """
-    params = ModelParams(
-        lam=lam, score_kind=score_kind, alpha_p=alpha_p, alpha_s=alpha_s
-    )
-    a, used = seq.used_periods()
-    states = []
-    for delta in used:
-        states.append(a)
-        a = lam * a + (1.0 - lam) * delta
-    return score(np.array(states), params), np.array(used)
-
-
-class _LogitTerms(NamedTuple):
-    """The beta-independent pieces of the likelihood at one lambda.
+class _Counts(NamedTuple):
+    """The lambda-independent data of the likelihood.
 
     Only the R rows (t, i) in which i endorsed someone enter the
     likelihood, its gradient and its Hessian (each is weighted by k_ti),
     so only those rows are kept, each as a length-n choice over targets j.
     """
 
-    phi1: np.ndarray  # (R, n) prestige feature s_j
-    phi2: np.ndarray  # (R, n) proximity feature (s_i - s_j)^2
-    chooser: np.ndarray  # (R,) the endorser i of each row: its own column
+    a0: np.ndarray  # (n, n) A(0)
+    stack: np.ndarray  # (T, n, n) counts of the periods entering the likelihood
+    t: np.ndarray  # (R,) the period of each row
+    i: np.ndarray  # (R,) the endorser of each row: its own column
     observed: np.ndarray  # flat indices of the positive counts in an (R, n) array
     k_obs: np.ndarray  # the positive counts, in that order
     k_row: np.ndarray  # (R,) endorsements made in each row
-    k_phi: np.ndarray  # (2,) sum of k * phi over all cells
+    masked: np.ndarray  # flat indices of each row's own cell if exclude_self, else none
 
 
-def _logit_terms(s_stack, k_stack) -> _LogitTerms:
-    t, i = np.nonzero(k_stack.sum(axis=2))
-    phi1 = s_stack[t]
-    diff = s_stack[t, i][:, None] - phi1
-    phi2 = diff * diff
-    k_rows = k_stack[t, i]
+def _counts(seq, params) -> _Counts:
+    a0, used = seq.used_periods()
+    stack = np.array(used)
+    t, i = np.nonzero(stack.sum(axis=2))
+    k_rows = stack[t, i]
     observed = np.flatnonzero(k_rows)
-    k_obs = k_rows.ravel()[observed]
+    own = np.arange(len(i)) * seq.n + i
+    return _Counts(a0, stack, t, i, observed, k_rows.ravel()[observed],
+                   k_rows.sum(axis=1), own if params.exclude_self else own[:0])
+
+
+def _rolled_scores(counts: _Counts, params) -> np.ndarray:
+    """Score vectors s(t) of the states met by each used period, stacked (T, n).
+
+    The states A(t) are rolled forward at params.lam first and then scored
+    as one stack.
+    """
+    lam, a = params.lam, counts.a0
+    states = []
+    for delta in counts.stack:
+        states.append(a)
+        a = lam * a + (1.0 - lam) * delta
+    return score(np.array(states), params)
+
+
+class _LogitTerms(NamedTuple):
+    """The beta-independent pieces of the likelihood at one lambda."""
+
+    phi1: np.ndarray  # (R, n) prestige feature s_j
+    phi2: np.ndarray  # (R, n) proximity feature (s_i - s_j)^2
+    k_phi: np.ndarray  # (2,) sum of k * phi over all cells
+    counts: _Counts
+
+
+def _terms_at(counts: _Counts, params) -> _LogitTerms:
+    s = _rolled_scores(counts, params)
+    phi1 = s[counts.t]
+    diff = s[counts.t, counts.i][:, None] - phi1
+    phi2 = diff * diff
+    k_obs, observed = counts.k_obs, counts.observed
     k_phi = np.array([k_obs @ phi1.ravel()[observed], k_obs @ phi2.ravel()[observed]])
-    return _LogitTerms(phi1, phi2, i, observed, k_obs, k_rows.sum(axis=1), k_phi)
+    return _LogitTerms(phi1, phi2, k_phi, counts)
 
 
-def _terms_at(seq, lam, score_kind, alpha_p, alpha_s) -> _LogitTerms:
-    return _logit_terms(*_rolled_scores(seq, lam, score_kind, alpha_p, alpha_s))
-
-
-def _loglik_and_grad(terms: _LogitTerms, beta, exclude_self=False):
+def _loglik_and_grad(terms: _LogitTerms, beta):
     """Constant-free log-likelihood, its exact beta-gradient and beta-Hessian.
 
     With p the choice probabilities of a row, the gradient is
@@ -132,24 +145,23 @@ def _loglik_and_grad(terms: _LogitTerms, beta, exclude_self=False):
     Everything stays in log space; a -inf can only appear when a positive
     count sits on an excluded cell.
     """
-    phi1, phi2, chooser, observed, k_obs, k_row, k_phi = terms
+    phi1, phi2, k_phi, c = terms
     n = phi1.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         u = beta[0] * phi1 + beta[1] * phi2
-        if exclude_self:
-            u[np.arange(len(chooser)), chooser] = -np.inf
+        np.put(u, c.masked, -np.inf)
         u -= u.max(axis=1, keepdims=True)
         p = np.exp(u)
         z = p.sum(axis=1)
-        ll = float(k_obs @ u.ravel()[observed] - k_row @ np.log(z)
-                   - k_obs.sum() * np.log(n))
+        ll = float(c.k_obs @ u.ravel()[c.observed] - c.k_row @ np.log(z)
+                   - c.k_obs.sum() * np.log(n))
         p /= z[:, None]
         mean1 = np.einsum("rj,rj->r", p, phi1)
         mean2 = np.einsum("rj,rj->r", p, phi2)
-        g = k_phi - np.array([k_row @ mean1, k_row @ mean2])
+        g = k_phi - np.array([c.k_row @ mean1, c.k_row @ mean2])
         c1 = phi1 - mean1[:, None]
         c2 = phi2 - mean2[:, None]
-        w = p * k_row[:, None]
+        w = p * c.k_row[:, None]
         wc1 = w * c1
         # einsum, not a BLAS dot: OpenBLAS threads dots this long, and the
         # threads cost more CPU than they save here
@@ -159,13 +171,11 @@ def _loglik_and_grad(terms: _LogitTerms, beta, exclude_self=False):
     return ll, g, h
 
 
-def _check_beta(beta) -> np.ndarray:
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (2,):
-        raise DomainError("beta must have exactly 2 entries (prestige, proximity)")
-    if not np.all(np.isfinite(beta)):
-        raise DomainError("beta has non-finite entries")
-    return beta
+def _evaluate(seq, lam, beta, score_kind, alpha_p, alpha_s, exclude_self):
+    """(ll, gradient, Hessian) at one (lambda, beta); ModelParams checks both."""
+    params = ModelParams(lam=lam, beta=beta, score_kind=score_kind, alpha_p=alpha_p,
+                         alpha_s=alpha_s, exclude_self=exclude_self)
+    return _loglik_and_grad(_terms_at(_counts(seq, params), params), params.beta)
 
 
 def log_likelihood(
@@ -178,9 +188,7 @@ def log_likelihood(
     exclude_self: bool = False,
 ) -> float:
     """Sum over periods and pairs of k_ij log G_ij (constant dropped)."""
-    beta = _check_beta(beta)
-    terms = _terms_at(seq, lam, score_kind, alpha_p, alpha_s)
-    return _loglik_and_grad(terms, beta, exclude_self)[0]
+    return _evaluate(seq, lam, beta, score_kind, alpha_p, alpha_s, exclude_self)[0]
 
 
 def grad_beta(
@@ -193,9 +201,7 @@ def grad_beta(
     exclude_self: bool = False,
 ) -> np.ndarray:
     """Exact gradient of the log-likelihood in beta (scores held fixed)."""
-    beta = _check_beta(beta)
-    terms = _terms_at(seq, lam, score_kind, alpha_p, alpha_s)
-    return _loglik_and_grad(terms, beta, exclude_self)[1]
+    return _evaluate(seq, lam, beta, score_kind, alpha_p, alpha_s, exclude_self)[1]
 
 
 def _newton_step(g, h):
@@ -216,7 +222,7 @@ def _newton_step(g, h):
     return np.linalg.solve(info + mu * np.eye(2), g), mu
 
 
-def _maximize_beta(terms, beta0, exclude_self):
+def _maximize_beta(terms, beta0):
     """Damped Newton ascent in beta; returns (ll, beta, grad_inf_norm, ok).
 
     Each iteration takes a Newton step with Armijo backtracking.  Once the
@@ -225,7 +231,7 @@ def _maximize_beta(terms, beta0, exclude_self):
     BETA_MAX_ITER steps are taken either way.
     """
     beta = np.array(beta0, dtype=float)
-    ll, g, h = _loglik_and_grad(terms, beta, exclude_self)
+    ll, g, h = _loglik_and_grad(terms, beta)
     if not np.isfinite(ll):
         return ll, beta, np.inf, False
     for _ in range(BETA_MAX_ITER):
@@ -234,14 +240,14 @@ def _maximize_beta(terms, beta0, exclude_self):
         rounding = 1e-12 * (1.0 + abs(ll))
         if slope <= rounding:
             if mu == 0.0 and np.any(step):
-                out = _loglik_and_grad(terms, beta + step, exclude_self)
+                out = _loglik_and_grad(terms, beta + step)
                 if out[0] >= ll - rounding:
                     beta = beta + step
                     ll, g, h = out
             break
         t = 1.0
         for _ in range(BETA_MAX_HALVINGS):
-            out = _loglik_and_grad(terms, beta + t * step, exclude_self)
+            out = _loglik_and_grad(terms, beta + t * step)
             if out[0] >= ll + 1e-4 * t * slope:
                 break
             t *= 0.5
@@ -280,17 +286,18 @@ def fit(
         raise DomainError("restarts must be >= 1")
     if exclude_self and any(np.trace(d) > 0 for d in seq.deltas):
         raise DomainError("sequence has self-endorsements but exclude_self is set")
-
+    # lam is set per evaluation
+    params = ModelParams(lam=LAM_LO, score_kind=score_kind, alpha_p=alpha_p,
+                         alpha_s=alpha_s, exclude_self=exclude_self)
+    counts = _counts(seq, params)
     cache: dict = {}
 
     def eval_lam(lam, beta0=(0.0, 0.0)):
         lam = float(min(max(lam, LAM_LO), LAM_HI))
-        if lam in cache:
-            return cache[lam]
-        terms = _terms_at(seq, lam, score_kind, alpha_p, alpha_s)
-        out = (lam,) + _maximize_beta(terms, beta0, exclude_self)
-        cache[lam] = out
-        return out
+        if lam not in cache:
+            terms = _terms_at(counts, params.with_(lam=lam))
+            cache[lam] = (lam,) + _maximize_beta(terms, beta0)
+        return cache[lam]
 
     starts = [0.5] if restarts == 1 else list(np.linspace(0.1, 0.9, restarts))
     scanned = [eval_lam(lam) for lam in starts]
@@ -331,9 +338,7 @@ def fit(
                 f"lambda_hat = {lam_hat:.6g} is within {LAM_XATOL:g} of the search "
                 f"bound {name} = {bound:.6g}; the likelihood may peak beyond it"
             )
-    se = _standard_errors(
-        seq, score_kind, lam_hat, beta_hat, alpha_p, alpha_s, exclude_self, warnings
-    )
+    se = _standard_errors(counts, params.with_(lam=lam_hat), beta_hat, warnings)
     return FitResult(
         score_kind=score_kind,
         lambda_hat=lam_hat,
@@ -349,8 +354,7 @@ def fit(
     )
 
 
-def _standard_errors(seq, score_kind, lam_hat, beta_hat, alpha_p, alpha_s,
-                     exclude_self, warnings: list):
+def _standard_errors(counts: _Counts, params, beta_hat, warnings: list):
     """sqrt diag of the inverted observed information.
 
     The beta-beta block is the exact logit Hessian at the optimum; the
@@ -358,16 +362,11 @@ def _standard_errors(seq, score_kind, lam_hat, beta_hat, alpha_p, alpha_s,
     the log-likelihood (lambda-lambda) and of the exact beta-gradient
     (lambda-beta).
     """
-    beta = np.asarray(beta_hat, dtype=float)
+    beta, lam_hat = np.asarray(beta_hat, dtype=float), params.lam
     step = min(1e-4 * (1.0 + lam_hat), 0.5 * (LAM_HI - lam_hat) + 1e-12, 0.5 * lam_hat)
-    ll0, _, h_beta = _loglik_and_grad(
-        _terms_at(seq, lam_hat, score_kind, alpha_p, alpha_s), beta, exclude_self
-    )
-    ll_up, g_up, _ = _loglik_and_grad(
-        _terms_at(seq, lam_hat + step, score_kind, alpha_p, alpha_s), beta, exclude_self
-    )
-    ll_dn, g_dn, _ = _loglik_and_grad(
-        _terms_at(seq, lam_hat - step, score_kind, alpha_p, alpha_s), beta, exclude_self
+    (ll0, _, h_beta), (ll_up, g_up, _), (ll_dn, g_dn, _) = (
+        _loglik_and_grad(_terms_at(counts, params.with_(lam=lam)), beta)
+        for lam in (lam_hat, lam_hat + step, lam_hat - step)
     )
     hess = np.empty((3, 3))
     hess[0, 0] = (ll_up - 2.0 * ll0 + ll_dn) / step**2

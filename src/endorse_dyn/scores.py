@@ -165,6 +165,21 @@ def _cholesky_solve(lap: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(dpotrs(c, rhs)[0])
 
 
+def _spring_system(a: np.ndarray, alpha_s: float):
+    """SpringRank's regularized Laplacian D_in + D_out - (A + A^T) + alpha_s I
+    of one matrix or a stack, and its right side d_in - d_out."""
+    n = a.shape[-1]
+    din = in_degree(a)
+    dout = out_degree(a)
+    sym = a + np.swapaxes(a, -1, -2)
+    lap = 0.0 - sym
+    # the diagonal as a writable view: every (n+1)-th entry of each slice
+    lap.reshape(*a.shape[:-2], n * n)[..., :: n + 1] = (
+        din + dout - np.diagonal(sym, axis1=-2, axis2=-1) + alpha_s
+    )
+    return lap, din - dout
+
+
 def springrank_score(a: np.ndarray, alpha_s: float = 1e-8) -> np.ndarray:
     """Spring-embedding score: the unique solution of a regularized system.
 
@@ -176,18 +191,9 @@ def springrank_score(a: np.ndarray, alpha_s: float = 1e-8) -> np.ndarray:
     and is subtracted.
     """
     a = _square(a)
-    if alpha_s <= 0.0:
-        raise DomainError("alpha_s must be positive")
-    n = a.shape[-1]
-    din = in_degree(a)
-    dout = out_degree(a)
-    sym = a + np.swapaxes(a, -1, -2)
-    lap = 0.0 - sym
-    # the diagonal as a writable view: every (n+1)-th entry of each slice
-    lap.reshape(*a.shape[:-2], n * n)[..., :: n + 1] = (
-        din + dout - np.diagonal(sym, axis1=-2, axis2=-1) + alpha_s
-    )
-    rhs = din - dout
+    if not 0.0 < alpha_s < np.inf:
+        raise DomainError(f"alpha_s must be positive and finite, got {alpha_s}")
+    lap, rhs = _spring_system(a, alpha_s)
     if a.ndim == 2:
         s = _cholesky_solve(lap, rhs)
     else:
@@ -195,7 +201,7 @@ def springrank_score(a: np.ndarray, alpha_s: float = 1e-8) -> np.ndarray:
             s = np.linalg.solve(lap, rhs[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"springrank solve failed: {exc}") from exc
-    return s - s.sum(axis=-1, keepdims=True) / n
+    return s - s.sum(axis=-1, keepdims=True) / a.shape[-1]
 
 
 def score(a: np.ndarray, params) -> np.ndarray:

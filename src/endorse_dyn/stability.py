@@ -34,7 +34,7 @@ import numpy as np
 from .choice import choice_probabilities, utility
 from .core import ModelParams
 from .errors import DomainError, NumericError
-from .scores import _cholesky_solve, in_degree, out_degree, pagerank_score, springrank_score
+from .scores import _cholesky_solve, _spring_system, in_degree, pagerank_score, springrank_score
 
 
 @dataclass(frozen=True)
@@ -234,12 +234,6 @@ def _springrank_forcing(s: np.ndarray, params: ModelParams) -> np.ndarray:
     return params.alpha_s * s + params.m * (lg @ s + (1.0 / n - gamma))
 
 
-def _l_alpha(a: np.ndarray, alpha_s: float) -> np.ndarray:
-    lap = np.diag(in_degree(a) + out_degree(a)) - (a + a.T)
-    lap[np.diag_indices_from(lap)] += alpha_s
-    return lap
-
-
 def _solve_projected(l_alpha: np.ndarray, rhs: np.ndarray, x_mean: float) -> np.ndarray:
     """Solve l_alpha x = rhs given the exact mean of the solution.
 
@@ -267,7 +261,7 @@ def f_springrank(s: np.ndarray, a: np.ndarray, params: ModelParams) -> np.ndarra
     s = np.asarray(s, dtype=float)
     a = np.asarray(a, dtype=float)
     forcing = _springrank_forcing(s, params)
-    l_alpha = _l_alpha(a, params.alpha_s)
+    l_alpha, _ = _spring_system(a, params.alpha_s)
     # exact mean of L_alpha^-1 forcing is mean(s); f negates it
     y = _solve_projected(l_alpha, forcing, s.mean())
     return -y
@@ -345,8 +339,8 @@ def critical_beta1(
     alpha_s: float = 1e-8,
 ) -> float:
     """Threshold on beta1 where the egalitarian root loses stability."""
-    if n < 2 or m <= 0:
-        raise DomainError("need n >= 2 and m > 0")
+    if not (float(n).is_integer() and n >= 2 and 0.0 < m < np.inf):
+        raise DomainError(f"need an integral n >= 2 and a finite m > 0, got n={n}, m={m}")
     return _kind(score_kind).critical(n, m, alpha_p, alpha_s)
 
 
@@ -357,8 +351,8 @@ def _pagerank_critical(n: int, m: float, alpha_p: float, alpha_s: float) -> floa
 
 
 def _springrank_critical(n: int, m: float, alpha_p: float, alpha_s: float) -> float:
-    if alpha_s <= 0:
-        raise DomainError("alpha_s must be positive")
+    if not 0.0 < alpha_s < np.inf:
+        raise DomainError(f"alpha_s must be positive and finite, got {alpha_s}")
     return 2.0 + alpha_s * n / m
 
 

@@ -564,6 +564,19 @@ class TestErrorMapping:
         assert "numeric failure: solver fell over" in res.stderr
         assert '"iterations": 3' in res.stderr
 
+    @pytest.mark.parametrize("command,args", [
+        ("simulate", ["--n", "4", "--lambda", "0.9", "--steps", "5"]),
+        ("sweep", ["--n", "4", "--lambda", "0.9", "--grid-beta1", "0:1:2",
+                   "--steps", "5", "--window", "2"]),
+        ("bifurcate", ["--n", "4", "--grid-beta1", "1:2:2"]),
+    ])
+    def test_negative_seed_is_a_usage_error(self, runner, tmp_path, command, args):
+        res = runner.invoke(cli.main, [command, "--score", "rootdegree", *args,
+                                       "--seed", "-1", "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2, res.output + res.stderr
+        assert "seed must be a non-negative integer" in res.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_version_flag(self, runner):
         res = runner.invoke(cli.main, ["--version"])
         assert res.exit_code == 0

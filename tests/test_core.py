@@ -70,11 +70,25 @@ class TestModelParams:
             {"lam": 0.5, "beta": (np.inf, 0.0)},
             {"lam": 0.5, "beta": (1.0, 2.0, 3.0)},
             {"lam": 0.5, "beta": (1.0,)},
+            {"lam": 0.5, "beta": 1.0},
+            {"lam": 0.5, "beta": ((1.0, 2.0),)},
+            {"lam": 0.5, "seed": -1},
+            {"lam": 0.5, "seed": 2.5},
+            {"lam": 0.5, "seed": 1.0},
+            {"lam": 0.5, "m": 2.5},
+            {"lam": 0.5, "m": np.nan},
+            {"lam": 0.5, "m": np.inf},
+            {"lam": 0.5, "alpha_s": np.nan},
+            {"lam": 0.5, "alpha_s": np.inf},
         ],
     )
     def test_rejects_bad_values(self, kw):
         with pytest.raises(DomainError):
             ModelParams(**kw)
+
+    def test_accepts_numpy_integer_seed_and_integral_m(self):
+        p = ModelParams(lam=0.5, seed=np.int64(3), m=2.0)
+        assert p.seed == 3 and p.m == 2.0
 
 
 class TestStep:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from endorse_dyn.core import ModelParams, uniform_initial
 from endorse_dyn.data import (
     InteractionSequence,
+    _sorted_periods,
     aggregate_counts,
     convert_rankings_topk,
     load_edge_list,
@@ -235,6 +238,111 @@ class TestSaveEdgeList:
         assert back.period_labels == seq.period_labels
         for d1, d2 in zip(back.deltas, seq.deltas):
             assert np.array_equal(d1, d2[np.ix_(idx, idx)])
+
+
+def _two_period_seq(node_labels=("a", "b"), period_labels=("1", "2"), empty=()):
+    deltas = tuple(np.zeros((2, 2)) if t in empty else np.array([[0.0, 1.0], [2.0, 0.0]])
+                   for t in range(len(period_labels)))
+    return InteractionSequence(deltas, node_labels, period_labels)
+
+
+class TestSaveRefusals:
+    """save_edge_list writes only what load_edge_list reads back as the same
+    labelled sequence; a refusal names the label and writes no file."""
+
+    @pytest.mark.parametrize("seq,label", [
+        (_two_period_seq(node_labels=("a,b", "c")), "a,b"),
+        (_two_period_seq(node_labels=("a b", "c")), "a b"),
+        (_two_period_seq(node_labels=("a", "a")), "a"),
+        (_two_period_seq(period_labels=("b", "a")), "b"),
+        (_two_period_seq(period_labels=("10", "9")), "10"),
+        (_two_period_seq(period_labels=("1", "1")), "1"),
+        (_two_period_seq(period_labels=(1, "1")), "1"),
+        (_two_period_seq(period_labels=("x,y", "z")), "x,y"),
+        (_two_period_seq(period_labels=('"q"', "z")), '"q"'),
+        (_two_period_seq(period_labels=(" 1", "2")), " 1"),
+        (_two_period_seq(period_labels=("1", "")), ""),
+        (_two_period_seq(period_labels=("a\nb", "c")), "a\nb"),
+        # in text order with "x", in numeric order without it; "x" is empty
+        # and a reload drops it, so "10" and "9" would come back swapped
+        (_two_period_seq(period_labels=("10", "9", "x"), empty=(2,)), "10"),
+    ])
+    def test_refuses_labels_that_do_not_read_back(self, tmp_path, seq, label):
+        p = tmp_path / "out.csv"
+        with pytest.raises(DomainError, match="label " + re.escape(repr(label))):
+            save_edge_list(seq, p)
+        assert not p.exists()
+
+    def test_refuses_fractional_counts_before_writing(self, tmp_path):
+        seq = InteractionSequence((np.array([[0, 1.0], [0, 0]]), np.array([[0, 0.5], [0, 0]])),
+                                  ("a", "b"), ("1", "2"))
+        p = tmp_path / "out.csv"
+        with pytest.raises(DomainError, match="not an integer"):
+            save_edge_list(seq, p)
+        assert not p.exists()
+
+    @pytest.mark.parametrize("d", [np.zeros((3, 3)), np.diag([0.0, 2.0, 0.0])])
+    def test_refuses_data_touching_fewer_than_two_nodes(self, tmp_path, d):
+        p = tmp_path / "out.csv"
+        with pytest.raises(DomainError, match="fewer than 2 nodes"):
+            save_edge_list(InteractionSequence((d,), ("a", "b", "c"), ("1",)), p)
+        assert not p.exists()
+
+    def test_empty_periods_and_edgeless_nodes_are_written_and_dropped(self, tmp_path):
+        # the format cannot carry them; the rest reads back unchanged
+        d = np.zeros((3, 3))
+        d[0, 2] = 4
+        seq = InteractionSequence((d, np.zeros((3, 3))), ("a", "b", "c"), (1, 2))
+        p = tmp_path / "out.csv"
+        save_edge_list(seq, p)
+        back = load_edge_list(p)
+        assert back.period_labels == ("1",) and back.node_labels == ("a", "c")
+        assert np.array_equal(back.deltas[0], [[0, 4], [0, 0]])
+
+
+_node_label = st.from_regex(r"[A-Za-z0-9_.\-]{1,3}", fullmatch=True)
+_period_text = st.text(
+    st.characters(blacklist_characters=',"\r\n\x00', blacklist_categories=("Cs",)),
+    min_size=1, max_size=3,
+).filter(lambda p: p == p.strip())
+
+
+@st.composite
+def _savable_sequences(draw):
+    nodes = draw(st.lists(_node_label, min_size=2, max_size=4, unique=True))
+    periods = draw(st.one_of(st.lists(st.integers(-50, 50), min_size=1, max_size=4, unique=True),
+                             st.lists(_period_text, min_size=1, max_size=4, unique=True)))
+    n, periods = len(nodes), list(_sorted_periods([str(p) for p in periods]))
+    counts = draw(st.lists(st.integers(0, 3), min_size=len(periods) * n * n,
+                           max_size=len(periods) * n * n))
+    deltas = np.array(counts, dtype=float).reshape(len(periods), n, n)
+    return InteractionSequence(tuple(deltas), tuple(nodes), tuple(periods))
+
+
+class TestSaveRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(seq=_savable_sequences())
+    def test_a_written_file_reads_back_as_the_sequence(self, tmp_path_factory, seq):
+        p = tmp_path_factory.mktemp("rt") / "e.csv"
+        try:
+            save_edge_list(seq, p)
+        except DomainError:
+            # only a sequence the format cannot carry is refused, and unwritten
+            assert not p.exists()
+            kept = [t for t, d in enumerate(seq.deltas) if d.any()]
+            labels = [seq.period_labels[t] for t in kept]
+            touched = sum(d.sum(axis=0) + d.sum(axis=1) for d in seq.deltas)
+            assert (list(_sorted_periods(labels)) != labels
+                    or np.count_nonzero(touched) < 2)
+            return
+        back = load_edge_list(p)
+        kept = [t for t, d in enumerate(seq.deltas) if d.any()]
+        touched = np.flatnonzero(sum(d.sum(axis=0) + d.sum(axis=1) for d in seq.deltas))
+        order = sorted(touched, key=lambda i: seq.node_labels[i])
+        assert back.period_labels == tuple(seq.period_labels[t] for t in kept)
+        assert back.node_labels == tuple(seq.node_labels[i] for i in order)
+        for d_back, t in zip(back.deltas, kept):
+            assert np.array_equal(d_back, seq.deltas[t][np.ix_(order, order)])
 
 
 class TestLoadRankings:

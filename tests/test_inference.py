@@ -168,6 +168,8 @@ class TestLogLikelihood:
             log_likelihood(seq, 0.9, (1.0,), "rootdegree")
         with pytest.raises(DomainError):
             log_likelihood(seq, 0.9, (np.nan, 0.0), "rootdegree")
+        with pytest.raises(DomainError):
+            grad_beta(seq, 0.9, 1.0, "rootdegree")
 
 
 class TestGradient:
@@ -219,6 +221,13 @@ def _no_self_counts(seq):
     return InteractionSequence(tuple(deltas), seq.node_labels, seq.period_labels, seq.a0)
 
 
+def _terms(seq, lam, kind, exclude_self=False):
+    """The likelihood's beta-independent terms at one lambda, from a count table."""
+    params = ModelParams(lam=lam, score_kind=kind, alpha_p=0.85, alpha_s=1e-8,
+                         exclude_self=exclude_self)
+    return inference._terms_at(inference._counts(seq, params), params)
+
+
 class TestBetaNewton:
     """The exact beta-Hessian and the Newton solve, each against an oracle."""
 
@@ -228,8 +237,8 @@ class TestBetaNewton:
         rng = np.random.default_rng(21)
         seq = _no_self_counts(random_sequence(rng, n=5, t_len=7, m=6, a0=True))
         lam, beta = 0.8, np.array([0.7, -0.4])
-        terms = inference._terms_at(seq, lam, kind, 0.85, 1e-8)
-        _, _, hess = inference._loglik_and_grad(terms, beta, exclude_self)
+        terms = _terms(seq, lam, kind, exclude_self)
+        _, _, hess = inference._loglik_and_grad(terms, beta)
         for k in range(2):
             h = 1e-5 * (1 + abs(beta[k]))
             bp, bm = beta.copy(), beta.copy()
@@ -250,15 +259,15 @@ class TestBetaNewton:
         if exclude_self:
             seq = _no_self_counts(seq)
         lam = float(rng.uniform(0.3, 0.95))
-        terms = inference._terms_at(seq, lam, kind, 0.85, 1e-8)
+        terms = _terms(seq, lam, kind, exclude_self)
 
         def neg(b):
-            ll, g, _ = inference._loglik_and_grad(terms, b, exclude_self)
+            ll, g, _ = inference._loglik_and_grad(terms, b)
             return -ll, -g
 
         ref = scipy.optimize.minimize(neg, np.zeros(2), jac=True, method="BFGS",
                                       options={"gtol": 1e-10, "maxiter": 1000})
-        ll, beta, gn, ok = inference._maximize_beta(terms, (0.0, 0.0), exclude_self)
+        ll, beta, gn, ok = inference._maximize_beta(terms, (0.0, 0.0))
         assert ok
         assert np.max(np.abs(beta - ref.x)) <= 1e-6, (beta, ref.x)
         # no lower, up to the rounding of a sum of this many terms
@@ -308,9 +317,9 @@ class TestDegenerateBetaProblems:
 
         monkeypatch.setattr(inference, "_loglik_and_grad", counted)
         for lam in (0.1, 0.5, 0.9):
-            terms = inference._terms_at(seq, lam, kind, 0.85, 1e-8)
+            terms = _terms(seq, lam, kind)
             calls.clear()
-            ll, beta, gn, _ = inference._maximize_beta(terms, (0.0, 0.0), False)
+            ll, beta, gn, _ = inference._maximize_beta(terms, (0.0, 0.0))
             assert np.isfinite(ll) and np.all(np.isfinite(beta))
             assert len(calls) <= 1 + BETA_MAX_ITER * BETA_MAX_HALVINGS
         res = fit(seq, kind, restarts=2)
@@ -334,8 +343,8 @@ class TestDegenerateBetaProblems:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_flat_likelihood_stays_at_the_start(self, kind):
-        terms = inference._terms_at(_flat(), 0.5, kind, 0.85, 1e-8)
-        ll, beta, gn, ok = inference._maximize_beta(terms, (0.3, -0.2), False)
+        terms = _terms(_flat(), 0.5, kind)
+        ll, beta, gn, ok = inference._maximize_beta(terms, (0.3, -0.2))
         assert ok and gn == 0.0
         assert np.array_equal(beta, [0.3, -0.2])
 
@@ -434,6 +443,30 @@ class TestFit:
         limit = {"LAM_LO": inference.LAM_LO, "LAM_HI": inference.LAM_HI}[bound]
         assert abs(res.lambda_hat - limit) <= inference.LAM_XATOL
         assert any(f"search bound {bound}" in w for w in res.warnings), res.warnings
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_tabulates_the_counts_once_and_rolls_once_per_lambda(self, kind, monkeypatch):
+        tables, rolled = [], []
+        counts, rolled_scores = inference._counts, inference._rolled_scores
+
+        def counted_counts(*args):
+            tables.append(1)
+            return counts(*args)
+
+        def counted_rolls(c, params):
+            rolled.append(params.lam)
+            return rolled_scores(c, params)
+
+        monkeypatch.setattr(inference, "_counts", counted_counts)
+        monkeypatch.setattr(inference, "_rolled_scores", counted_rolls)
+        res = fit(self._synthetic(), kind, restarts=3)
+        assert len(tables) == 1
+        # the search rolls each lambda it evaluates once; the SEs roll
+        # lambda_hat again and one step either side of it
+        search, se = rolled[:-3], rolled[-3:]
+        assert len(set(search)) == len(search) >= 3
+        assert se[0] == res.lambda_hat and res.lambda_hat in search
+        assert se[1] > se[0] > se[2] and not {se[1], se[2]} & set(search)
 
     def test_exclude_self_with_diagonal_counts_rejected(self):
         d = np.array([[2.0, 1.0], [1.0, 0.0]])

@@ -194,6 +194,26 @@ class TestSpringRank:
             springrank_score(np.array([[0.0, 1.0], [0.0, 0.0]]), alpha_s=1e-300)
 
 
+    @pytest.mark.parametrize("alpha_s", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_rejects_alpha_s_outside_the_positive_reals(self, alpha_s, stacked):
+        a = np.array([[0.0, 1.0], [2.0, 0.0]])
+        with pytest.raises(DomainError, match="alpha_s"):
+            springrank_score(np.stack([a, a]) if stacked else a, alpha_s=alpha_s)
+
+    def test_shared_laplacian_has_the_bits_of_the_textbook_form(self):
+        # the builder springrank_score and the springrank drift share,
+        # against diag(d_in + d_out) - (A + A^T), then + alpha_s on the diagonal
+        rng = np.random.default_rng(17)
+        for n in (2, 5, 16, 64):
+            for a in (rng.random((n, n)) * 3, np.round(rng.random((n, n)) * 4)):
+                want = np.diag(a.sum(axis=0) + a.sum(axis=1)) - (a + a.T)
+                want[np.diag_indices(n)] += 1e-8
+                lap, rhs = scores._spring_system(a, 1e-8)
+                assert np.array_equal(lap, want)
+                assert np.array_equal(rhs, a.sum(axis=0) - a.sum(axis=1))
+
+
 class TestDispatch:
     def test_dispatch_matches_direct_calls(self):
         rng = np.random.default_rng(13)

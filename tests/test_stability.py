@@ -621,6 +621,19 @@ class TestTypedErrors:
             two_group_equilibria("rootdegree", p, 2, [1e308])
 
 
+class TestCriticalValueDomain:
+    @pytest.mark.parametrize("kind,n,m,alpha_s", [
+        ("springrank", 8, 1, np.nan), ("springrank", 8, 1, np.inf),
+        ("rootdegree", 8, np.nan, 1e-8), ("rootdegree", 8, np.inf, 1e-8),
+        ("pagerank", 8, np.nan, 1e-8), ("springrank", 8, 0.0, 1e-8),
+        ("rootdegree", np.nan, 1, 1e-8), ("rootdegree", 2.5, 1, 1e-8),
+        ("springrank", np.inf, 1, 1e-8),
+    ])
+    def test_rejects_nonfinite_or_nonintegral_arguments(self, kind, n, m, alpha_s):
+        with pytest.raises(DomainError):
+            critical_beta1(kind, n, m, alpha_s=alpha_s)
+
+
 class TestOneSpdSolvePath:
     """The stability solves take scores._cholesky_solve, with the bits of
     scipy.linalg.solve(assume_a="pos")."""
