@@ -58,8 +58,8 @@ def sample_delta(p: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
     Equivalent to one multinomial draw of m over the n^2 cells of the rate
     matrix G = p/n, so E[delta] = m G and sum(delta) = m.
     """
-    if m < 1:
-        raise DomainError("m must be a positive integer")
+    if not m >= 1 or m % 1:
+        raise DomainError(f"m must be a positive integer, got {m!r}")
     p = np.asarray(p, dtype=float)
     n = p.shape[0]
     g = p.ravel() / n

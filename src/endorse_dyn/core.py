@@ -108,6 +108,15 @@ class ModelParams:
         return replace(self, **kw)
 
 
+def check_count(name: str, value, lo: int, hi: int | None = None) -> None:
+    """Raise DomainError naming `name` unless `value` is an integer in [lo, hi]
+    (no upper bound when `hi` is None)."""
+    if not (isinstance(value, numbers.Integral) and lo <= value and (hi is None or value <= hi)):
+        if hi is None:
+            raise DomainError(f"{name} must be an integer with {name} >= {lo}, got {value!r}")
+        raise DomainError(f"{name} must lie in [{lo}, {hi}] and be an integer, got {value!r}")
+
+
 def step(state: EndorsementState, delta: np.ndarray, lam: float) -> EndorsementState:
     """Apply one memory update: a' = lam*a + (1-lam)*delta, t' = t+1."""
     delta = np.asarray(delta, dtype=float)

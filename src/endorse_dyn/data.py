@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import csv
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ModelParams
+from .core import ModelParams, check_count
 from .errors import DomainError, FormatError
 from .sim import _initial, _steps
 
@@ -33,7 +34,8 @@ class InteractionSequence:
     ``deltas[t][i, j]`` counts endorsements i -> j during period t.  ``a0``
     is an optional warm-start state matrix (weights remembered before the
     first period); fitting consumes the first period as initialization when
-    it is absent.
+    it is absent.  Node labels are distinct, and so are period labels
+    compared as text, as the interchange format writes them.
     """
 
     deltas: tuple
@@ -62,6 +64,11 @@ class InteractionSequence:
         if len(self.period_labels) != len(mats):
             raise DomainError("one period label per delta matrix")
         object.__setattr__(self, "period_labels", tuple(self.period_labels))
+        for kind, labels in (("node", self.node_labels),
+                             ("period", [str(p) for p in self.period_labels])):
+            repeated = [x for x, c in Counter(labels).items() if c > 1]
+            if repeated:
+                raise DomainError(f"{kind} label {repeated[0]!r} repeats")
         if self.a0 is not None:
             a0 = np.asarray(self.a0, dtype=float)
             if a0.shape != (n, n):
@@ -215,17 +222,15 @@ def save_edge_list(seq: InteractionSequence, path) -> None:
     """Write the interchange CSV (LF endings, zero cells omitted).
 
     Only what `load_edge_list` reads back as the same labelled sequence is
-    written.  Node labels must match LABEL_RE and be distinct; period
-    labels must read back as themselves (no comma, quote, NUL, line break
-    or edge whitespace) and stand in interchange order without repeats.
-    Otherwise DomainError names the label before the file is opened.  The
-    format cannot carry an empty period, a node without edges or a0: a
-    reload drops them.
+    written.  Node labels must match LABEL_RE; period labels must read
+    back as themselves (no comma, quote, NUL, line break or edge
+    whitespace) and stand in interchange order.  Otherwise DomainError
+    names the label before the file is opened.  The format cannot carry an
+    empty period, a node without edges or a0: a reload drops them.
     """
-    nodes = sorted(seq.node_labels)
-    for label, nxt in zip(nodes, nodes[1:] + [None]):
-        if not LABEL_RE.match(label) or label == nxt:
-            raise DomainError(f"node label {label!r} is malformed or repeats")
+    for label in seq.node_labels:
+        if not LABEL_RE.match(label):
+            raise DomainError(f"node label {label!r} is malformed")
     periods = [str(p) for p in seq.period_labels]
     for p in periods:
         if not p or p != p.strip() or re.search(r'[,"\x00\r\n]', p):
@@ -233,9 +238,9 @@ def save_edge_list(seq: InteractionSequence, path) -> None:
     # a reload sorts only the periods with endorsements, so both orders must hold
     kept = [p for p, d in zip(periods, seq.deltas) if d.any()]
     for labels in (periods, kept):
-        for p, q, nxt in zip(labels, _sorted_periods(labels), labels[1:] + [None]):
-            if p != q or p == nxt:
-                raise DomainError(f"period label {p!r} is out of interchange order or repeats")
+        for p, q in zip(labels, _sorted_periods(labels)):
+            if p != q:
+                raise DomainError(f"period label {p!r} is out of interchange order")
     rows = []
     for period, d in zip(periods, seq.deltas):
         for i, j in zip(*np.nonzero(d)):
@@ -334,8 +339,7 @@ def restrict_top_placers(
     When a window is given the output sequence is restricted to it.  Edges
     touching dropped nodes disappear; a0 (if any) is sub-selected.
     """
-    if count < 2 or count > seq.n:
-        raise DomainError(f"count must lie in [2, {seq.n}]")
+    check_count("count", count, 2, seq.n)
     idx = _window_indices(seq, window)
     received = np.zeros(seq.n)
     for t in idx:
@@ -366,8 +370,7 @@ def simulate_sequence(
     parameters.  The returned sequence carries a0, making likelihood
     evaluations exact rather than first-period initialized.
     """
-    if periods < 1:
-        raise DomainError("periods must be >= 1")
+    check_count("periods", periods, 1)
     a = _initial(a0)
     n = a.shape[0]
     deltas = [delta for _, delta in _steps(params, a, periods, unit="period")]

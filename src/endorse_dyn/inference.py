@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.optimize
 
-from .core import ModelParams
+from .core import ModelParams, check_count
 from .data import InteractionSequence
 from .errors import DomainError, NumericError
 from .parallel import parallel_map
@@ -222,8 +222,18 @@ def _newton_step(g, h):
     return np.linalg.solve(info + mu * np.eye(2), g), mu
 
 
-def _maximize_beta(terms, beta0):
-    """Damped Newton ascent in beta; returns (ll, beta, grad_inf_norm, ok).
+class _BetaFit(NamedTuple):
+    """What one beta solve ended on."""
+
+    ll: float
+    beta: np.ndarray
+    grad_norm: float  # infinity norm of the beta-gradient
+    ok: bool  # converged
+    hess: np.ndarray  # (2, 2) exact beta-Hessian at beta
+
+
+def _maximize_beta(terms, beta0) -> _BetaFit:
+    """Damped Newton ascent in beta.
 
     Each iteration takes a Newton step with Armijo backtracking.  Once the
     predicted gain g . step falls to the rounding level of ll, one last full
@@ -233,7 +243,7 @@ def _maximize_beta(terms, beta0):
     beta = np.array(beta0, dtype=float)
     ll, g, h = _loglik_and_grad(terms, beta)
     if not np.isfinite(ll):
-        return ll, beta, np.inf, False
+        return _BetaFit(ll, beta, np.inf, False, h)
     for _ in range(BETA_MAX_ITER):
         step, mu = _newton_step(g, h)
         slope = float(g @ step)
@@ -256,8 +266,7 @@ def _maximize_beta(terms, beta0):
         beta = beta + t * step
         ll, g, h = out
     gn = float(np.abs(g).max())
-    ok = gn <= 1e-6 * (1.0 + abs(ll))
-    return ll, beta, gn, ok
+    return _BetaFit(ll, beta, gn, gn <= 1e-6 * (1.0 + abs(ll)), h)
 
 
 def fit(
@@ -275,61 +284,55 @@ def fit(
     on its exact Hessian.  Outer loop: scan `restarts` lambda starts in
     turn, then refine the best bracket with a bounded 1-D search to
     LAM_XATOL in lambda; a lambda_hat within LAM_XATOL of LAM_LO or LAM_HI
-    is reported in `warnings`.  Standard errors come from the inverse of
-    the observed information at the optimum (exact in beta, central
-    differences in lambda); when that matrix is not positive definite the
-    SEs are reported as unavailable with a warning.
+    is reported in `warnings`.  Standard errors invert the observed
+    information at the optimum (exact in beta, from the search's solve at
+    lambda_hat; central differences at lambda_hat +- step in lambda); when
+    it is not positive definite they are unavailable, with a warning.
     """
     if seq.t_len < 2:
         raise DomainError("need at least 2 periods to fit")
-    if restarts < 1:
-        raise DomainError("restarts must be >= 1")
+    check_count("restarts", restarts, 1)
     if exclude_self and any(np.trace(d) > 0 for d in seq.deltas):
         raise DomainError("sequence has self-endorsements but exclude_self is set")
     # lam is set per evaluation
     params = ModelParams(lam=LAM_LO, score_kind=score_kind, alpha_p=alpha_p,
                          alpha_s=alpha_s, exclude_self=exclude_self)
     counts = _counts(seq, params)
-    cache: dict = {}
+    evals: list[tuple[float, _BetaFit]] = []  # every beta solve, in evaluation order
 
-    def eval_lam(lam, beta0=(0.0, 0.0)):
-        lam = float(min(max(lam, LAM_LO), LAM_HI))
-        if lam not in cache:
-            terms = _terms_at(counts, params.with_(lam=lam))
-            cache[lam] = (lam,) + _maximize_beta(terms, beta0)
-        return cache[lam]
+    def solve(lam, beta0):
+        evals.append((lam, _maximize_beta(_terms_at(counts, params.with_(lam=lam)), beta0)))
+        return evals[-1][1]
 
-    starts = [0.5] if restarts == 1 else list(np.linspace(0.1, 0.9, restarts))
-    scanned = [eval_lam(lam) for lam in starts]
-    converged = [r for r in scanned if r[4]]
-    if not converged:
+    def best(entries):  # the converged entry of highest likelihood, first among ties
+        return max((e for e in entries if e[1].ok), key=lambda e: e[1].ll, default=None)
+
+    starts = [0.5] if restarts == 1 else np.linspace(0.1, 0.9, restarts).tolist()
+    for lam in starts:
+        solve(lam, (0.0, 0.0))
+    if (start := best(evals)) is None:
         raise NumericError(
             "no restart converged",
-            diagnostics={f"lambda={r[0]:g}": f"grad_norm={r[3]:.3g}" for r in scanned},
+            diagnostics={f"lambda={lam:g}": f"grad_norm={r.grad_norm:.3g}" for lam, r in evals},
         )
-    best = max(converged, key=lambda r: r[1])
 
-    # bracket around the best start and refine; later evaluations warm-start
-    # from the best beta seen so far
+    # refine the bracket around the best start; each evaluation warm-starts
+    # from the best converged refinement so far, else from the best start
     spacing = 0.8 / (restarts - 1) if restarts > 1 else 1.0
-    lo = max(LAM_LO, best[0] - spacing)
-    hi = min(LAM_HI, best[0] + spacing)
-    state = {"beta": best[2]}
 
     def objective(lam):
-        r = eval_lam(lam, beta0=state["beta"])
-        if r[4] and (state.get("ll") is None or r[1] > state.get("ll", -np.inf)):
-            state["beta"], state["ll"] = r[2], r[1]
-        return -r[1] if r[4] else np.inf
+        r = solve(float(lam), (best(evals[len(starts):]) or start)[1].beta)
+        return -r.ll if r.ok else np.inf
 
-    scipy.optimize.minimize_scalar(
-        objective, bounds=(lo, hi), method="bounded",
-        options={"xatol": LAM_XATOL, "maxiter": 200},
-    )
-
-    lam_hat, ll_hat, beta_hat, gn, _ = max(
-        (r for r in cache.values() if r[4]), key=lambda r: r[1]
-    )
+    # +inf keeps the search off a lambda whose beta solve did not converge;
+    # a parabolic step through it computes inf - inf and falls back to a
+    # golden-section step, so numpy's invalid-value warning says nothing
+    with np.errstate(invalid="ignore"):
+        scipy.optimize.minimize_scalar(
+            objective, bounds=(max(LAM_LO, start[0] - spacing), min(LAM_HI, start[0] + spacing)),
+            method="bounded", options={"xatol": LAM_XATOL, "maxiter": 200},
+        )
+    lam_hat, at_hat = best(evals)
 
     warnings: list[str] = []
     for name, bound in (("LAM_LO", LAM_LO), ("LAM_HI", LAM_HI)):
@@ -338,15 +341,15 @@ def fit(
                 f"lambda_hat = {lam_hat:.6g} is within {LAM_XATOL:g} of the search "
                 f"bound {name} = {bound:.6g}; the likelihood may peak beyond it"
             )
-    se = _standard_errors(counts, params.with_(lam=lam_hat), beta_hat, warnings)
+    se = _standard_errors(counts, params.with_(lam=lam_hat), at_hat, warnings)
     return FitResult(
         score_kind=score_kind,
         lambda_hat=lam_hat,
-        beta_hat=tuple(float(b) for b in beta_hat),
+        beta_hat=tuple(float(b) for b in at_hat.beta),
         se=se,
-        loglik=ll_hat,
+        loglik=at_hat.ll,
         halflife=halflife(lam_hat),
-        grad_norm=gn,
+        grad_norm=at_hat.grad_norm,
         restarts=restarts,
         alpha_p=alpha_p,
         alpha_s=alpha_s,
@@ -354,24 +357,24 @@ def fit(
     )
 
 
-def _standard_errors(counts: _Counts, params, beta_hat, warnings: list):
+def _standard_errors(counts: _Counts, params, at_hat: _BetaFit, warnings: list):
     """sqrt diag of the inverted observed information.
 
-    The beta-beta block is the exact logit Hessian at the optimum; the
-    lambda row is taken by central differences in lambda at beta_hat, of
-    the log-likelihood (lambda-lambda) and of the exact beta-gradient
-    (lambda-beta).
+    The beta-beta block and the log-likelihood at the optimum are those
+    lambda_hat's beta solve `at_hat` ended on; the lambda row is taken by
+    central differences in lambda at beta_hat, of the log-likelihood
+    (lambda-lambda) and of the exact beta-gradient (lambda-beta).
     """
-    beta, lam_hat = np.asarray(beta_hat, dtype=float), params.lam
+    lam_hat = params.lam
     step = min(1e-4 * (1.0 + lam_hat), 0.5 * (LAM_HI - lam_hat) + 1e-12, 0.5 * lam_hat)
-    (ll0, _, h_beta), (ll_up, g_up, _), (ll_dn, g_dn, _) = (
-        _loglik_and_grad(_terms_at(counts, params.with_(lam=lam)), beta)
-        for lam in (lam_hat, lam_hat + step, lam_hat - step)
+    (ll_up, g_up, _), (ll_dn, g_dn, _) = (
+        _loglik_and_grad(_terms_at(counts, params.with_(lam=lam)), at_hat.beta)
+        for lam in (lam_hat + step, lam_hat - step)
     )
     hess = np.empty((3, 3))
-    hess[0, 0] = (ll_up - 2.0 * ll0 + ll_dn) / step**2
+    hess[0, 0] = (ll_up - 2.0 * at_hat.ll + ll_dn) / step**2
     hess[0, 1:] = hess[1:, 0] = (g_up - g_dn) / (2.0 * step)
-    hess[1:, 1:] = h_beta
+    hess[1:, 1:] = at_hat.hess
     fisher = -hess
     eigs = np.linalg.eigvalsh(fisher)
     if eigs.min() <= 0.0:

@@ -94,6 +94,8 @@ def pagerank_score(
     a = _square(a)
     if not 0.0 < alpha_p < 1.0:
         raise DomainError("alpha_p must lie in (0, 1)")
+    if not max_iter >= 1 or max_iter % 1:
+        raise DomainError(f"max_iter must be a positive integer, got {max_iter!r}")
     n = a.shape[-1]
     p = _row_stochastic(a)
     teleport = (1.0 - alpha_p) / n

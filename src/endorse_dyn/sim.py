@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import choice, scores
-from .core import EndorsementState, ModelParams, uniform_initial
+from .core import EndorsementState, ModelParams, check_count, uniform_initial
 from .errors import DomainError, NumericError
 from .parallel import parallel_map
 
@@ -73,8 +73,7 @@ def run(params: ModelParams, a0: np.ndarray | None = None, steps: int = 2000) ->
     gamma(t) is recorded from the state *before* update t, so row t of the
     history describes A(t) for t = 0..steps-1 and a_final is A(steps).
     """
-    if steps < 0:
-        raise DomainError("steps must be nonnegative")
+    check_count("steps", steps, 0)
     if a0 is None:
         raise DomainError("a0 is required; use uniform_initial(n, m) for the default")
     a = _initial(a0)
@@ -90,16 +89,14 @@ def rank_variance(traj: Trajectory, window: int = 500) -> float:
     Zero for a constant egalitarian trajectory; larger values mean a more
     concentrated (more strongly hierarchical) endorsement flow.
     """
-    if window < 1 or window > traj.steps:
-        raise DomainError(f"window must lie in [1, {traj.steps}]")
+    check_count("window", window, 1, traj.steps)
     tail = traj.gamma_t[-window:]
     return float(np.var(tail))
 
 
 def mean_gamma(traj: Trajectory, window: int = 500) -> np.ndarray:
     """Time-averaged rank vector over the final window."""
-    if window < 1 or window > traj.steps:
-        raise DomainError(f"window must lie in [1, {traj.steps}]")
+    check_count("window", window, 1, traj.steps)
     return traj.gamma_t[-window:].mean(axis=0)
 
 
@@ -113,8 +110,7 @@ def simulate_cells(params: ModelParams, n: int, betas, steps: int = 2000,
     """(mean_gamma, rank_variance) over the final window of one run per
     (beta1, beta2) cell, in grid order, from the thread pool.  Cell i runs
     from uniform_initial(n, m) with seed _cell_seed(seed, i)."""
-    if window < 1 or window > steps:
-        raise DomainError(f"window must lie in [1, {steps}]")
+    check_count("window", window, 1, steps)
     a0 = uniform_initial(n, params.m)
 
     def one(item):

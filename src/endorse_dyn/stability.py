@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .choice import choice_probabilities, utility
-from .core import ModelParams
+from .core import ModelParams, check_count
 from .errors import DomainError, NumericError
 from .scores import _cholesky_solve, _spring_system, in_degree, pagerank_score, springrank_score
 
@@ -202,6 +202,7 @@ def pagerank_alternating_solve(
     pagerank_score(m G(s)); iterate s <- pagerank_score(m G(s)) to a fixed
     point.
     """
+    check_count("max_iter", max_iter, 1)
     s = np.asarray(s0, dtype=float).copy()
     for _ in range(max_iter):
         nxt = pagerank_score(params.m * state_rate_matrix("pagerank", s, params.beta),
@@ -314,9 +315,8 @@ def finite_memory_drift(
 ) -> np.ndarray:
     """Defining-limit oracle: [sigma(lam a + (1-lam) m G(s)) - s] / (1-lam).
 
-    Requires s = sigma(a) in the kind's state space.  Used in tests to pin
-    the closed-form drifts; exposed because it is the model-agnostic way to
-    attach a drift to a custom score function.
+    Requires s = sigma(a) in the kind's state space.  The tests pin the
+    closed-form drifts of `f_drift` against it.
     """
     _analysed_kind(score_kind, params)
     s = np.asarray(s, dtype=float)
@@ -821,8 +821,7 @@ def two_group_equilibria(
     rather than aborting the scan.
     """
     kind = _analysed_kind(score_kind, params)
-    if n < 2:
-        raise DomainError(f"two-group equilibria need n >= 2, got n={n}")
+    check_count("n", n, 2)
     carried: dict[int, list] = {k: [] for k in range(1, n // 2 + 1)}
     out = []
     for b1 in map(float, beta1_grid):

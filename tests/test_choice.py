@@ -108,3 +108,7 @@ class TestSampleDelta:
     def test_rejects_nonpositive_m(self):
         with pytest.raises(DomainError):
             sample_delta(np.full((2, 2), 0.5), 0, np.random.default_rng(8))
+
+    def test_rejects_fractional_m(self):
+        with pytest.raises(DomainError, match="m must be a positive integer"):
+            sample_delta(np.full((2, 2), 0.5), 2.5, np.random.default_rng(8))

@@ -86,6 +86,17 @@ class TestInteractionSequence:
         with pytest.raises(DomainError):
             InteractionSequence(**kw)
 
+    @pytest.mark.parametrize("kw,label", [
+        (dict(node_labels=("a", "a")), "a"),
+        (dict(period_labels=("1", "1")), "1"),
+        # period labels compare as the text the interchange format writes
+        (dict(period_labels=(1, "1")), "1"),
+    ])
+    def test_rejects_repeated_labels(self, kw, label):
+        # a repeated node label would make a label map drop a node
+        with pytest.raises(DomainError, match="label " + re.escape(repr(label)) + " repeats"):
+            _two_period_seq(**kw)
+
 
 class TestLoadEdgeList:
     def test_tabulates_and_sorts_labels(self, tmp_path):
@@ -253,11 +264,8 @@ class TestSaveRefusals:
     @pytest.mark.parametrize("seq,label", [
         (_two_period_seq(node_labels=("a,b", "c")), "a,b"),
         (_two_period_seq(node_labels=("a b", "c")), "a b"),
-        (_two_period_seq(node_labels=("a", "a")), "a"),
         (_two_period_seq(period_labels=("b", "a")), "b"),
         (_two_period_seq(period_labels=("10", "9")), "10"),
-        (_two_period_seq(period_labels=("1", "1")), "1"),
-        (_two_period_seq(period_labels=(1, "1")), "1"),
         (_two_period_seq(period_labels=("x,y", "z")), "x,y"),
         (_two_period_seq(period_labels=('"q"', "z")), '"q"'),
         (_two_period_seq(period_labels=(" 1", "2")), " 1"),
@@ -493,6 +501,10 @@ class TestWindowsAndRestriction:
         with pytest.raises(DomainError):
             restrict_top_placers(self._seq(), 4)
 
+    def test_restrict_rejects_a_fractional_count(self):
+        with pytest.raises(DomainError, match="count"):
+            restrict_top_placers(self._seq(), 2.5)
+
 
 class TestSimulateSequence:
     def test_carries_a0_and_is_deterministic(self):
@@ -522,3 +534,7 @@ class TestSimulateSequence:
         p = ModelParams(lam=0.9)
         with pytest.raises(DomainError):
             simulate_sequence(p, uniform_initial(3, 1), periods=0)
+
+    def test_rejects_fractional_periods(self):
+        with pytest.raises(DomainError, match="periods"):
+            simulate_sequence(ModelParams(lam=0.9), uniform_initial(3, 1), periods=2.5)

@@ -6,6 +6,7 @@ pin the vectorized version.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -267,12 +268,12 @@ class TestBetaNewton:
 
         ref = scipy.optimize.minimize(neg, np.zeros(2), jac=True, method="BFGS",
                                       options={"gtol": 1e-10, "maxiter": 1000})
-        ll, beta, gn, ok = inference._maximize_beta(terms, (0.0, 0.0))
-        assert ok
-        assert np.max(np.abs(beta - ref.x)) <= 1e-6, (beta, ref.x)
+        r = inference._maximize_beta(terms, (0.0, 0.0))
+        assert r.ok
+        assert np.max(np.abs(r.beta - ref.x)) <= 1e-6, (r.beta, ref.x)
         # no lower, up to the rounding of a sum of this many terms
-        assert ll >= -ref.fun - 1e-12 * abs(ref.fun)
-        assert gn <= 1e-6 * (1 + abs(ll))
+        assert r.ll >= -ref.fun - 1e-12 * abs(ref.fun)
+        assert r.grad_norm <= 1e-6 * (1 + abs(r.ll))
 
 
 def _separable():
@@ -319,8 +320,8 @@ class TestDegenerateBetaProblems:
         for lam in (0.1, 0.5, 0.9):
             terms = _terms(seq, lam, kind)
             calls.clear()
-            ll, beta, gn, _ = inference._maximize_beta(terms, (0.0, 0.0))
-            assert np.isfinite(ll) and np.all(np.isfinite(beta))
+            r = inference._maximize_beta(terms, (0.0, 0.0))
+            assert np.isfinite(r.ll) and np.all(np.isfinite(r.beta))
             assert len(calls) <= 1 + BETA_MAX_ITER * BETA_MAX_HALVINGS
         res = fit(seq, kind, restarts=2)
         assert res.se is None
@@ -344,9 +345,9 @@ class TestDegenerateBetaProblems:
     @pytest.mark.parametrize("kind", KINDS)
     def test_flat_likelihood_stays_at_the_start(self, kind):
         terms = _terms(_flat(), 0.5, kind)
-        ll, beta, gn, ok = inference._maximize_beta(terms, (0.3, -0.2))
-        assert ok and gn == 0.0
-        assert np.array_equal(beta, [0.3, -0.2])
+        r = inference._maximize_beta(terms, (0.3, -0.2))
+        assert r.ok and r.grad_norm == 0.0
+        assert np.array_equal(r.beta, [0.3, -0.2])
 
 
 class TestHalflife:
@@ -428,6 +429,8 @@ class TestFit:
         seq = self._synthetic()
         with pytest.raises(DomainError):
             fit(seq, "rootdegree", restarts=0)
+        with pytest.raises(DomainError, match="restarts"):
+            fit(seq, "rootdegree", restarts=2.5)
         one = InteractionSequence((np.array([[0, 1], [0, 0]]),), ("a", "b"), ("1",))
         with pytest.raises(DomainError):
             fit(one, "rootdegree")
@@ -461,12 +464,55 @@ class TestFit:
         monkeypatch.setattr(inference, "_rolled_scores", counted_rolls)
         res = fit(self._synthetic(), kind, restarts=3)
         assert len(tables) == 1
-        # the search rolls each lambda it evaluates once; the SEs roll
-        # lambda_hat again and one step either side of it
-        search, se = rolled[:-3], rolled[-3:]
+        # the search rolls each lambda it evaluates once; the SEs take
+        # lambda_hat's roll from the search and roll one step either side
+        search, se = rolled[:-2], rolled[-2:]
         assert len(set(search)) == len(search) >= 3
-        assert se[0] == res.lambda_hat and res.lambda_hat in search
-        assert se[1] > se[0] > se[2] and not {se[1], se[2]} & set(search)
+        assert rolled.count(res.lambda_hat) == 1 and res.lambda_hat in search
+        assert se[0] > res.lambda_hat > se[1] and not set(se) & set(search)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("exclude_self", [False, True])
+    @pytest.mark.parametrize("restarts", [1, 3])
+    def test_standard_errors_equal_a_fresh_roll_of_lambda_hat(self, kind, exclude_self,
+                                                              restarts):
+        # oracle: roll lambda_hat again for ll and the beta-Hessian, and take
+        # the lambda row by central differences at the step the fit uses
+        seq = self._synthetic()
+        if exclude_self:
+            seq = _no_self_counts(seq)
+        res = fit(seq, kind, restarts=restarts, exclude_self=exclude_self)
+        lam, beta = res.lambda_hat, np.array(res.beta_hat)
+        step = min(1e-4 * (1.0 + lam), 0.5 * (inference.LAM_HI - lam) + 1e-12, 0.5 * lam)
+        (ll0, _, h_beta), (ll_up, g_up, _), (ll_dn, g_dn, _) = (
+            inference._loglik_and_grad(_terms(seq, x, kind, exclude_self), beta)
+            for x in (lam, lam + step, lam - step)
+        )
+        hess = np.empty((3, 3))
+        hess[0, 0] = (ll_up - 2.0 * ll0 + ll_dn) / step**2
+        hess[0, 1:] = hess[1:, 0] = (g_up - g_dn) / (2.0 * step)
+        hess[1:, 1:] = h_beta
+        assert ll0 == res.loglik
+        assert res.se == tuple(float(x) for x in np.sqrt(np.diag(np.linalg.inv(-hess))))
+
+    def test_lambda_search_raises_no_runtime_warning(self):
+        # period 2 is empty and nodes a and d never endorse or receive; some
+        # lambda's beta solve does not converge, and the search's objective
+        # is +inf there
+        def period(*edges):
+            d = np.zeros((4, 4))
+            for i, j, k in edges:
+                d["abcd".index(i), "abcd".index(j)] += k
+            return d
+
+        seq = InteractionSequence(
+            (period(("b", "c", 2)), period(), period(("c", "b", 1)), period(("b", "c", 1))),
+            tuple("abcd"), ("1", "2", "3", "4"),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fit(seq, "rootdegree", restarts=2)
+        assert np.isfinite(res.loglik)
 
     def test_exclude_self_with_diagonal_counts_rejected(self):
         d = np.array([[2.0, 1.0], [1.0, 0.0]])

@@ -105,6 +105,11 @@ class TestPageRank:
         with pytest.raises(DomainError):
             pagerank_score(np.ones((3, 3)), alpha_p=1.0)
 
+    def test_rejects_zero_max_iter_on_the_power_path(self):
+        n = PAGERANK_DIRECT_MAX_N + 1
+        with pytest.raises(DomainError, match="max_iter"):
+            pagerank_score(np.ones((n, n)), 0.85, max_iter=0)
+
     @pytest.mark.parametrize("n", [PAGERANK_DIRECT_MAX_N, PAGERANK_DIRECT_MAX_N + 1])
     def test_direct_and_power_agree_at_crossover(self, n, monkeypatch):
         rng = np.random.default_rng(n)

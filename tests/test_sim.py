@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from endorse_dyn import choice, scores
+from endorse_dyn import choice, scores, sim
 from endorse_dyn.core import EndorsementState, ModelParams, rank_vector, step, uniform_initial
 from endorse_dyn.data import simulate_sequence
 from endorse_dyn.errors import DomainError
@@ -135,6 +135,10 @@ class TestRun:
         with pytest.raises(DomainError):
             run(ModelParams(lam=0.9), a0=uniform_initial(3, 1), steps=-1)
 
+    def test_rejects_fractional_steps(self):
+        with pytest.raises(DomainError, match="steps"):
+            run(ModelParams(lam=0.9), a0=uniform_initial(3, 1), steps=2.5)
+
 
 class TestSummaries:
     def _const_traj(self, gamma_row, steps=20):
@@ -172,6 +176,12 @@ class TestSummaries:
         with pytest.raises(DomainError):
             mean_gamma(traj, window=0)
 
+    @pytest.mark.parametrize("summary", [rank_variance, mean_gamma])
+    def test_fractional_window_rejected(self, summary):
+        traj = self._const_traj([0.5, 0.5], steps=5)
+        with pytest.raises(DomainError, match="window"):
+            summary(traj, window=2.5)
+
 
 class TestVarianceSweep:
     def test_rows_follow_grid_order_and_thread_invariance(self, monkeypatch):
@@ -201,6 +211,15 @@ class TestVarianceSweep:
                               steps=80, window=30)
         # same parameters, different cell index: different draw stream
         assert rows[0][2] != rows[1][2]
+
+    def test_fractional_window_rejected_before_any_cell_runs(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sim, "run", lambda *a, **k: calls.append(a))
+        p = ModelParams(lam=0.97, m=1, score_kind="rootdegree", seed=5)
+        with pytest.raises(DomainError, match="window"):
+            variance_sweep(p, n=4, beta1_values=[1.0, 2.0], beta2_values=[0.0],
+                           steps=80, window=2.5)
+        assert calls == []
 
 
 def _pagerank_history(params, n, steps):

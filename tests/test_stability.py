@@ -216,6 +216,11 @@ class TestPagerankRootSystem:
             pagerank_alternating_solve(s0, p, max_iter=1)
         assert "last_residual" in exc.value.diagnostics
 
+    def test_alternating_solve_rejects_zero_max_iter(self):
+        p = params_for("pagerank", 2.0, 0.0, m=1)
+        with pytest.raises(DomainError, match="max_iter"):
+            pagerank_alternating_solve(np.ones(5), p, max_iter=0)
+
     def test_root_system_rejects_off_manifold_input(self):
         p = params_for("pagerank", 1.0, 0.0)
         with pytest.raises(DomainError):
@@ -420,6 +425,11 @@ class TestTwoGroupContinuation:
         p = params_for("rootdegree", 1.0)
         with pytest.raises(DomainError, match="n >= 2"):
             two_group_equilibria("rootdegree", p, n, [1.0])
+
+    def test_rejects_a_fractional_node_count(self):
+        p = params_for("rootdegree", 1.0)
+        with pytest.raises(DomainError, match="n must be an integer"):
+            two_group_equilibria("rootdegree", p, 2.5, [1.0])
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_rejects_exclude_self(self, kind):
