@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import check_m
 from .errors import DomainError
 
 
@@ -58,8 +59,7 @@ def sample_delta(p: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
     Equivalent to one multinomial draw of m over the n^2 cells of the rate
     matrix G = p/n, so E[delta] = m G and sum(delta) = m.
     """
-    if not m >= 1 or m % 1:
-        raise DomainError(f"m must be a positive integer, got {m!r}")
+    check_m(m)
     p = np.asarray(p, dtype=float)
     n = p.shape[0]
     g = p.ravel() / n

@@ -19,7 +19,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .core import ModelParams, uniform_initial
+from .core import SCORE_KINDS, ModelParams, uniform_initial
 from .data import (
     InteractionSequence,
     aggregate_counts,
@@ -199,7 +199,7 @@ def _command(name: str, spec: dict):
 # ---------------------------------------------------------------------------
 
 _SIM_SPEC = {
-    "score": (str, REQUIRED, "rootdegree | pagerank | springrank"),
+    "score": (str, REQUIRED, " | ".join(SCORE_KINDS)),
     "n": (int, REQUIRED, "number of nodes"),
     "m": (int, 1, "endorsements per step"),
     "lambda": (float, REQUIRED, "memory parameter in [0, 1]"),
@@ -237,7 +237,7 @@ def cmd_simulate(cfg):
 # ---------------------------------------------------------------------------
 
 _SWEEP_SPEC = {
-    "score": (str, REQUIRED, "rootdegree | pagerank | springrank"),
+    "score": (str, REQUIRED, " | ".join(SCORE_KINDS)),
     "n": (int, REQUIRED, "number of nodes"),
     "m": (int, 1, "endorsements per step"),
     "lambda": (float, REQUIRED, "memory parameter in [0, 1]"),
@@ -271,7 +271,7 @@ def cmd_sweep(cfg):
 # ---------------------------------------------------------------------------
 
 _BIF_SPEC = {
-    "score": (str, REQUIRED, "rootdegree | pagerank | springrank"),
+    "score": (str, REQUIRED, " | ".join(SCORE_KINDS)),
     "n": (int, REQUIRED, "number of nodes"),
     "m": (int, 1, "endorsements per step"),
     "grid_beta1": (_parse_grid, REQUIRED, "START:STOP:NUM"),
@@ -323,7 +323,7 @@ def cmd_bifurcate(cfg):
 
 _FIT_SPEC = {
     "data": (str, REQUIRED, "interchange CSV"),
-    "score": (str, REQUIRED, "rootdegree | pagerank | springrank"),
+    "score": (str, REQUIRED, " | ".join(SCORE_KINDS)),
     "warm_start": (str, None, "edge CSV aggregated into A(0)"),
     "restarts": (int, 5, "lambda restarts"),
     "out": (str, REQUIRED, "output directory"),

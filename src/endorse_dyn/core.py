@@ -11,9 +11,10 @@ so the total remembered weight relaxes geometrically toward ``m``.  Score
 functions over ``a`` live in :mod:`endorse_dyn.scores`; utilities, choice
 probabilities, and sampling live in :mod:`endorse_dyn.choice`.
 
-`step` and `rank_vector` check every input, for callers that hold an
-`EndorsementState`.  The simulation kernel in :mod:`endorse_dyn.sim`
-validates A(0) once and applies the same update in place.
+Each model input has one rule here (`check_matrix`, `check_m`,
+`check_alpha_p`, `check_alpha_s`, `check_count`), which every entry point
+that takes the input calls before any work.  The simulation kernel in
+:mod:`endorse_dyn.sim` validates A(0) once and applies `step`'s update in place.
 """
 
 from __future__ import annotations
@@ -45,15 +46,9 @@ class EndorsementState:
     t: int = 0
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DomainError(f"state matrix must be square, got shape {a.shape}")
-        if a.shape[0] < 2:
-            raise DomainError("need at least 2 nodes")
-        if not np.all(np.isfinite(a)):
-            raise DomainError("state matrix has non-finite entries")
-        if np.any(a < 0):
-            raise DomainError("state matrix has negative entries")
+        a = check_matrix(self.a, "state matrix")
+        if a.ndim != 2 or a.shape[0] < 2:
+            raise DomainError(f"state matrix must be one n x n matrix, n >= 2, got {a.shape}")
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
@@ -91,21 +86,49 @@ class ModelParams:
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
         if not all(np.isfinite(self.beta)):
             raise DomainError("beta has non-finite entries")
-        if not (float(self.m).is_integer() and self.m >= 1):
-            raise DomainError(f"m must be a positive integer, got {self.m}")
+        check_m(self.m)
         if self.score_kind not in SCORE_KINDS:
             raise DomainError(
                 f"unknown score kind {self.score_kind!r}; choose from {SCORE_KINDS}"
             )
-        if not 0.0 < self.alpha_p < 1.0:
-            raise DomainError("alpha_p must lie in (0, 1)")
-        if not 0.0 < self.alpha_s < np.inf:
-            raise DomainError(f"alpha_s must be positive and finite, got {self.alpha_s}")
+        check_alpha_p(self.alpha_p)
+        check_alpha_s(self.alpha_s)
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise DomainError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     def with_(self, **kw) -> "ModelParams":
         return replace(self, **kw)
+
+
+def check_matrix(a, name: str) -> np.ndarray:
+    """`a` as a float array: one square matrix or a stack of them, with
+    finite, nonnegative entries.  Each check_* raises DomainError outside its rule."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DomainError(f"{name} must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise DomainError(f"{name} has non-finite entries")
+    if a.size and a.min() < 0.0:
+        raise DomainError(f"{name} has negative entries")
+    return a
+
+
+def check_m(m) -> None:
+    """m endorsements per step: a positive integral value (2.0 passes, 2.5 does not)."""
+    if not (m >= 1 and float(m).is_integer()):
+        raise DomainError(f"m must be a positive integer, got {m!r}")
+
+
+def check_alpha_p(alpha_p) -> None:
+    """The PageRank damping alpha_p lies in (0, 1)."""
+    if not 0.0 < alpha_p < 1.0:
+        raise DomainError(f"alpha_p must lie in (0, 1), got {alpha_p!r}")
+
+
+def check_alpha_s(alpha_s) -> None:
+    """The SpringRank regularizer alpha_s is positive and finite."""
+    if not 0.0 < alpha_s < np.inf:
+        raise DomainError(f"alpha_s must be positive and finite, got {alpha_s!r}")
 
 
 def check_count(name: str, value, lo: int, hi: int | None = None) -> None:
@@ -119,13 +142,11 @@ def check_count(name: str, value, lo: int, hi: int | None = None) -> None:
 
 def step(state: EndorsementState, delta: np.ndarray, lam: float) -> EndorsementState:
     """Apply one memory update: a' = lam*a + (1-lam)*delta, t' = t+1."""
-    delta = np.asarray(delta, dtype=float)
+    delta = check_matrix(delta, "delta")
     if delta.shape != state.a.shape:
         raise DomainError(
             f"delta shape {delta.shape} does not match state shape {state.a.shape}"
         )
-    if np.any(delta < 0):
-        raise DomainError("delta has negative entries")
     if not 0.0 <= lam <= 1.0:
         raise DomainError(f"lambda must lie in [0, 1], got {lam}")
     return EndorsementState(a=lam * state.a + (1.0 - lam) * delta, t=state.t + 1)
@@ -136,25 +157,22 @@ def rank_vector(p: np.ndarray) -> np.ndarray:
 
     gamma_j is the probability that the next endorsement lands on j.
     """
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise DomainError("p must be square")
-    rows = p.sum(axis=1)
-    if np.any(np.abs(rows - 1.0) > 1e-9) or np.any(p < 0):
-        raise DomainError("p must be row-stochastic")
+    p = check_matrix(p, "p")
+    if p.ndim != 2 or np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-9):
+        raise DomainError("p must be one row-stochastic n x n matrix")
     return p.mean(axis=0)
 
 
 def uniform_initial(n: int, m: int) -> np.ndarray:
     """Default A(0) = (m/n^2) E: uniform weights with stationary total m."""
-    if n < 2 or m < 1:
-        raise DomainError("need n >= 2 and m >= 1")
+    check_count("n", n, 2)
+    check_m(m)
     return np.full((n, n), m / n**2)
 
 
 def sparse_random_initial(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """Seeded sparse start: m endorsements scattered uniformly over cells."""
-    if n < 2 or m < 1:
-        raise DomainError("need n >= 2 and m >= 1")
+    check_count("n", n, 2)
+    check_m(m)
     counts = rng.multinomial(m, np.full(n * n, 1.0 / (n * n)))
     return counts.reshape(n, n).astype(float)

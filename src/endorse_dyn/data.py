@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ModelParams, check_count
+from .core import ModelParams, check_count, check_matrix
 from .errors import DomainError, FormatError
 from .sim import _initial, _steps
 
@@ -46,20 +46,19 @@ class InteractionSequence:
     def __post_init__(self):
         if len(self.deltas) < 1:
             raise DomainError("need at least one period")
-        mats = []
         n = len(self.node_labels)
         if n < 2:
             raise DomainError("need at least 2 nodes")
-        for t, d in enumerate(self.deltas):
-            d = np.asarray(d, dtype=float)
+
+        def frozen(d, name):  # a read-only n x n copy
+            d = check_matrix(d, name).copy()
             if d.shape != (n, n):
-                raise DomainError(f"period {t}: shape {d.shape} does not match {n} nodes")
-            if not np.all(np.isfinite(d)) or np.any(d < 0):
-                raise DomainError(f"period {t}: counts must be finite and nonnegative")
-            d = d.copy()
+                raise DomainError(f"{name}: shape {d.shape} does not match {n} nodes")
             d.setflags(write=False)
-            mats.append(d)
-        object.__setattr__(self, "deltas", tuple(mats))
+            return d
+
+        mats = tuple(frozen(d, f"period {t}") for t, d in enumerate(self.deltas))
+        object.__setattr__(self, "deltas", mats)
         object.__setattr__(self, "node_labels", tuple(str(x) for x in self.node_labels))
         if len(self.period_labels) != len(mats):
             raise DomainError("one period label per delta matrix")
@@ -70,14 +69,7 @@ class InteractionSequence:
             if repeated:
                 raise DomainError(f"{kind} label {repeated[0]!r} repeats")
         if self.a0 is not None:
-            a0 = np.asarray(self.a0, dtype=float)
-            if a0.shape != (n, n):
-                raise DomainError("a0 shape does not match node count")
-            if not np.all(np.isfinite(a0)) or np.any(a0 < 0):
-                raise DomainError("a0 must be finite and nonnegative")
-            a0 = a0.copy()
-            a0.setflags(write=False)
-            object.__setattr__(self, "a0", a0)
+            object.__setattr__(self, "a0", frozen(self.a0, "a0"))
 
     @property
     def n(self) -> int:
@@ -273,8 +265,7 @@ def convert_rankings_topk(
     if not mats:
         raise DomainError("need at least one ranking period")
     n = mats[0].shape[0]
-    if k < 1 or k > n - 1:
-        raise DomainError(f"k must lie in [1, {n - 1}]")
+    check_count("k", k, 1, n - 1)
 
     def period(t):
         return f"period {t}" if period_labels is None else f"period {period_labels[t]!r}"
@@ -298,14 +289,19 @@ def convert_rankings_topk(
                 if j != i and r[i, j] <= k:
                     d[i, j] = 1.0
         deltas.append(d)
+    return _labelled(deltas, node_labels, period_labels)
+
+
+def _labelled(deltas, node_labels, period_labels, a0=None) -> InteractionSequence:
+    """The sequence of `deltas`, with nodes v0, v1, ... and periods 0, 1, ...
+    where the caller gives no labels."""
+    n = len(deltas[0])
     if node_labels is None:
         width = len(str(n - 1))
         node_labels = tuple(f"v{idx:0{width}d}" for idx in range(n))
     if period_labels is None:
         period_labels = tuple(range(len(deltas)))
-    return InteractionSequence(
-        deltas=tuple(deltas), node_labels=tuple(node_labels), period_labels=tuple(period_labels)
-    )
+    return InteractionSequence(tuple(deltas), tuple(node_labels), tuple(period_labels), a0)
 
 
 def _window_indices(seq: InteractionSequence, window) -> list[int]:
@@ -371,17 +367,5 @@ def simulate_sequence(
     evaluations exact rather than first-period initialized.
     """
     check_count("periods", periods, 1)
-    a = _initial(a0)
-    n = a.shape[0]
-    deltas = [delta for _, delta in _steps(params, a, periods, unit="period")]
-    if node_labels is None:
-        width = len(str(n - 1))
-        node_labels = tuple(f"v{idx:0{width}d}" for idx in range(n))
-    if period_labels is None:
-        period_labels = tuple(range(periods))
-    return InteractionSequence(
-        deltas=tuple(deltas),
-        node_labels=tuple(node_labels),
-        period_labels=tuple(period_labels),
-        a0=np.asarray(a0, dtype=float),
-    )
+    deltas = [delta for _, delta in _steps(params, _initial(a0), periods, unit="period")]
+    return _labelled(deltas, node_labels, period_labels, a0)

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.optimize
 
-from .core import ModelParams, check_count
+from .core import SCORE_KINDS, ModelParams, check_count
 from .data import InteractionSequence
 from .errors import DomainError, NumericError
 from .parallel import parallel_map
@@ -388,7 +388,7 @@ def _standard_errors(counts: _Counts, params, at_hat: _BetaFit, warnings: list):
 
 def compare_scores(
     seq: InteractionSequence,
-    score_kinds=("rootdegree", "pagerank", "springrank"),
+    score_kinds=SCORE_KINDS,
     restarts: int = 5,
     alpha_p: float = 0.85,
     alpha_s: float = 1e-8,
@@ -396,20 +396,23 @@ def compare_scores(
 ) -> ComparisonTable:
     """Fit each score kind, one per pool worker, and rank by likelihood.
 
-    A fit failure for one kind is recorded in `errors` and does not abort
-    the others; ordering of the input kinds never affects the table.
+    A DomainError propagates; a NumericError for one kind is recorded in
+    `errors`.  The order of the input kinds never affects the table.
     """
     kinds = list(score_kinds)
     if len(kinds) < 2:
         raise DomainError("need at least 2 score kinds to compare")
     if len(set(kinds)) != len(kinds):
         raise DomainError("duplicate score kinds")
+    check_count("restarts", restarts, 1)
+    for kind in kinds:  # fit's argument checks, before the pool starts
+        ModelParams(lam=LAM_LO, score_kind=kind, alpha_p=alpha_p, alpha_s=alpha_s)
 
     def one(kind):
         try:
             return kind, fit(seq, kind, restarts=restarts, alpha_p=alpha_p,
                              alpha_s=alpha_s, exclude_self=exclude_self), None
-        except (DomainError, NumericError) as exc:
+        except NumericError as exc:
             return kind, None, str(exc)
 
     outcomes = parallel_map(one, kinds)

@@ -22,6 +22,7 @@ import numpy as np
 from scipy.linalg import LinAlgWarning
 from scipy.linalg.lapack import dlange, dpocon, dpotrf, dpotrs
 
+from .core import check_alpha_p, check_alpha_s, check_matrix
 from .errors import DomainError, NumericError
 
 # Largest n whose PageRank is taken by a direct solve; larger matrices go
@@ -42,21 +43,9 @@ def out_degree(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=float).sum(axis=-1)
 
 
-def _square(a) -> np.ndarray:
-    """`a` as a float array of square matrices with finite, nonnegative entries."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise DomainError(f"adjacency must be square, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise DomainError("adjacency has non-finite entries")
-    if a.size and a.min() < 0.0:
-        raise DomainError("adjacency has negative entries")
-    return a
-
-
 def root_degree_score(a: np.ndarray) -> np.ndarray:
     """s_i = sqrt(in-degree of i)."""
-    return np.sqrt(in_degree(_square(a)))
+    return np.sqrt(in_degree(check_matrix(a, "adjacency")))
 
 
 def _row_stochastic(a: np.ndarray) -> np.ndarray:
@@ -91,9 +80,8 @@ def pagerank_score(
     alpha_p, so the iteration is globally convergent.  `tol` and `max_iter`
     govern only the power iteration.
     """
-    a = _square(a)
-    if not 0.0 < alpha_p < 1.0:
-        raise DomainError("alpha_p must lie in (0, 1)")
+    a = check_matrix(a, "adjacency")
+    check_alpha_p(alpha_p)
     if not max_iter >= 1 or max_iter % 1:
         raise DomainError(f"max_iter must be a positive integer, got {max_iter!r}")
     n = a.shape[-1]
@@ -192,9 +180,8 @@ def springrank_score(a: np.ndarray, alpha_s: float = 1e-8) -> np.ndarray:
     e), so the computed mean is pure rounding noise amplified by 1/alpha_s
     and is subtracted.
     """
-    a = _square(a)
-    if not 0.0 < alpha_s < np.inf:
-        raise DomainError(f"alpha_s must be positive and finite, got {alpha_s}")
+    a = check_matrix(a, "adjacency")
+    check_alpha_s(alpha_s)
     lap, rhs = _spring_system(a, alpha_s)
     if a.ndim == 2:
         s = _cholesky_solve(lap, rhs)

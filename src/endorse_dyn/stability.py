@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .choice import choice_probabilities, utility
-from .core import ModelParams, check_count
+from .core import ModelParams, check_alpha_p, check_alpha_s, check_count
 from .errors import DomainError, NumericError
 from .scores import _cholesky_solve, _spring_system, in_degree, pagerank_score, springrank_score
 
@@ -338,22 +338,12 @@ def critical_beta1(
     alpha_p: float = 0.85,
     alpha_s: float = 1e-8,
 ) -> float:
-    """Threshold on beta1 where the egalitarian root loses stability."""
+    """Threshold on beta1 where the egalitarian root loses stability; m may be a mean count."""
     if not (float(n).is_integer() and n >= 2 and 0.0 < m < np.inf):
         raise DomainError(f"need an integral n >= 2 and a finite m > 0, got n={n}, m={m}")
+    check_alpha_p(alpha_p)
+    check_alpha_s(alpha_s)
     return _kind(score_kind).critical(n, m, alpha_p, alpha_s)
-
-
-def _pagerank_critical(n: int, m: float, alpha_p: float, alpha_s: float) -> float:
-    if not 0.0 < alpha_p < 1.0:
-        raise DomainError("alpha_p must lie in (0, 1)")
-    return 1.0 / alpha_p
-
-
-def _springrank_critical(n: int, m: float, alpha_p: float, alpha_s: float) -> float:
-    if not 0.0 < alpha_s < np.inf:
-        raise DomainError(f"alpha_s must be positive and finite, got {alpha_s}")
-    return 2.0 + alpha_s * n / m
 
 
 def jacobian_egalitarian(score_kind: str, params: ModelParams, n: int):
@@ -638,7 +628,7 @@ _KINDS = {
         to_score=lambda s: s,
         score_slope=lambda s: 1.0,
         egalitarian=lambda n, m: np.ones(n),
-        critical=_pagerank_critical,
+        critical=lambda n, m, alpha_p, alpha_s: 1.0 / alpha_p,
         root_residual=_pagerank_root_residual,
         drift=_pagerank_drift,
         jacobian=_pagerank_jacobian,
@@ -652,7 +642,7 @@ _KINDS = {
         to_score=lambda s: s,
         score_slope=lambda s: 1.0,
         egalitarian=lambda n, m: np.zeros(n),
-        critical=_springrank_critical,
+        critical=lambda n, m, alpha_p, alpha_s: 2.0 + alpha_s * n / m,
         root_residual=_springrank_forcing,
         drift=_springrank_drift,
         jacobian=_springrank_jacobian,

@@ -112,3 +112,8 @@ class TestSampleDelta:
     def test_rejects_fractional_m(self):
         with pytest.raises(DomainError, match="m must be a positive integer"):
             sample_delta(np.full((2, 2), 0.5), 2.5, np.random.default_rng(8))
+        with pytest.raises(DomainError, match="m must be a positive integer"):
+            sample_delta(np.full((2, 2), 0.5), np.nan, np.random.default_rng(8))
+        # an integral float m draws what the integer draws
+        assert np.array_equal(sample_delta(np.full((2, 2), 0.5), 2.0, np.random.default_rng(8)),
+                              sample_delta(np.full((2, 2), 0.5), 2, np.random.default_rng(8)))

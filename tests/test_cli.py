@@ -371,6 +371,22 @@ class TestFitAndCompare:
         t1 = (out / "table1.csv").read_text().splitlines()
         assert len(t1) == 4
 
+    @pytest.mark.parametrize("case", ["zero-restarts", "one-period"])
+    def test_compare_argument_and_data_errors_exit_2(self, runner, tmp_path, case):
+        # the error every kind shares is a usage error, not a fit failure
+        if case == "one-period":
+            data, restarts = tmp_path / "one.csv", "1"
+            data.write_text("period,source,target,count\n1,a,b,2\n1,b,a,1\n")
+        else:
+            data, restarts = make_data_csv(tmp_path), "0"
+        out = tmp_path / "cmp"
+        res = runner.invoke(cli.main, [
+            "compare", "--data", str(data), "--restarts", restarts, "--out", str(out),
+        ])
+        assert res.exit_code == 2, res.output + res.stderr
+        assert res.stderr.startswith("error:")
+        assert not out.exists()
+
     def test_lambda_on_a_bound_is_printed(self, runner, tmp_path):
         # A(0) ranks node a on top and every period follows it, plus two
         # endorsements of a node that changes each period: the rootdegree

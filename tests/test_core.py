@@ -35,7 +35,9 @@ class TestEndorsementState:
             np.zeros(4),
             np.array([[0.0, -1.0], [0.0, 0.0]]),
             np.array([[0.0, np.nan], [0.0, 0.0]]),
+            np.array([[0.0, np.inf], [0.0, 0.0]]),
             np.zeros((1, 1)),
+            np.zeros((2, 2, 2)),
         ],
     )
     def test_rejects_bad_matrices(self, bad):
@@ -112,6 +114,12 @@ class TestStep:
             step(s, np.array([[0.0, -1.0], [0.0, 0.0]]), 0.5)
         with pytest.raises(DomainError):
             step(s, np.zeros((2, 2)), 1.5)
+        with pytest.raises(DomainError, match="delta must be square"):
+            step(s, np.zeros((2, 3)), 0.5)
+        for bad in (np.inf, np.nan):
+            # the error names the delta, not the state it would produce
+            with pytest.raises(DomainError, match="delta has non-finite entries"):
+                step(s, np.array([[0.0, bad], [0.0, 0.0]]), 0.5)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -144,6 +152,11 @@ class TestRateAndRank:
             rank_vector(np.array([[1.5, -0.5], [0.5, 0.5]]))
         with pytest.raises(DomainError):
             rank_vector(np.zeros((2, 3)))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DomainError, match="non-finite"):
+                rank_vector(np.array([[bad, bad], [0.5, 0.5]]))
+        with pytest.raises(DomainError):
+            rank_vector(np.full((2, 2, 2), 0.5))
 
 
 class TestInitialStates:
@@ -152,6 +165,8 @@ class TestInitialStates:
         assert a0.shape == (8, 8)
         assert np.all(a0 == 3 / 64)
         assert a0.sum() == pytest.approx(3.0)
+        # an integral float m, as ModelParams keeps it, builds the same start
+        assert np.array_equal(uniform_initial(8, ModelParams(lam=0.5, m=3.0).m), a0)
 
     def test_sparse_random_initial(self):
         a0 = sparse_random_initial(5, 7, np.random.default_rng(1))
@@ -160,9 +175,14 @@ class TestInitialStates:
         assert np.all(a0 >= 0)
         again = sparse_random_initial(5, 7, np.random.default_rng(1))
         assert np.array_equal(a0, again)
+        assert np.array_equal(sparse_random_initial(5, 7.0, np.random.default_rng(1)), a0)
 
-    def test_rejects_degenerate_sizes(self):
+    @pytest.mark.parametrize(
+        "make",
+        [uniform_initial, lambda n, m: sparse_random_initial(n, m, np.random.default_rng(0))],
+        ids=["uniform", "sparse"],
+    )
+    @pytest.mark.parametrize("n,m", [(1, 1), (3, 0), (2.5, 1), (3, 2.5), (3, np.nan)])
+    def test_rejects_degenerate_sizes(self, make, n, m):
         with pytest.raises(DomainError):
-            uniform_initial(1, 1)
-        with pytest.raises(DomainError):
-            uniform_initial(3, 0)
+            make(n, m)

@@ -80,6 +80,15 @@ class TestInteractionSequence:
                 period_labels=("1",),
                 a0=np.zeros((3, 3)),
             ),
+            dict(deltas=(np.array([[0, np.inf], [0, 0]]),), node_labels=("a", "b"),
+                 period_labels=("1",)),
+            dict(deltas=(np.array([[0, np.nan], [0, 0]]),), node_labels=("a", "b"),
+                 period_labels=("1",)),
+            dict(deltas=(np.zeros((2, 3)),), node_labels=("a", "b"), period_labels=("1",)),
+            dict(deltas=(np.zeros((2, 2)),), node_labels=("a", "b"), period_labels=("1",),
+                 a0=np.array([[0, -1], [0, 0]])),
+            dict(deltas=(np.zeros((2, 2)),), node_labels=("a", "b"), period_labels=("1",),
+                 a0=np.array([[0, np.nan], [0, 0]])),
         ],
     )
     def test_validation(self, kw):
@@ -432,10 +441,11 @@ class TestConvertRankings:
                                   period_labels=("1998", "1999"))
         assert "period '1998', ranker 'b'" in str(exc.value)
 
-    def test_k_out_of_range(self):
+    @pytest.mark.parametrize("k", [3, 0, 1.5])
+    def test_k_out_of_range(self, k):
         r = self._ranking(3, [[1, 2], [0, 2], [0, 1]])
         with pytest.raises(DomainError):
-            convert_rankings_topk([r], k=3)
+            convert_rankings_topk([r], k=k)
 
 
 class TestWindowsAndRestriction:

@@ -589,6 +589,20 @@ class TestCompareScores:
         with pytest.raises(DomainError):
             compare_scores(seq, ("rootdegree", "rootdegree"))
 
+    @pytest.mark.parametrize("kinds,restarts,periods", [
+        (("nope", "springrank"), 2, 80),
+        (("rootdegree", "springrank"), 0, 80),
+        (("rootdegree", "springrank"), 2, 1),
+    ], ids=["unknown-kind", "zero-restarts", "one-period"])
+    def test_argument_and_data_errors_raise_instead_of_failing_each_kind(
+        self, kinds, restarts, periods
+    ):
+        seq = TestFit()._synthetic()
+        seq = InteractionSequence(seq.deltas[:periods], seq.node_labels,
+                                  seq.period_labels[:periods])
+        with pytest.raises(DomainError):
+            compare_scores(seq, kinds, restarts=restarts)
+
 
 def _result(kind, beta1, se1, n_m=(24, 232.0)):
     return FitResult(

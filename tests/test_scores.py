@@ -101,9 +101,10 @@ class TestPageRank:
             pagerank_score(a, 0.85, max_iter=2)
         assert "iterations" in exc.value.diagnostics
 
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(DomainError):
-            pagerank_score(np.ones((3, 3)), alpha_p=1.0)
+    @pytest.mark.parametrize("alpha_p", [1.0, 0.0, -0.5, np.nan, np.inf])
+    def test_rejects_bad_alpha(self, alpha_p):
+        with pytest.raises(DomainError, match="alpha_p"):
+            pagerank_score(np.ones((3, 3)), alpha_p=alpha_p)
 
     def test_rejects_zero_max_iter_on_the_power_path(self):
         n = PAGERANK_DIRECT_MAX_N + 1

@@ -638,10 +638,18 @@ class TestCriticalValueDomain:
         ("pagerank", 8, np.nan, 1e-8), ("springrank", 8, 0.0, 1e-8),
         ("rootdegree", np.nan, 1, 1e-8), ("rootdegree", 2.5, 1, 1e-8),
         ("springrank", np.inf, 1, 1e-8),
+        # the damping rule holds for every kind, also one that ignores it
+        ("springrank", 8, 1, 0.0), ("rootdegree", 8, 1, -1.0), ("pagerank", 8, 1, np.nan),
     ])
     def test_rejects_nonfinite_or_nonintegral_arguments(self, kind, n, m, alpha_s):
         with pytest.raises(DomainError):
             critical_beta1(kind, n, m, alpha_s=alpha_s)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("alpha_p", [0.0, 1.0, np.nan])
+    def test_rejects_alpha_p_outside_the_unit_interval(self, kind, alpha_p):
+        with pytest.raises(DomainError, match="alpha_p"):
+            critical_beta1(kind, 8, 1, alpha_p=alpha_p)
 
 
 class TestOneSpdSolvePath:
