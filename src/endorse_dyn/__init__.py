@@ -61,7 +61,6 @@ from .stability import (
     finite_memory_drift,
     fixed_point_jacobian,
     jacobian_egalitarian,
-    pagerank_alternating_solve,
     state_rank_vector,
     two_group_equilibria,
 )
@@ -84,7 +83,7 @@ __all__ = [
     "Equilibrium", "critical_beta1", "dgamma_ds", "egalitarian_root",
     "f_degree", "f_drift", "f_pagerank_root_system", "f_springrank",
     "finite_memory_drift", "fixed_point_jacobian", "jacobian_egalitarian",
-    "pagerank_alternating_solve", "state_rank_vector", "two_group_equilibria",
+    "state_rank_vector", "two_group_equilibria",
     # data
     "InteractionSequence", "load_edge_list", "load_rankings", "save_edge_list",
     "convert_rankings_topk", "restrict_top_placers", "aggregate_counts",

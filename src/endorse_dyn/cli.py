@@ -446,8 +446,8 @@ def cmd_convert(cfg):
     if cfg["top_count"] is not None or win is not None:
         count = seq.n if cfg["top_count"] is None else cfg["top_count"]
         seq = restrict_top_placers(seq, count, window=win)
-    outdir = _outdir(cfg)
-    save_edge_list(seq, outdir / "edges.csv")
+    outdir = Path(cfg["out"])
+    save_edge_list(seq, outdir / "edges.csv")  # makes outdir once its checks pass
     _write_run_json(outdir, "convert", cfg)
     click.echo(f"wrote {outdir}/edges.csv ({seq.n} nodes, {seq.t_len} periods)")
 

@@ -11,10 +11,12 @@ so the total remembered weight relaxes geometrically toward ``m``.  Score
 functions over ``a`` live in :mod:`endorse_dyn.scores`; utilities, choice
 probabilities, and sampling live in :mod:`endorse_dyn.choice`.
 
-Each model input has one rule here (`check_matrix`, `check_m`,
+Each model input has one rule here (`check_matrix`, `check_m`, `check_lam`,
 `check_alpha_p`, `check_alpha_s`, `check_count`), which every entry point
-that takes the input calls before any work.  The simulation kernel in
-:mod:`endorse_dyn.sim` validates A(0) once and applies `step`'s update in place.
+that takes the input calls before any work, and each damping constant one
+default (`ALPHA_P`, `ALPHA_S`), which every signature that takes it uses.
+The simulation kernel in :mod:`endorse_dyn.sim` validates A(0) once and
+applies `step`'s update in place.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ import numpy as np
 from .errors import DomainError
 
 SCORE_KINDS = ("rootdegree", "pagerank", "springrank")
+ALPHA_P = 0.85  # default PageRank damping alpha_p
+ALPHA_S = 1e-8  # default SpringRank regularizer alpha_s
 
 
 @dataclass(frozen=True)
@@ -73,14 +77,13 @@ class ModelParams:
     beta: tuple = (0.0, 0.0)
     m: int = 1
     score_kind: str = "springrank"
-    alpha_p: float = 0.85
-    alpha_s: float = 1e-8
+    alpha_p: float = ALPHA_P
+    alpha_s: float = ALPHA_S
     seed: int = 0
     exclude_self: bool = False
 
     def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise DomainError(f"lambda must lie in [0, 1], got {self.lam}")
+        check_lam(self.lam)
         if np.ndim(self.beta) != 1 or len(self.beta) != 2:
             raise DomainError(f"beta needs 2 coefficients (prestige, proximity), got {self.beta!r}")
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
@@ -119,6 +122,12 @@ def check_m(m) -> None:
         raise DomainError(f"m must be a positive integer, got {m!r}")
 
 
+def check_lam(lam) -> None:
+    """The memory parameter lambda lies in [0, 1]."""
+    if not 0.0 <= lam <= 1.0:
+        raise DomainError(f"lambda must lie in [0, 1], got {lam}")
+
+
 def check_alpha_p(alpha_p) -> None:
     """The PageRank damping alpha_p lies in (0, 1)."""
     if not 0.0 < alpha_p < 1.0:
@@ -147,8 +156,7 @@ def step(state: EndorsementState, delta: np.ndarray, lam: float) -> EndorsementS
         raise DomainError(
             f"delta shape {delta.shape} does not match state shape {state.a.shape}"
         )
-    if not 0.0 <= lam <= 1.0:
-        raise DomainError(f"lambda must lie in [0, 1], got {lam}")
+    check_lam(lam)
     return EndorsementState(a=lam * state.a + (1.0 - lam) * delta, t=state.t + 1)
 
 

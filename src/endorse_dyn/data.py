@@ -16,6 +16,7 @@ import csv
 import re
 from collections import Counter
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -217,8 +218,9 @@ def save_edge_list(seq: InteractionSequence, path) -> None:
     written.  Node labels must match LABEL_RE; period labels must read
     back as themselves (no comma, quote, NUL, line break or edge
     whitespace) and stand in interchange order.  Otherwise DomainError
-    names the label before the file is opened.  The format cannot carry an
-    empty period, a node without edges or a0: a reload drops them.
+    names the label before the file is opened.  The file's directory is
+    made, if missing, only once every check has passed.  The format cannot
+    carry an empty period, a node without edges or a0: a reload drops them.
     """
     for label in seq.node_labels:
         if not LABEL_RE.match(label):
@@ -242,6 +244,8 @@ def save_edge_list(seq: InteractionSequence, path) -> None:
             rows.append(f"{period},{seq.node_labels[i]},{seq.node_labels[j]},{int(round(c))}\n")
     if np.count_nonzero(sum(d.sum(axis=0) + d.sum(axis=1) for d in seq.deltas)) < 2:
         raise DomainError("endorsements touch fewer than 2 nodes; a reload needs 2")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(HEADER) + "\n")
         fh.writelines(rows)
@@ -352,20 +356,15 @@ def restrict_top_placers(
     )
 
 
-def simulate_sequence(
-    params: ModelParams,
-    a0: np.ndarray,
-    periods: int,
-    node_labels=None,
-    period_labels=None,
-) -> InteractionSequence:
+def simulate_sequence(params: ModelParams, a0: np.ndarray, periods: int) -> InteractionSequence:
     """Generate an InteractionSequence from the model itself.
 
     Uses the same (seed, t) per-step generators as the trajectory engine,
     so period t here equals step t of a simulation run with the same
     parameters.  The returned sequence carries a0, making likelihood
-    evaluations exact rather than first-period initialized.
+    evaluations exact rather than first-period initialized; its nodes are
+    labelled v0, v1, ... and its periods 0, 1, ...
     """
     check_count("periods", periods, 1)
     deltas = [delta for _, delta in _steps(params, _initial(a0), periods, unit="period")]
-    return _labelled(deltas, node_labels, period_labels, a0)
+    return _labelled(deltas, None, None, a0)

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.optimize
 
-from .core import SCORE_KINDS, ModelParams, check_count
+from .core import ALPHA_P, ALPHA_S, SCORE_KINDS, ModelParams, check_count
 from .data import InteractionSequence
 from .errors import DomainError, NumericError
 from .parallel import parallel_map
@@ -183,8 +183,8 @@ def log_likelihood(
     lam: float,
     beta,
     score_kind: str,
-    alpha_p: float = 0.85,
-    alpha_s: float = 1e-8,
+    alpha_p: float = ALPHA_P,
+    alpha_s: float = ALPHA_S,
     exclude_self: bool = False,
 ) -> float:
     """Sum over periods and pairs of k_ij log G_ij (constant dropped)."""
@@ -196,8 +196,8 @@ def grad_beta(
     lam: float,
     beta,
     score_kind: str,
-    alpha_p: float = 0.85,
-    alpha_s: float = 1e-8,
+    alpha_p: float = ALPHA_P,
+    alpha_s: float = ALPHA_S,
     exclude_self: bool = False,
 ) -> np.ndarray:
     """Exact gradient of the log-likelihood in beta (scores held fixed)."""
@@ -273,8 +273,8 @@ def fit(
     seq: InteractionSequence,
     score_kind: str,
     restarts: int = 5,
-    alpha_p: float = 0.85,
-    alpha_s: float = 1e-8,
+    alpha_p: float = ALPHA_P,
+    alpha_s: float = ALPHA_S,
     exclude_self: bool = False,
 ) -> FitResult:
     """Joint MLE of (lambda, beta1, beta2) for one score kind.
@@ -390,8 +390,8 @@ def compare_scores(
     seq: InteractionSequence,
     score_kinds=SCORE_KINDS,
     restarts: int = 5,
-    alpha_p: float = 0.85,
-    alpha_s: float = 1e-8,
+    alpha_p: float = ALPHA_P,
+    alpha_s: float = ALPHA_S,
     exclude_self: bool = False,
 ) -> ComparisonTable:
     """Fit each score kind, one per pool worker, and rank by likelihood.

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import LinAlgWarning
 from scipy.linalg.lapack import dlange, dpocon, dpotrf, dpotrs
 
-from .core import check_alpha_p, check_alpha_s, check_matrix
+from .core import ALPHA_P, ALPHA_S, check_alpha_p, check_alpha_s, check_matrix
 from .errors import DomainError, NumericError
 
 # Largest n whose PageRank is taken by a direct solve; larger matrices go
@@ -33,6 +33,10 @@ from .errors import DomainError, NumericError
 # data it took 0.3-1.0x at n=16...96.  On dense stacks, whose power
 # iteration converges in few steps, it took 1.5x from n=48 on.
 PAGERANK_DIRECT_MAX_N = 80
+# The power iteration stops at an L1 step of at most PAGERANK_TOL and raises
+# NumericError after PAGERANK_MAX_ITER steps without one.
+PAGERANK_TOL = 1e-12
+PAGERANK_MAX_ITER = 100_000
 
 
 def in_degree(a: np.ndarray) -> np.ndarray:
@@ -63,12 +67,7 @@ def _row_stochastic(a: np.ndarray) -> np.ndarray:
     return p
 
 
-def pagerank_score(
-    a: np.ndarray,
-    alpha_p: float = 0.85,
-    tol: float = 1e-12,
-    max_iter: int = 100_000,
-) -> np.ndarray:
+def pagerank_score(a: np.ndarray, alpha_p: float = ALPHA_P) -> np.ndarray:
     """Stationary teleported random-walk score, normalized so e^T s = n.
 
     The probability vector pi = s/n solves (I - alpha_p P^T) pi =
@@ -76,45 +75,44 @@ def pagerank_score(
     uniform.  Up to n = PAGERANK_DIRECT_MAX_N it is taken from one LU solve
     of that system (a stack: one batched solve) and scaled to sum 1.  Above
     it, power iteration runs on pi from the uniform vector until the L1
-    change reaches `tol`; the operator is a strict contraction with factor
-    alpha_p, so the iteration is globally convergent.  `tol` and `max_iter`
-    govern only the power iteration.
+    change reaches PAGERANK_TOL, for at most PAGERANK_MAX_ITER steps; the
+    operator is a strict contraction with factor alpha_p, so the iteration
+    is globally convergent.
     """
     a = check_matrix(a, "adjacency")
     check_alpha_p(alpha_p)
-    if not max_iter >= 1 or max_iter % 1:
-        raise DomainError(f"max_iter must be a positive integer, got {max_iter!r}")
     n = a.shape[-1]
     p = _row_stochastic(a)
     teleport = (1.0 - alpha_p) / n
     if n > PAGERANK_DIRECT_MAX_N:
-        return n * _stacked_power_iteration(p, alpha_p, teleport, tol, max_iter)
+        return n * _stacked_power_iteration(p, alpha_p, teleport)
     # I - alpha_p P^T is column diagonally dominant, so never singular
     lhs = np.eye(n) - alpha_p * np.swapaxes(p, -1, -2)
     x = np.linalg.solve(lhs, np.full((*a.shape[:-1], 1), teleport))[..., 0]
     return n * x / x.sum(axis=-1, keepdims=True)
 
 
-def _stacked_power_iteration(p, alpha_p, teleport, tol, max_iter):
+def _stacked_power_iteration(p, alpha_p, teleport):
     """The power iteration on one (n, n) row-stochastic matrix or an
     (..., n, n) stack of them, all slices at once; returns pi of shape
     (..., n).
 
-    A slice whose L1 change reaches tol is set aside and the rest go on, so
-    each slice stops at the iterate where it would stop alone and gets the
-    scores it gets alone, bit for bit.
+    A slice whose L1 change reaches PAGERANK_TOL is set aside and the rest
+    go on, so each slice stops at the iterate where it would stop alone and
+    gets the scores it gets alone, bit for bit.  Both constants are read at
+    call time.
     """
     shape, n = p.shape[:-1], p.shape[-1]
     p = p.reshape(-1, n, n)
     pi = np.full((len(p), n, 1), 1.0 / n)
     out = np.empty_like(pi)
     left = np.arange(len(p))
-    for it in range(max_iter):
+    for _ in range(PAGERANK_MAX_ITER):
         nxt = alpha_p * (np.swapaxes(p, -1, -2) @ pi) + teleport
         nxt /= nxt.sum(axis=-2, keepdims=True)
         diff = np.abs(nxt - pi).sum(axis=-2)[:, 0]
         pi = nxt
-        done = diff <= tol
+        done = diff <= PAGERANK_TOL
         if done.any():
             out[left[done]] = pi[done]
             if done.all():
@@ -122,7 +120,7 @@ def _stacked_power_iteration(p, alpha_p, teleport, tol, max_iter):
             left, p, pi = left[~done], p[~done], pi[~done]
     raise NumericError(
         "pagerank power iteration did not converge",
-        diagnostics={"iterations": max_iter, "last_l1_diff": float(diff.max())},
+        diagnostics={"iterations": PAGERANK_MAX_ITER, "last_l1_diff": float(diff.max())},
     )
 
 
@@ -170,7 +168,7 @@ def _spring_system(a: np.ndarray, alpha_s: float):
     return lap, din - dout
 
 
-def springrank_score(a: np.ndarray, alpha_s: float = 1e-8) -> np.ndarray:
+def springrank_score(a: np.ndarray, alpha_s: float = ALPHA_S) -> np.ndarray:
     """Spring-embedding score: the unique solution of a regularized system.
 
     Solves [D_in + D_out - (A + A^T) + alpha_s I] s = (d_in - d_out) by a

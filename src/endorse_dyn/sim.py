@@ -67,15 +67,13 @@ def _steps(params: ModelParams, a: np.ndarray, steps: int, unit: str = "step"):
         yield p.mean(axis=0), delta
 
 
-def run(params: ModelParams, a0: np.ndarray | None = None, steps: int = 2000) -> Trajectory:
+def run(params: ModelParams, a0: np.ndarray, steps: int = 2000) -> Trajectory:
     """Simulate `steps` updates from a0 (for example `uniform_initial(n, m)`).
 
     gamma(t) is recorded from the state *before* update t, so row t of the
     history describes A(t) for t = 0..steps-1 and a_final is A(steps).
     """
     check_count("steps", steps, 0)
-    if a0 is None:
-        raise DomainError("a0 is required; use uniform_initial(n, m) for the default")
     a = _initial(a0)
     gamma_hist = np.empty((steps, a.shape[0]))
     for t, (gamma, _) in enumerate(_steps(params, a, steps)):

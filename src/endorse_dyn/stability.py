@@ -32,8 +32,9 @@ from typing import Callable
 import numpy as np
 
 from .choice import choice_probabilities, utility
-from .core import ModelParams, check_alpha_p, check_alpha_s, check_count
-from .errors import DomainError, NumericError
+from .core import (ALPHA_P, ALPHA_S, ModelParams, check_alpha_p, check_alpha_s, check_count,
+                   check_matrix)
+from .errors import DomainError
 from .scores import _cholesky_solve, _spring_system, in_degree, pagerank_score, springrank_score
 
 
@@ -165,7 +166,7 @@ def f_pagerank_root_system(s: np.ndarray, params: ModelParams) -> np.ndarray:
 
     Zero exactly at fixed points of the score-feedback loop.  The bracketed
     operator has constant column sums 1/(a n), so its leading eigenvalue is
-    1/(a n) for any s; roots are located with `pagerank_alternating_solve`.
+    1/(a n) for any s.
     """
     s = np.asarray(s, dtype=float)
     n = s.shape[0]
@@ -188,37 +189,6 @@ def _pagerank_root_residual(s: np.ndarray, params: ModelParams) -> np.ndarray:
     a = params.alpha_p
     g = state_rate_matrix("pagerank", s, params.beta)
     return a * n * (g.T @ s) + (1.0 - a) - s
-
-
-def pagerank_alternating_solve(
-    s0: np.ndarray,
-    params: ModelParams,
-    tol: float = 1e-12,
-    max_iter: int = 10_000,
-) -> np.ndarray:
-    """Alternate the leading-eigenvector solve with refreshing G from s.
-
-    Since rows of m G(s) sum to m/n, the eigen step is exactly
-    pagerank_score(m G(s)); iterate s <- pagerank_score(m G(s)) to a fixed
-    point.
-    """
-    check_count("max_iter", max_iter, 1)
-    s = np.asarray(s0, dtype=float).copy()
-    for _ in range(max_iter):
-        nxt = pagerank_score(params.m * state_rate_matrix("pagerank", s, params.beta),
-                             params.alpha_p)
-        delta = np.abs(nxt - s).max()
-        s = nxt
-        if delta <= tol:
-            return s
-    raise NumericError(
-        "pagerank alternating solve did not converge",
-        diagnostics={
-            "iterations": max_iter,
-            "last_step": float(delta),
-            "last_residual": float(np.abs(_pagerank_residual(s, params)).max()),
-        },
-    )
 
 
 def _springrank_lg(gamma: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -260,7 +230,7 @@ def f_springrank(s: np.ndarray, a: np.ndarray, params: ModelParams) -> np.ndarra
     solution's e-component is then -mean(s).
     """
     s = np.asarray(s, dtype=float)
-    a = np.asarray(a, dtype=float)
+    a = check_matrix(a, "adjacency")
     forcing = _springrank_forcing(s, params)
     l_alpha, _ = _spring_system(a, params.alpha_s)
     # exact mean of L_alpha^-1 forcing is mean(s); f negates it
@@ -293,7 +263,7 @@ def _pagerank_drift(s: np.ndarray, a: np.ndarray | None, params: ModelParams) ->
             "f_pagerank_root_system"
         )
     s = np.asarray(s, dtype=float)
-    a = np.asarray(a, dtype=float)
+    a = check_matrix(a, "adjacency")
     n = s.shape[0]
     dout = a.sum(axis=1)
     if np.any(dout <= 0):
@@ -335,8 +305,8 @@ def critical_beta1(
     score_kind: str,
     n: int,
     m: float,
-    alpha_p: float = 0.85,
-    alpha_s: float = 1e-8,
+    alpha_p: float = ALPHA_P,
+    alpha_s: float = ALPHA_S,
 ) -> float:
     """Threshold on beta1 where the egalitarian root loses stability; m may be a mean count."""
     if not (float(n).is_integer() and n >= 2 and 0.0 < m < np.inf):

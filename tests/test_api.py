@@ -3,6 +3,7 @@ and every function the benchmark traces by name still exists."""
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ REMOVED = (
     "SCORE_FUNCTIONS",
     "rate_matrix",
     "Branch",
+    "pagerank_alternating_solve",
 )
 
 
@@ -36,6 +38,33 @@ def test_removed_name_is_absent(name):
     for module in (endorse_dyn.choice, endorse_dyn.core, endorse_dyn.scores,
                    endorse_dyn.stability):
         assert not hasattr(module, name)
+
+
+@pytest.mark.parametrize("fn, removed, required", [
+    (endorse_dyn.pagerank_score, ("tol", "max_iter"), ()),
+    (endorse_dyn.simulate_sequence, ("node_labels", "period_labels"), ()),
+    (endorse_dyn.run, (), ("a0",)),
+])
+def test_removed_parameters_and_defaults_stay_gone(fn, removed, required):
+    params = inspect.signature(fn).parameters
+    assert not set(removed) & set(params)
+    assert all(params[name].default is inspect.Parameter.empty for name in required)
+
+
+def test_damping_defaults_have_one_home():
+    """Every public alpha_p / alpha_s default is core.ALPHA_P / core.ALPHA_S."""
+    defaults = {"alpha_p": endorse_dyn.core.ALPHA_P, "alpha_s": endorse_dyn.core.ALPHA_S}
+    seen = set()
+    for name in endorse_dyn.__all__:
+        obj = getattr(endorse_dyn, name)
+        if not callable(obj) or isinstance(obj, type) and issubclass(obj, Exception):
+            continue
+        for param in inspect.signature(obj).parameters.values():
+            if param.name in defaults and param.default is not param.empty:
+                assert param.default is defaults[param.name], (name, param.name)
+                seen.add(name)
+    assert seen == {"ModelParams", "pagerank_score", "springrank_score", "critical_beta1",
+                    "log_likelihood", "grad_beta", "fit", "compare_scores"}
 
 
 def test_trajectory_fields():

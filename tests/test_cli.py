@@ -454,6 +454,20 @@ class TestConvert:
         assert seq.period_labels == ("2", "3")
         assert seq.node_labels == ("a", "b", "c")
 
+    def test_refused_write_leaves_no_out_directory(self, runner, tmp_path):
+        # the top 2 receivers, a and b, are endorsed only by the dropped c and
+        # d, so the kept sequence has no edge and save_edge_list refuses it
+        src = tmp_path / "src.csv"
+        src.write_text("period,source,target,count\n1,c,a,3\n1,d,b,3\n1,c,d,1\n",
+                       encoding="utf-8")
+        out = tmp_path / "conv"
+        res = runner.invoke(cli.main, [
+            "convert", "--data", str(src), "--top-count", "2", "--out", str(out),
+        ])
+        assert res.exit_code == 2, res.output + res.stderr
+        assert "fewer than 2 nodes" in res.stderr
+        assert not out.exists()
+
     def test_rankings_topk(self, runner, tmp_path):
         src = tmp_path / "ranks.csv"
         src.write_text(

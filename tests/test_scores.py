@@ -92,13 +92,15 @@ class TestPageRank:
         a = rng.random((5, 5))
         assert np.allclose(pagerank_score(a, 0.85), pagerank_score(17.0 * a, 0.85), atol=1e-12)
 
-    def test_nonconvergence_raises(self):
-        # tol and max_iter govern only the power iteration, above the crossover
+    def test_nonconvergence_raises(self, monkeypatch):
+        # PAGERANK_TOL and PAGERANK_MAX_ITER govern only the power iteration,
+        # above the crossover
+        monkeypatch.setattr(scores, "PAGERANK_MAX_ITER", 2)
         n = PAGERANK_DIRECT_MAX_N + 1
         a = np.ones((n, n))
         a[0, 1] = 100.0
         with pytest.raises(NumericError) as exc:
-            pagerank_score(a, 0.85, max_iter=2)
+            pagerank_score(a, 0.85)
         assert "iterations" in exc.value.diagnostics
 
     @pytest.mark.parametrize("alpha_p", [1.0, 0.0, -0.5, np.nan, np.inf])
@@ -106,22 +108,17 @@ class TestPageRank:
         with pytest.raises(DomainError, match="alpha_p"):
             pagerank_score(np.ones((3, 3)), alpha_p=alpha_p)
 
-    def test_rejects_zero_max_iter_on_the_power_path(self):
-        n = PAGERANK_DIRECT_MAX_N + 1
-        with pytest.raises(DomainError, match="max_iter"):
-            pagerank_score(np.ones((n, n)), 0.85, max_iter=0)
-
     @pytest.mark.parametrize("n", [PAGERANK_DIRECT_MAX_N, PAGERANK_DIRECT_MAX_N + 1])
     def test_direct_and_power_agree_at_crossover(self, n, monkeypatch):
         rng = np.random.default_rng(n)
         a = rng.random((n, n)) * (rng.random((n, n)) < 0.3)
         a[0] = 0.0
-        alpha, tol = 0.85, 1e-12
-        s = pagerank_score(a, alpha, tol)
+        alpha, tol = 0.85, scores.PAGERANK_TOL
+        s = pagerank_score(a, alpha)
         # up to the crossover the score is the dense solve, bit for bit
         direct = pagerank_dense(a, alpha)
         monkeypatch.setattr(scores, "PAGERANK_DIRECT_MAX_N", 0)
-        power = pagerank_score(a, alpha, tol)
+        power = pagerank_score(a, alpha)
         assert np.array_equal(s, direct if n <= PAGERANK_DIRECT_MAX_N else power)
         # power iteration stops when its L1 step is <= tol, which leaves pi
         # within alpha / (1 - alpha) * tol of the fixed point; s = n pi
@@ -304,12 +301,13 @@ class TestStacks:
         assert s.shape == (3, 2, 4)
         assert np.max(np.abs(s[1, 0] - score(stack[1, 0], p))) <= 1e-12
 
-    def test_stacked_nonconvergence_raises(self):
+    def test_stacked_nonconvergence_raises(self, monkeypatch):
+        monkeypatch.setattr(scores, "PAGERANK_MAX_ITER", 2)
         n = PAGERANK_DIRECT_MAX_N + 1
         a = np.ones((2, n, n))
         a[1, 0, 1] = 100.0
         with pytest.raises(NumericError) as exc:
-            pagerank_score(a, 0.85, max_iter=2)
+            pagerank_score(a, 0.85)
         assert exc.value.diagnostics["iterations"] == 2
 
     def test_rejects_non_square_stack(self):

@@ -12,7 +12,7 @@ import scipy.linalg
 
 from endorse_dyn.choice import choice_probabilities
 from endorse_dyn.core import SCORE_KINDS, ModelParams
-from endorse_dyn.errors import DomainError, NumericError
+from endorse_dyn.errors import DomainError
 from endorse_dyn.stability import (
     _KINDS,
     _classify,
@@ -31,7 +31,6 @@ from endorse_dyn.stability import (
     fixed_point_jacobian,
     jacobian_egalitarian,
     critical_beta1,
-    pagerank_alternating_solve,
     state_of,
     state_probabilities,
     state_rank_vector,
@@ -186,41 +185,25 @@ class TestDrifts:
         with pytest.raises(DomainError, match="f_pagerank_root_system"):
             f_drift("pagerank", np.array([1.7, 0.8, 0.5]), None, p)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("kind", ["pagerank", "springrank"])
+    def test_drift_rejects_bad_adjacency(self, kind, entry):
+        p = params_for(kind, 1.1, -0.6, m=2)
+        s = egalitarian_root(kind, 3, 2)
+        a = 2 * state_rate_matrix(kind, s, p.beta)
+        a[0, 1] = entry
+        with pytest.raises(DomainError, match="adjacency"):
+            f_drift(kind, s, a, p)
+        if kind == "springrank":
+            with pytest.raises(DomainError, match="adjacency"):
+                f_springrank(s, a, p)
+
     def test_degree_drift_rejects_negative_degrees(self):
         with pytest.raises(DomainError):
             f_degree(np.array([0.5, -0.1, 0.6]), params_for("rootdegree", 1.0))
 
 
 class TestPagerankRootSystem:
-    def test_alternating_solve_finds_hierarchical_root(self):
-        p = params_for("pagerank", 2.0, 0.0, m=1)
-        n = 6
-        s0 = np.ones(n) + 0.3 * np.eye(n)[0] - 0.3 / n
-        s0 *= n / s0.sum()
-        s_star = pagerank_alternating_solve(s0, p)
-        assert np.abs(f_pagerank_root_system(s_star, p)).max() < 1e-9
-        assert s_star.sum() == pytest.approx(n, abs=1e-8)
-        assert np.all(s_star > 0)
-        assert s_star.max() > 1.5  # genuinely hierarchical, not egalitarian
-
-    def test_egalitarian_is_exact_fixed_point_of_iteration(self):
-        p = params_for("pagerank", 2.0, 0.0, m=1)
-        s_star = pagerank_alternating_solve(np.ones(5), p)
-        assert np.allclose(s_star, 1.0, atol=1e-12)
-
-    def test_nonconvergence_raises_with_diagnostics(self):
-        p = params_for("pagerank", 2.0, 0.0, m=1)
-        s0 = np.ones(6) + 0.3 * np.eye(6)[0] - 0.05
-        s0 *= 6 / s0.sum()
-        with pytest.raises(NumericError) as exc:
-            pagerank_alternating_solve(s0, p, max_iter=1)
-        assert "last_residual" in exc.value.diagnostics
-
-    def test_alternating_solve_rejects_zero_max_iter(self):
-        p = params_for("pagerank", 2.0, 0.0, m=1)
-        with pytest.raises(DomainError, match="max_iter"):
-            pagerank_alternating_solve(np.ones(5), p, max_iter=0)
-
     def test_root_system_rejects_off_manifold_input(self):
         p = params_for("pagerank", 1.0, 0.0)
         with pytest.raises(DomainError):
