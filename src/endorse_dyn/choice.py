@@ -36,18 +36,11 @@ def utility(s: np.ndarray, beta) -> np.ndarray:
     return u
 
 
-def choice_probabilities(u: np.ndarray, exclude_self: bool = False) -> np.ndarray:
-    """Row-wise softmax of u, stabilized by subtracting row maxima.
-
-    With ``exclude_self`` the diagonal is masked out and rows renormalize
-    over j != i.
-    """
+def choice_probabilities(u: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of u, stabilized by subtracting row maxima."""
     u = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u)):
         raise DomainError("utilities must be finite")
-    if exclude_self:
-        u = u.copy()
-        np.fill_diagonal(u, -np.inf)
     shifted = u - u.max(axis=1, keepdims=True)
     ex = np.exp(shifted)
     return ex / ex.sum(axis=1, keepdims=True)

@@ -80,7 +80,6 @@ class ModelParams:
     alpha_p: float = ALPHA_P
     alpha_s: float = ALPHA_S
     seed: int = 0
-    exclude_self: bool = False
 
     def __post_init__(self):
         check_lam(self.lam)

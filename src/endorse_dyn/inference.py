@@ -89,18 +89,29 @@ class _Counts(NamedTuple):
     observed: np.ndarray  # flat indices of the positive counts in an (R, n) array
     k_obs: np.ndarray  # the positive counts, in that order
     k_row: np.ndarray  # (R,) endorsements made in each row
-    masked: np.ndarray  # flat indices of each row's own cell if exclude_self, else none
 
 
-def _counts(seq, params) -> _Counts:
+def _counts(seq) -> _Counts:
     a0, used = seq.used_periods()
     stack = np.array(used)
     t, i = np.nonzero(stack.sum(axis=2))
     k_rows = stack[t, i]
     observed = np.flatnonzero(k_rows)
-    own = np.arange(len(i)) * seq.n + i
-    return _Counts(a0, stack, t, i, observed, k_rows.ravel()[observed],
-                   k_rows.sum(axis=1), own if params.exclude_self else own[:0])
+    return _Counts(a0, stack, t, i, observed, k_rows.ravel()[observed], k_rows.sum(axis=1))
+
+
+def _identified_counts(seq) -> _Counts:
+    """`_counts` of a sequence that can pin lambda down.
+
+    The first used period is scored at A(0) whatever lambda is, so lambda
+    enters the likelihood only through endorsements in later used periods.
+    """
+    counts = _counts(seq)
+    if not np.any(counts.t > 0):
+        raise DomainError(
+            "lambda is not identified: no used period after the first has an endorsement"
+        )
+    return counts
 
 
 def _rolled_scores(counts: _Counts, params) -> np.ndarray:
@@ -142,14 +153,12 @@ def _loglik_and_grad(terms: _LogitTerms, beta):
     With p the choice probabilities of a row, the gradient is
     sum k phi - sum_rows k_row E_p[phi] and the Hessian is
     -sum_rows k_row Cov_p(phi), formed from the centered features.
-    Everything stays in log space; a -inf can only appear when a positive
-    count sits on an excluded cell.
+    Everything stays in log space.
     """
     phi1, phi2, k_phi, c = terms
     n = phi1.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         u = beta[0] * phi1 + beta[1] * phi2
-        np.put(u, c.masked, -np.inf)
         u -= u.max(axis=1, keepdims=True)
         p = np.exp(u)
         z = p.sum(axis=1)
@@ -171,11 +180,11 @@ def _loglik_and_grad(terms: _LogitTerms, beta):
     return ll, g, h
 
 
-def _evaluate(seq, lam, beta, score_kind, alpha_p, alpha_s, exclude_self):
+def _evaluate(seq, lam, beta, score_kind, alpha_p, alpha_s):
     """(ll, gradient, Hessian) at one (lambda, beta); ModelParams checks both."""
     params = ModelParams(lam=lam, beta=beta, score_kind=score_kind, alpha_p=alpha_p,
-                         alpha_s=alpha_s, exclude_self=exclude_self)
-    return _loglik_and_grad(_terms_at(_counts(seq, params), params), params.beta)
+                         alpha_s=alpha_s)
+    return _loglik_and_grad(_terms_at(_counts(seq), params), params.beta)
 
 
 def log_likelihood(
@@ -185,10 +194,9 @@ def log_likelihood(
     score_kind: str,
     alpha_p: float = ALPHA_P,
     alpha_s: float = ALPHA_S,
-    exclude_self: bool = False,
 ) -> float:
     """Sum over periods and pairs of k_ij log G_ij (constant dropped)."""
-    return _evaluate(seq, lam, beta, score_kind, alpha_p, alpha_s, exclude_self)[0]
+    return _evaluate(seq, lam, beta, score_kind, alpha_p, alpha_s)[0]
 
 
 def grad_beta(
@@ -198,10 +206,9 @@ def grad_beta(
     score_kind: str,
     alpha_p: float = ALPHA_P,
     alpha_s: float = ALPHA_S,
-    exclude_self: bool = False,
 ) -> np.ndarray:
     """Exact gradient of the log-likelihood in beta (scores held fixed)."""
-    return _evaluate(seq, lam, beta, score_kind, alpha_p, alpha_s, exclude_self)[1]
+    return _evaluate(seq, lam, beta, score_kind, alpha_p, alpha_s)[1]
 
 
 def _newton_step(g, h):
@@ -275,7 +282,6 @@ def fit(
     restarts: int = 5,
     alpha_p: float = ALPHA_P,
     alpha_s: float = ALPHA_S,
-    exclude_self: bool = False,
 ) -> FitResult:
     """Joint MLE of (lambda, beta1, beta2) for one score kind.
 
@@ -288,16 +294,13 @@ def fit(
     information at the optimum (exact in beta, from the search's solve at
     lambda_hat; central differences at lambda_hat +- step in lambda); when
     it is not positive definite they are unavailable, with a warning.
+    A sequence with no endorsement in a used period after the first raises
+    DomainError, since lambda would not enter its likelihood.
     """
-    if seq.t_len < 2:
-        raise DomainError("need at least 2 periods to fit")
     check_count("restarts", restarts, 1)
-    if exclude_self and any(np.trace(d) > 0 for d in seq.deltas):
-        raise DomainError("sequence has self-endorsements but exclude_self is set")
     # lam is set per evaluation
-    params = ModelParams(lam=LAM_LO, score_kind=score_kind, alpha_p=alpha_p,
-                         alpha_s=alpha_s, exclude_self=exclude_self)
-    counts = _counts(seq, params)
+    params = ModelParams(lam=LAM_LO, score_kind=score_kind, alpha_p=alpha_p, alpha_s=alpha_s)
+    counts = _identified_counts(seq)
     evals: list[tuple[float, _BetaFit]] = []  # every beta solve, in evaluation order
 
     def solve(lam, beta0):
@@ -392,7 +395,6 @@ def compare_scores(
     restarts: int = 5,
     alpha_p: float = ALPHA_P,
     alpha_s: float = ALPHA_S,
-    exclude_self: bool = False,
 ) -> ComparisonTable:
     """Fit each score kind, one per pool worker, and rank by likelihood.
 
@@ -405,13 +407,15 @@ def compare_scores(
     if len(set(kinds)) != len(kinds):
         raise DomainError("duplicate score kinds")
     check_count("restarts", restarts, 1)
-    for kind in kinds:  # fit's argument checks, before the pool starts
+    # fit's argument and data checks, before the pool starts
+    for kind in kinds:
         ModelParams(lam=LAM_LO, score_kind=kind, alpha_p=alpha_p, alpha_s=alpha_s)
+    _identified_counts(seq)
 
     def one(kind):
         try:
             return kind, fit(seq, kind, restarts=restarts, alpha_p=alpha_p,
-                             alpha_s=alpha_s, exclude_self=exclude_self), None
+                             alpha_s=alpha_s), None
         except NumericError as exc:
             return kind, None, str(exc)
 

@@ -58,7 +58,7 @@ def _steps(params: ModelParams, a: np.ndarray, steps: int, unit: str = "step"):
         with np.errstate(over="ignore", invalid="ignore"):
             u = choice.utility(s, params.beta)
         try:
-            p = choice.choice_probabilities(u, exclude_self=params.exclude_self)
+            p = choice.choice_probabilities(u)
         except DomainError as exc:
             raise DomainError(f"{unit} {t}: {exc}") from exc
         delta = choice.sample_delta(p, params.m, _step_rng(params.seed, t))

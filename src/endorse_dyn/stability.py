@@ -17,8 +17,7 @@ up through `_kind`.
 value and n-k at another across a beta1 grid and classifies its linear
 stability, which is what a bifurcation diagram needs.  It solves and
 classifies on the two-group quotient, at a cost per root that does not grow
-with n.  The model that allows self-endorsement is the one analysed.
-Equilibrium a/b values are reported in each kind's own state space
+with n.  Equilibrium a/b values are reported in each kind's own state space
 (in-degree units for rootdegree, score units otherwise).
 """
 
@@ -62,13 +61,6 @@ def _kind(score_kind: str) -> _Kind:
         return _KINDS[score_kind]
     except KeyError:
         raise DomainError(f"unknown score kind {score_kind!r}") from None
-
-
-def _analysed_kind(score_kind: str, params: ModelParams) -> _Kind:
-    """`_kind`, for parameters of the model that allows self-endorsement."""
-    if params.exclude_self:
-        raise DomainError("the long-memory analysis does not support exclude_self=True")
-    return _kind(score_kind)
 
 
 def egalitarian_root(score_kind: str, n: int, m: int) -> np.ndarray:
@@ -250,7 +242,7 @@ def f_drift(score_kind: str, s: np.ndarray, a: np.ndarray | None, params: ModelP
     `a` is required for pagerank; for springrank it defaults to m G(s), and
     rootdegree ignores it.
     """
-    return _analysed_kind(score_kind, params).drift(s, a, params)
+    return _kind(score_kind).drift(s, a, params)
 
 
 def _pagerank_drift(s: np.ndarray, a: np.ndarray | None, params: ModelParams) -> np.ndarray:
@@ -288,7 +280,6 @@ def finite_memory_drift(
     Requires s = sigma(a) in the kind's state space.  The tests pin the
     closed-form drifts of `f_drift` against it.
     """
-    _analysed_kind(score_kind, params)
     s = np.asarray(s, dtype=float)
     a = np.asarray(a, dtype=float)
     g = state_rate_matrix(score_kind, s, params.beta)
@@ -336,7 +327,7 @@ def fixed_point_jacobian(score_kind: str, s_star: np.ndarray, params: ModelParam
     A* = m G(s*); the A-space linearization shares this spectrum apart from
     extra -1 eigenvalues.
     """
-    return _analysed_kind(score_kind, params).jacobian(np.asarray(s_star, dtype=float), params)
+    return _kind(score_kind).jacobian(np.asarray(s_star, dtype=float), params)
 
 
 def _rootdegree_jacobian(d_star: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -780,7 +771,7 @@ def two_group_equilibria(
     dropped.  A root-finder failure at one grid point loses that root there
     rather than aborting the scan.
     """
-    kind = _analysed_kind(score_kind, params)
+    kind = _kind(score_kind)
     check_count("n", n, 2)
     carried: dict[int, list] = {k: [] for k in range(1, n // 2 + 1)}
     out = []

@@ -44,6 +44,11 @@ def test_removed_name_is_absent(name):
     (endorse_dyn.pagerank_score, ("tol", "max_iter"), ()),
     (endorse_dyn.simulate_sequence, ("node_labels", "period_labels"), ()),
     (endorse_dyn.run, (), ("a0",)),
+    (endorse_dyn.fit, ("exclude_self",), ()),
+    (endorse_dyn.compare_scores, ("exclude_self",), ()),
+    (endorse_dyn.log_likelihood, ("exclude_self",), ()),
+    (endorse_dyn.grad_beta, ("exclude_self",), ()),
+    (endorse_dyn.choice_probabilities, ("exclude_self",), ()),
 ])
 def test_removed_parameters_and_defaults_stay_gone(fn, removed, required):
     params = inspect.signature(fn).parameters
@@ -65,6 +70,11 @@ def test_damping_defaults_have_one_home():
                 seen.add(name)
     assert seen == {"ModelParams", "pagerank_score", "springrank_score", "critical_beta1",
                     "log_likelihood", "grad_beta", "fit", "compare_scores"}
+
+
+def test_model_params_has_no_exclude_self():
+    # one endorsement model, the paper's: an endorser may choose itself
+    assert "exclude_self" not in endorse_dyn.ModelParams.__dataclass_fields__
 
 
 def test_trajectory_fields():

@@ -53,13 +53,6 @@ class TestChoiceProbabilities:
         assert np.all(np.isfinite(p))
         assert p[0, 0] == pytest.approx(1.0)
 
-    def test_exclude_self_zeroes_diagonal(self):
-        rng = np.random.default_rng(2)
-        u = rng.normal(size=(4, 4))
-        p = choice_probabilities(u, exclude_self=True)
-        assert np.all(np.diag(p) == 0.0)
-        assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
-
     @settings(max_examples=40, deadline=None)
     @given(
         u=arrays(np.float64, (3, 3), elements=st.floats(-20, 20, allow_nan=False)),

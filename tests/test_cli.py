@@ -371,12 +371,17 @@ class TestFitAndCompare:
         t1 = (out / "table1.csv").read_text().splitlines()
         assert len(t1) == 4
 
-    @pytest.mark.parametrize("case", ["zero-restarts", "one-period"])
+    @pytest.mark.parametrize("case", ["zero-restarts", "one-period", "two-periods"])
     def test_compare_argument_and_data_errors_exit_2(self, runner, tmp_path, case):
         # the error every kind shares is a usage error, not a fit failure
         if case == "one-period":
             data, restarts = tmp_path / "one.csv", "1"
             data.write_text("period,source,target,count\n1,a,b,2\n1,b,a,1\n")
+        elif case == "two-periods":
+            # period 1 becomes A(0), so lambda cannot enter the likelihood
+            data, restarts = tmp_path / "two.csv", "1"
+            data.write_text("period,source,target,count\n1,a,b,2\n1,b,c,1\n1,c,a,1\n"
+                            "2,a,c,1\n2,b,a,2\n2,c,b,1\n")
         else:
             data, restarts = make_data_csv(tmp_path), "0"
         out = tmp_path / "cmp"

@@ -317,6 +317,22 @@ class TestStacks:
             pagerank_score(np.ones(3))
 
 
+class TestRelabelling:
+    """Renaming the nodes renames the scores: score(P A P^T) = P score(A)."""
+
+    @pytest.mark.parametrize("kind", ["rootdegree", "pagerank", "springrank"])
+    def test_scores_permute_with_the_nodes(self, kind):
+        rng = np.random.default_rng(31)
+        stack = rng.integers(0, 5, size=(4, 6, 6)).astype(float)
+        perm = rng.permutation(6)  # new node k is old node perm[k]
+        relabelled = stack[:, perm][:, :, perm]
+        params = ModelParams(lam=0.5, score_kind=kind)
+        s = score(stack, params)
+        assert np.max(np.abs(score(relabelled, params) - s[:, perm])) <= 1e-12
+        s0 = score(stack[0], params)
+        assert np.max(np.abs(score(relabelled[0], params) - s0[perm])) <= 1e-12
+
+
 class TestInputChecks:
     @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
     @pytest.mark.parametrize("bad", ["nan", "inf", "non-square", "negative"])

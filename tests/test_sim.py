@@ -41,9 +41,7 @@ def manual_run(params, a0, steps):
     hist, deltas = [], []
     for t in range(steps):
         s = scores.score(state.a, params)
-        p = choice.choice_probabilities(
-            tiled_utility(s, params.beta), exclude_self=params.exclude_self
-        )
+        p = choice.choice_probabilities(tiled_utility(s, params.beta))
         hist.append(rank_vector(p))
         delta = choice.sample_delta(p, params.m, _step_rng(params.seed, t))
         deltas.append(delta)
@@ -65,11 +63,9 @@ class TestRun:
         assert np.array_equal(t1.a_final, t2.a_final)
 
     @pytest.mark.parametrize("lam", [0.0, 0.8, 1.0])
-    @pytest.mark.parametrize("exclude_self", [False, True])
     @pytest.mark.parametrize("kind", ["rootdegree", "pagerank", "springrank"])
-    def test_matches_manual_replay(self, kind, exclude_self, lam):
-        p = ModelParams(lam=lam, beta=(2.0, -1.0), m=2, score_kind=kind, seed=7,
-                        exclude_self=exclude_self)
+    def test_matches_manual_replay(self, kind, lam):
+        p = ModelParams(lam=lam, beta=(2.0, -1.0), m=2, score_kind=kind, seed=7)
         a0 = uniform_initial(4, 2)
         traj = run(p, a0=a0, steps=25)
         hist, a_last, _ = manual_run(p, a0, 25)

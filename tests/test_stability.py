@@ -414,22 +414,6 @@ class TestTwoGroupContinuation:
         with pytest.raises(DomainError, match="n must be an integer"):
             two_group_equilibria("rootdegree", p, 2.5, [1.0])
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_rejects_exclude_self(self, kind):
-        # the analysis is of the model that allows self-endorsement
-        p = params_for(kind, 2.0).with_(exclude_self=True)
-        s = random_state(kind, 6, np.random.default_rng(4))
-        a = p.m * state_rate_matrix(kind, s, p.beta)
-        calls = [
-            lambda: two_group_equilibria(kind, p, 6, [10.0]),
-            lambda: f_drift(kind, s, a, p),
-            lambda: fixed_point_jacobian(kind, s, p),
-            lambda: finite_memory_drift(kind, s, a, p),
-        ]
-        for call in calls:
-            with pytest.raises(DomainError, match="exclude_self"):
-                call()
-
 
 def scan_every_k(kind, params, n, grid):
     """Two-group roots by a scan of every k = 1..n-1, as an oracle.
