@@ -320,17 +320,18 @@ class TestStacks:
 class TestRelabelling:
     """Renaming the nodes renames the scores: score(P A P^T) = P score(A)."""
 
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
     @pytest.mark.parametrize("kind", ["rootdegree", "pagerank", "springrank"])
-    def test_scores_permute_with_the_nodes(self, kind):
+    def test_scores_permute_with_the_nodes(self, kind, stacked):
         rng = np.random.default_rng(31)
         stack = rng.integers(0, 5, size=(4, 6, 6)).astype(float)
         perm = rng.permutation(6)  # new node k is old node perm[k]
         relabelled = stack[:, perm][:, :, perm]
+        if not stacked:
+            stack, relabelled = stack[0], relabelled[0]
         params = ModelParams(lam=0.5, score_kind=kind)
         s = score(stack, params)
-        assert np.max(np.abs(score(relabelled, params) - s[:, perm])) <= 1e-12
-        s0 = score(stack[0], params)
-        assert np.max(np.abs(score(relabelled[0], params) - s0[perm])) <= 1e-12
+        assert np.max(np.abs(score(relabelled, params) - s[..., perm])) <= 1e-12
 
 
 class TestInputChecks:
