@@ -27,6 +27,10 @@ def utility(s: np.ndarray, beta) -> np.ndarray:
     if len(beta) != 2:
         raise DomainError(f"beta needs 2 coefficients (prestige, proximity), got {len(beta)}")
     b1, b2 = (float(b) for b in beta)
+    return _utility(s, b1, b2)
+
+
+def _utility(s: np.ndarray, b1: float, b2: float) -> np.ndarray:
     n = s.shape[0]
     u = np.zeros((n, n))
     if b1 != 0.0:
@@ -38,8 +42,11 @@ def utility(s: np.ndarray, beta) -> np.ndarray:
 
 def choice_probabilities(u: np.ndarray) -> np.ndarray:
     """Row-wise softmax of u, stabilized by subtracting row maxima."""
-    u = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(u)):
+    return _softmax(np.asarray(u, dtype=float))
+
+
+def _softmax(u: np.ndarray) -> np.ndarray:
+    if not np.isfinite(u).all():
         raise DomainError("utilities must be finite")
     shifted = u - u.max(axis=1, keepdims=True)
     ex = np.exp(shifted)

@@ -15,8 +15,8 @@ Each model input has one rule here (`check_matrix`, `check_m`, `check_lam`,
 `check_alpha_p`, `check_alpha_s`, `check_count`), which every entry point
 that takes the input calls before any work, and each damping constant one
 default (`ALPHA_P`, `ALPHA_S`), which every signature that takes it uses.
-The simulation kernel in :mod:`endorse_dyn.sim` validates A(0) once and
-applies `step`'s update in place.
+The simulation kernel in :mod:`endorse_dyn.sim` applies the rules once per
+run and `step`'s update in place; its module notes say what runs each step.
 """
 
 from __future__ import annotations

@@ -12,11 +12,17 @@ for bit for root degree and PageRank, up to rounding for SpringRank.  Each
 kind takes the cheapest exact solve for its size: PageRank a direct solve
 up to n = PAGERANK_DIRECT_MAX_N and power iteration above it, SpringRank
 one Cholesky factorization by LAPACK for a single matrix.
+
+Each public function checks its inputs and then calls a private core
+(`_root_degree`, `_pagerank_direct` or `_pagerank_power`, `_springrank`)
+on the validated matrix; `score` calls the core that `_score_core` binds.
+The simulation kernel calls the cores directly (see :mod:`endorse_dyn.sim`).
 """
 
 from __future__ import annotations
 
 import warnings
+from functools import partial
 
 import numpy as np
 from scipy.linalg import LinAlgWarning
@@ -49,7 +55,11 @@ def out_degree(a: np.ndarray) -> np.ndarray:
 
 def root_degree_score(a: np.ndarray) -> np.ndarray:
     """s_i = sqrt(in-degree of i)."""
-    return np.sqrt(in_degree(check_matrix(a, "adjacency")))
+    return _root_degree(check_matrix(a, "adjacency"))
+
+
+def _root_degree(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(in_degree(a))
 
 
 def _row_stochastic(a: np.ndarray) -> np.ndarray:
@@ -81,29 +91,36 @@ def pagerank_score(a: np.ndarray, alpha_p: float = ALPHA_P) -> np.ndarray:
     """
     a = check_matrix(a, "adjacency")
     check_alpha_p(alpha_p)
+    return _pagerank_solver(a.shape[-1])(a, alpha_p)
+
+
+def _pagerank_solver(n: int):
+    """The PageRank core for n nodes, `_pagerank_direct` or
+    `_pagerank_power`; PAGERANK_DIRECT_MAX_N is read at call time."""
+    return _pagerank_direct if n <= PAGERANK_DIRECT_MAX_N else _pagerank_power
+
+
+def _pagerank_direct(a: np.ndarray, alpha_p: float) -> np.ndarray:
     n = a.shape[-1]
     p = _row_stochastic(a)
-    teleport = (1.0 - alpha_p) / n
-    if n > PAGERANK_DIRECT_MAX_N:
-        return n * _stacked_power_iteration(p, alpha_p, teleport)
     # I - alpha_p P^T is column diagonally dominant, so never singular
     lhs = np.eye(n) - alpha_p * np.swapaxes(p, -1, -2)
-    x = np.linalg.solve(lhs, np.full((*a.shape[:-1], 1), teleport))[..., 0]
+    x = np.linalg.solve(lhs, np.full((*a.shape[:-1], 1), (1.0 - alpha_p) / n))[..., 0]
     return n * x / x.sum(axis=-1, keepdims=True)
 
 
-def _stacked_power_iteration(p, alpha_p, teleport):
-    """The power iteration on one (n, n) row-stochastic matrix or an
-    (..., n, n) stack of them, all slices at once; returns pi of shape
-    (..., n).
+def _pagerank_power(a: np.ndarray, alpha_p: float) -> np.ndarray:
+    """PageRank by power iteration on one (n, n) matrix or an (..., n, n)
+    stack of them, all slices at once.
 
     A slice whose L1 change reaches PAGERANK_TOL is set aside and the rest
     go on, so each slice stops at the iterate where it would stop alone and
-    gets the scores it gets alone, bit for bit.  Both constants are read at
-    call time.
+    gets the scores it gets alone, bit for bit.  PAGERANK_TOL and
+    PAGERANK_MAX_ITER are read at call time.
     """
-    shape, n = p.shape[:-1], p.shape[-1]
-    p = p.reshape(-1, n, n)
+    shape, n = a.shape[:-1], a.shape[-1]
+    p = _row_stochastic(a).reshape(-1, n, n)
+    teleport = (1.0 - alpha_p) / n
     pi = np.full((len(p), n, 1), 1.0 / n)
     out = np.empty_like(pi)
     left = np.arange(len(p))
@@ -116,7 +133,7 @@ def _stacked_power_iteration(p, alpha_p, teleport):
         if done.any():
             out[left[done]] = pi[done]
             if done.all():
-                return out.reshape(shape)
+                return n * out.reshape(shape)
             left, p, pi = left[~done], p[~done], pi[~done]
     raise NumericError(
         "pagerank power iteration did not converge",
@@ -180,6 +197,10 @@ def springrank_score(a: np.ndarray, alpha_s: float = ALPHA_S) -> np.ndarray:
     """
     a = check_matrix(a, "adjacency")
     check_alpha_s(alpha_s)
+    return _springrank(a, alpha_s)
+
+
+def _springrank(a: np.ndarray, alpha_s: float) -> np.ndarray:
     lap, rhs = _spring_system(a, alpha_s)
     if a.ndim == 2:
         s = _cholesky_solve(lap, rhs)
@@ -196,11 +217,22 @@ def score(a: np.ndarray, params) -> np.ndarray:
 
     `a` is one (n, n) matrix or an (..., n, n) stack; see the module notes.
     """
+    a = check_matrix(a, "adjacency")
+    return _score_core(params, a.shape[-1])(a)
+
+
+def _score_core(params, n: int):
+    """The score function of params.score_kind for validated (..., n, n)
+    matrices, with the kind's settings read now: alpha_p and the PageRank
+    solver for n, or alpha_s.
+    """
     kind = params.score_kind
     if kind == "rootdegree":
-        return root_degree_score(a)
+        return _root_degree
     if kind == "pagerank":
-        return pagerank_score(a, params.alpha_p)
+        check_alpha_p(params.alpha_p)
+        return partial(_pagerank_solver(n), alpha_p=params.alpha_p)
     if kind == "springrank":
-        return springrank_score(a, params.alpha_s)
+        check_alpha_s(params.alpha_s)
+        return partial(_springrank, alpha_s=params.alpha_s)
     raise DomainError(f"unknown score kind {kind!r}")

@@ -5,6 +5,15 @@ rank vector gamma(t) (the probability that the next endorsement lands on
 each node) at every step.  Runs are bit-reproducible: the update matrix at
 step t is drawn from a generator seeded with the pair (seed, t), so any
 single step can be replayed in isolation.
+
+One kernel, `_steps`, runs every simulation.  Once per run, `_initial`
+validates A(0) and the kernel reads the settings a run cannot change: the
+kind's score core with alpha_p and the PageRank solver for n, or alpha_s,
+and beta, m, lam and the seed.  Each step then calls the private cores of
+`scores` and `choice` without their input checks.  The checks that stay
+every step are the utilities' finiteness, PageRank's uniform row for a row
+with zero out-degree, and the SpringRank factorization with its condition
+estimate.
 """
 
 from __future__ import annotations
@@ -48,23 +57,30 @@ def _steps(params: ModelParams, a: np.ndarray, steps: int, unit: str = "step"):
     choice matrix, and delta is drawn from the generator seeded with
     (seed, t).  Errors name the step, called `unit` in their messages; an
     overflowing utility raises DomainError without numpy's overflow warning.
+
+    The run's settings are read on the first step, so a PAGERANK_DIRECT_MAX_N
+    set before it takes effect.
     """
-    lam = params.lam
+    n = a.shape[0]
+    score = scores._score_core(params, n)
+    b1, b2 = params.beta
+    lam, m, seed = params.lam, params.m, params.seed
+    fresh = 1.0 - lam
     for t in range(steps):
         try:
-            s = scores.score(a, params)
+            s = score(a)
         except NumericError as exc:
             raise NumericError(f"score failed at {unit} {t}: {exc}", exc.diagnostics) from exc
         with np.errstate(over="ignore", invalid="ignore"):
-            u = choice.utility(s, params.beta)
+            u = choice._utility(s, b1, b2)
         try:
-            p = choice.choice_probabilities(u)
+            p = choice._softmax(u)
         except DomainError as exc:
             raise DomainError(f"{unit} {t}: {exc}") from exc
-        delta = choice.sample_delta(p, params.m, _step_rng(params.seed, t))
+        delta = choice.sample_delta(p, m, _step_rng(seed, t))
         a *= lam
-        a += (1.0 - lam) * delta
-        yield p.mean(axis=0), delta
+        a += fresh * delta
+        yield p.sum(axis=0) / n, delta
 
 
 def run(params: ModelParams, a0: np.ndarray, steps: int = 2000) -> Trajectory:

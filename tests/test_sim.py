@@ -2,11 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgWarning
 
 from endorse_dyn import choice, scores, sim
 from endorse_dyn.core import EndorsementState, ModelParams, rank_vector, step, uniform_initial
 from endorse_dyn.data import simulate_sequence
-from endorse_dyn.errors import DomainError
+from endorse_dyn.errors import DomainError, NumericError
 from endorse_dyn.sim import (
     Trajectory,
     _cell_seed,
@@ -34,13 +35,23 @@ def tiled_utility(s, beta):
     return u
 
 
+def public_score(a, params):
+    """The public score function of params.score_kind, called by name, so
+    that the replay shares no per-run binding with the kernel."""
+    if params.score_kind == "rootdegree":
+        return scores.root_degree_score(a)
+    if params.score_kind == "pagerank":
+        return scores.pagerank_score(a, params.alpha_p)
+    return scores.springrank_score(a, params.alpha_s)
+
+
 def manual_run(params, a0, steps):
     """Re-simulate with plain loops through EndorsementState, step and
     rank_vector, no Trajectory plumbing."""
     state = EndorsementState(a=np.asarray(a0, dtype=float))
     hist, deltas = [], []
     for t in range(steps):
-        s = scores.score(state.a, params)
+        s = public_score(state.a, params)
         p = choice.choice_probabilities(tiled_utility(s, params.beta))
         hist.append(rank_vector(p))
         delta = choice.sample_delta(p, params.m, _step_rng(params.seed, t))
@@ -134,6 +145,104 @@ class TestRun:
     def test_rejects_fractional_steps(self):
         with pytest.raises(DomainError, match="steps"):
             run(ModelParams(lam=0.9), a0=uniform_initial(3, 1), steps=2.5)
+
+
+KINDS = ["rootdegree", "pagerank", "springrank"]
+# node 0 endorses nobody; A(0) holds more weight than m
+ZERO_ROW_A0 = [[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 2.0, 0.0],
+               [0.0, 1.0, 0.0, 1.0], [2.0, 0.0, 1.0, 0.0]]
+# node 0 neither endorses nor is endorsed
+ISOLATED_A0 = [[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 2.0, 1.0],
+               [0.0, 1.0, 0.0, 1.0], [0.0, 3.0, 0.0, 0.0]]
+
+
+def assert_replays(params, a0, steps):
+    """run equals manual_run bit for bit: gamma history and final state."""
+    traj = run(params, a0=a0, steps=steps)
+    hist, a_last, _ = manual_run(params, a0, steps)
+    assert np.array_equal(traj.gamma_t, hist)
+    assert np.array_equal(traj.a_final, a_last)
+
+
+def kernel_states(params, a0, steps):
+    """A(0), ..., A(steps): the kernel's array before the first step and
+    after each one."""
+    a = _initial(a0)
+    return [a.copy()] + [a.copy() for _ in _steps(params, a, steps)]
+
+
+class TestKernelBranches:
+    """The kernel binds a run's settings once; each branch it binds or keeps
+    is replayed through the public score, choice_probabilities, rank_vector
+    and step."""
+
+    def test_pagerank_rows_emptied_by_underflow(self):
+        # lam^4 = 1e-400 underflows to 0, so a node that endorsed nobody in
+        # the last few steps has a row of exact zeros: A(0) without a zero
+        # row and lam > 0 do not rule out dangling rows
+        p = ModelParams(lam=1e-100, beta=(2.0, -1.0), m=1, score_kind="pagerank", seed=3)
+        a0 = uniform_initial(6, 1)
+        assert any((a.sum(axis=1) == 0.0).any() for a in kernel_states(p, a0, 60))
+        assert_replays(p, a0, 60)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.8])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_zero_row_in_a0(self, kind, lam):
+        p = ModelParams(lam=lam, beta=(2.0, -1.0), m=2, score_kind=kind, seed=4)
+        assert_replays(p, ZERO_ROW_A0, 25)
+
+    @pytest.mark.parametrize("beta", [(0.0, 0.0), (2.5, 0.0), (0.0, -1.5)])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_zero_utility_coefficients(self, kind, beta):
+        p = ModelParams(lam=0.8, beta=beta, m=2, score_kind=kind, seed=6)
+        assert_replays(p, uniform_initial(5, 2), 25)
+
+    def test_pagerank_power_iteration_path(self):
+        n = scores.PAGERANK_DIRECT_MAX_N + 1
+        p = ModelParams(lam=0.9, beta=(3.0, -1.0), m=n, score_kind="pagerank", seed=5)
+        assert_replays(p, uniform_initial(n, n), 4)
+
+    @pytest.mark.parametrize("lam", [0.8, 1.0])
+    def test_springrank_isolated_node(self, lam):
+        p = ModelParams(lam=lam, beta=(2.0, -1.0), m=2, score_kind="springrank", seed=8)
+        assert_replays(p, ISOLATED_A0, 25)
+
+
+def springrank_outcome(call):
+    """The string "fails" if `call` raises NumericError, else the
+    categories of the warnings it emits."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            call()
+        except NumericError:
+            return "fails"
+    return [w.category for w in caught]
+
+
+class TestSpringRankErrorParity:
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_warns_and_fails_where_springrank_score_does(self, seed):
+        """At a tiny alpha_s the system grows ill-conditioned: at every step
+        the kernel warns, or fails naming the step, exactly when the public
+        springrank_score does on A(t)."""
+        p = ModelParams(lam=0.8, beta=(1.0, -0.5), m=2, score_kind="springrank",
+                        alpha_s=1e-16, seed=seed)
+        a = _initial(uniform_initial(4, 2))
+        kernel = _steps(p, a, 30)
+        seen = []
+        for t in range(30):
+            want = springrank_outcome(lambda: scores.springrank_score(a.copy(), p.alpha_s))
+            seen.append(want)
+            if want == "fails":
+                with pytest.raises(NumericError, match=f"score failed at step {t}: "):
+                    next(kernel)
+                break
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                next(kernel)
+            assert [w.category for w in caught] == want, t
+        assert seen[-1] == "fails" and [LinAlgWarning] in seen
 
 
 class TestSummaries:
