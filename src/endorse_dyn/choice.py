@@ -27,16 +27,29 @@ def utility(s: np.ndarray, beta) -> np.ndarray:
     if len(beta) != 2:
         raise DomainError(f"beta needs 2 coefficients (prestige, proximity), got {len(beta)}")
     b1, b2 = (float(b) for b in beta)
-    return _utility(s, b1, b2)
+    return _utility(s, _weight(b1), _weight(b2))
 
 
-def _utility(s: np.ndarray, b1: float, b2: float) -> np.ndarray:
-    n = s.shape[0]
-    u = np.zeros((n, n))
-    if b1 != 0.0:
-        u += b1 * s
-    if b2 != 0.0:
-        u += b2 * (s[:, None] - s[None, :]) ** 2
+def _weight(b):
+    """A utility coefficient as `_utility` takes it: b, a float or one per
+    slice of a stack, as a (..., 1, 1) array, with where its term is kept:
+    in every slice (True), in none (None) or in the slices where b != 0."""
+    b = np.asarray(b, dtype=float)[..., None, None]
+    on = b != 0.0
+    return b, True if on.all() else on if on.any() else None
+
+
+def _utility(s: np.ndarray, w1, w2) -> np.ndarray:
+    """The utilities of one score vector (n,) or a stack of them (..., n),
+    with coefficients from `_weight`.  A zero coefficient drops its term in
+    its own slice only, and each slice gets the bits of its own call."""
+    u = np.zeros(s.shape + s.shape[-1:])
+    b, on = w1
+    if on is not None:
+        np.add(u, b * s[..., None, :], out=u, where=on)
+    b, on = w2
+    if on is not None:
+        np.add(u, b * (s[..., :, None] - s[..., None, :]) ** 2, out=u, where=on)
     return u
 
 
@@ -46,11 +59,12 @@ def choice_probabilities(u: np.ndarray) -> np.ndarray:
 
 
 def _softmax(u: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of one (n, n) matrix or a stack of them."""
     if not np.isfinite(u).all():
         raise DomainError("utilities must be finite")
-    shifted = u - u.max(axis=1, keepdims=True)
+    shifted = u - u.max(axis=-1, keepdims=True)
     ex = np.exp(shifted)
-    return ex / ex.sum(axis=1, keepdims=True)
+    return ex / ex.sum(axis=-1, keepdims=True)
 
 
 def sample_delta(p: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:

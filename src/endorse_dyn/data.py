@@ -366,5 +366,6 @@ def simulate_sequence(params: ModelParams, a0: np.ndarray, periods: int) -> Inte
     labelled v0, v1, ... and its periods 0, 1, ...
     """
     check_count("periods", periods, 1)
-    deltas = [delta for _, delta in _steps(params, _initial(a0), periods, unit="period")]
+    a = _initial(a0)[None]
+    deltas = [delta[0] for _, delta in _steps(params, a, periods, unit="period")]
     return _labelled(deltas, None, None, a0)

@@ -200,10 +200,16 @@ def springrank_score(a: np.ndarray, alpha_s: float = ALPHA_S) -> np.ndarray:
     return _springrank(a, alpha_s)
 
 
-def _springrank(a: np.ndarray, alpha_s: float) -> np.ndarray:
+def _springrank(a: np.ndarray, alpha_s: float, slices: bool = False) -> np.ndarray:
+    """SpringRank of a validated matrix or stack.  A stack is solved by one
+    batched LU solve, or with `slices` (a (C, n, n) stack only) by one
+    `_cholesky_solve` per slice, which gives each slice its single-matrix
+    bits and errors."""
     lap, rhs = _spring_system(a, alpha_s)
     if a.ndim == 2:
         s = _cholesky_solve(lap, rhs)
+    elif slices:
+        s = np.stack([_cholesky_solve(*system) for system in zip(lap, rhs)])
     else:
         try:
             s = np.linalg.solve(lap, rhs[..., None])[..., 0]
@@ -221,10 +227,11 @@ def score(a: np.ndarray, params) -> np.ndarray:
     return _score_core(params, a.shape[-1])(a)
 
 
-def _score_core(params, n: int):
+def _score_core(params, n: int, slices: bool = False):
     """The score function of params.score_kind for validated (..., n, n)
     matrices, with the kind's settings read now: alpha_p and the PageRank
-    solver for n, or alpha_s.
+    solver for n, or alpha_s.  With `slices` it takes (C, n, n) stacks and
+    scores each slice bit for bit as alone (see `_springrank`).
     """
     kind = params.score_kind
     if kind == "rootdegree":
@@ -234,5 +241,5 @@ def _score_core(params, n: int):
         return partial(_pagerank_solver(n), alpha_p=params.alpha_p)
     if kind == "springrank":
         check_alpha_s(params.alpha_s)
-        return partial(_springrank, alpha_s=params.alpha_s)
+        return partial(_springrank, alpha_s=params.alpha_s, slices=slices)
     raise DomainError(f"unknown score kind {kind!r}")

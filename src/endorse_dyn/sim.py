@@ -6,14 +6,26 @@ each node) at every step.  Runs are bit-reproducible: the update matrix at
 step t is drawn from a generator seeded with the pair (seed, t), so any
 single step can be replayed in isolation.
 
-One kernel, `_steps`, runs every simulation.  Once per run, `_initial`
-validates A(0) and the kernel reads the settings a run cannot change: the
-kind's score core with alpha_p and the PageRank solver for n, or alpha_s,
-and beta, m, lam and the seed.  Each step then calls the private cores of
-`scores` and `choice` without their input checks.  The checks that stay
-every step are the utilities' finiteness, PageRank's uniform row for a row
-with zero out-degree, and the SpringRank factorization with its condition
-estimate.
+One kernel, `_steps`, runs every simulation.  It steps a stack of cells
+in lockstep: each has its own A(t), beta and seed, and they share lam, m
+and the score kind.  `run` and `data.simulate_sequence` step one cell;
+`simulate_cells` (under `variance_sweep` and `bifurcate --overlay`) cuts
+its grid into chunks of consecutive cells holding at most
+LOCKSTEP_MAX_ENTRIES state entries (cells x n^2), steps each chunk as one
+stack, and maps the chunks on the thread pool.  At small n a step's cost
+is numpy's per-call overhead, which one stack pays once for all its cells
+where threads, serialized by the GIL, would pay it once per cell; at large
+n each cell is its own chunk and the pool's threads overlap its array
+work.  Every cell draws from its own (seed, t) generators and gets the
+bits of its run alone.
+
+Once per run, `_initial` validates A(0) and the kernel reads the settings
+a run cannot change: the kind's score core with alpha_p and the PageRank
+solver for n, or alpha_s, and the cells' beta and seeds, m and lam.  Each
+step then calls the private cores of `scores` and `choice` without their
+input checks.  The checks that stay every step are the utilities'
+finiteness, PageRank's uniform row for a row with zero out-degree, and
+each cell's SpringRank factorization with its condition estimate.
 """
 
 from __future__ import annotations
@@ -26,6 +38,14 @@ from . import choice, scores
 from .core import EndorsementState, ModelParams, check_count, uniform_initial
 from .errors import DomainError, NumericError
 from .parallel import parallel_map
+
+# The most state entries (cells x n^2) that `simulate_cells` steps in one
+# lockstep chunk, at least one cell.  Measured on 2 vCPU with 2 threads
+# (m=n, lambda=0.99, the 3 kinds), two cells in lockstep took 0.70x the
+# time of one cell per chunk at n=8, 0.44x at n=16, 0.54x at n=32 and
+# 0.90-0.93x at n=64 (8192 entries), but 1.1-1.3x at n=80 (12,800
+# entries); four cells at n=256 took 1.44x.
+LOCKSTEP_MAX_ENTRIES = 8192
 
 
 @dataclass(frozen=True)
@@ -48,23 +68,29 @@ def _initial(a0) -> np.ndarray:
     return EndorsementState(a=np.asarray(a0, dtype=float)).a.copy()
 
 
-def _steps(params: ModelParams, a: np.ndarray, steps: int, unit: str = "step"):
+def _steps(params: ModelParams, a: np.ndarray, steps: int, unit: str = "step", cells=None):
     """The simulation kernel: yield (gamma, delta) for each step t.
 
-    `a` comes from `_initial` and holds A(t); each step overwrites it with
-    A(t+1) = lam A(t) + (1 - lam) delta(t), the float operations of
-    `core.step`.  gamma is the rank vector of A(t), the column mean of its
-    choice matrix, and delta is drawn from the generator seeded with
-    (seed, t).  Errors name the step, called `unit` in their messages; an
-    overflowing utility raises DomainError without numpy's overflow warning.
+    `a` is a (C, n, n) stack of C cells' A(t), each slice from `_initial`;
+    `cells` holds one (beta, seed) pair per cell, by default params' own
+    for C = 1.  The cells share lam, m, the score kind and its settings.
+    Each step overwrites `a` with A(t+1) = lam A(t) + (1 - lam) delta(t),
+    the float operations of `core.step`.  gamma (C, n) holds each cell's
+    rank vector of A(t), the column mean of its choice matrix, and delta
+    (C, n, n) each cell's draw from the generator seeded with (its seed,
+    t), so every cell gets the bits of its run alone.  Errors name the
+    step, called `unit` in their messages, at which the first cell fails;
+    an overflowing utility raises DomainError without numpy's overflow
+    warning.
 
     The run's settings are read on the first step, so a PAGERANK_DIRECT_MAX_N
     set before it takes effect.
     """
-    n = a.shape[0]
-    score = scores._score_core(params, n)
-    b1, b2 = params.beta
-    lam, m, seed = params.lam, params.m, params.seed
+    n = a.shape[-1]
+    score = scores._score_core(params, n, slices=True)
+    beta, seeds = zip(*(cells or [(params.beta, params.seed)]))
+    w1, w2 = (choice._weight(b) for b in np.array(beta).T)
+    lam, m = params.lam, params.m
     fresh = 1.0 - lam
     for t in range(steps):
         try:
@@ -72,15 +98,17 @@ def _steps(params: ModelParams, a: np.ndarray, steps: int, unit: str = "step"):
         except NumericError as exc:
             raise NumericError(f"score failed at {unit} {t}: {exc}", exc.diagnostics) from exc
         with np.errstate(over="ignore", invalid="ignore"):
-            u = choice._utility(s, b1, b2)
+            u = choice._utility(s, w1, w2)
         try:
             p = choice._softmax(u)
         except DomainError as exc:
             raise DomainError(f"{unit} {t}: {exc}") from exc
-        delta = choice.sample_delta(p, m, _step_rng(seed, t))
+        draws = [choice.sample_delta(pc, m, _step_rng(seed, t)) for pc, seed in zip(p, seeds)]
+        # one cell steps with its own draw: no copy of an n x n matrix per step
+        delta = draws[0][None] if len(draws) == 1 else np.stack(draws)
         a *= lam
         a += fresh * delta
-        yield p.sum(axis=0) / n, delta
+        yield p.sum(axis=-2) / n, delta
 
 
 def run(params: ModelParams, a0: np.ndarray, steps: int = 2000) -> Trajectory:
@@ -92,8 +120,8 @@ def run(params: ModelParams, a0: np.ndarray, steps: int = 2000) -> Trajectory:
     check_count("steps", steps, 0)
     a = _initial(a0)
     gamma_hist = np.empty((steps, a.shape[0]))
-    for t, (gamma, _) in enumerate(_steps(params, a, steps)):
-        gamma_hist[t] = gamma
+    for t, (gamma, _) in enumerate(_steps(params, a[None], steps)):
+        gamma_hist[t] = gamma[0]
     return Trajectory(gamma_t=gamma_hist, a_final=a, params=params)
 
 
@@ -122,18 +150,31 @@ def _cell_seed(base_seed: int, index: int) -> int:
 def simulate_cells(params: ModelParams, n: int, betas, steps: int = 2000,
                    window: int = 500) -> list[tuple[np.ndarray, float]]:
     """(mean_gamma, rank_variance) over the final window of one run per
-    (beta1, beta2) cell, in grid order, from the thread pool.  Cell i runs
-    from uniform_initial(n, m) with seed _cell_seed(seed, i)."""
+    (beta1, beta2) cell, in grid order.  Cell i runs from
+    uniform_initial(n, m) with seed _cell_seed(seed, i), and gets the bits
+    of that run alone.  Consecutive cells step in lockstep chunks of at
+    most LOCKSTEP_MAX_ENTRIES state entries, and the thread pool maps the
+    chunks."""
     check_count("window", window, 1, steps)
-    a0 = uniform_initial(n, params.m)
+    check_count("steps", steps, 0)
+    a0 = _initial(uniform_initial(n, params.m))
+    cells = [params.with_(beta=beta, seed=_cell_seed(params.seed, index))
+             for index, beta in enumerate(betas)]
+    size = max(1, LOCKSTEP_MAX_ENTRIES // n**2)
 
-    def one(item):
-        index, beta = item
-        traj = run(params.with_(beta=beta, seed=_cell_seed(params.seed, index)),
-                   a0=a0, steps=steps)
-        return mean_gamma(traj, window), rank_variance(traj, window)
+    def chunk(part):
+        a = np.repeat(a0[None], len(part), axis=0)
+        tail = np.empty((len(part), window, n))  # each cell's final window of gamma
+        kernel = _steps(params, a, steps, cells=[(c.beta, c.seed) for c in part])
+        for t, (gamma, _) in enumerate(kernel):
+            if t >= steps - window:
+                tail[:, t - (steps - window)] = gamma
+        # each cell's run, cut to its final window
+        runs = [Trajectory(gamma_t=g, a_final=ac, params=c) for g, ac, c in zip(tail, a, part)]
+        return [(mean_gamma(r, window), rank_variance(r, window)) for r in runs]
 
-    return parallel_map(one, enumerate(betas))
+    chunks = parallel_map(chunk, (cells[i:i + size] for i in range(0, len(cells), size)))
+    return [cell for done in chunks for cell in done]
 
 
 def variance_sweep(params: ModelParams, n: int, beta1_values, beta2_values,

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from endorse_dyn import choice
 from endorse_dyn.choice import choice_probabilities, sample_delta, utility
 from endorse_dyn.errors import DomainError
 
@@ -28,6 +29,19 @@ class TestUtility:
     def test_rejects_wrong_beta_length(self):
         with pytest.raises(DomainError):
             utility(np.array([1.0, 0.0]), (1.0,))
+
+    def test_stack_drops_zero_terms_per_slice(self):
+        """One coefficient pair per slice of a score stack: each slice gets
+        the bits of utility on it alone, so an infinite score under zero
+        weights stays out of its slice and the other slices keep their terms."""
+        s = np.array([[np.inf, 0.5, -1.0], [0.3, -0.7, 2.0], [1.0, 2.0, 4.0], [0.2, 0.0, 1.5]])
+        betas = [(0.0, 0.0), (2.5, 0.0), (0.0, -1.5), (2.0, -1.0)]
+        w1, w2 = (choice._weight(b) for b in np.array(betas).T)
+        # the masked-out 0 * inf is still computed, as in the kernel
+        with np.errstate(invalid="ignore"):
+            u = choice._utility(s, w1, w2)
+        for sc, beta, uc in zip(s, betas, u):
+            assert np.array_equal(uc, utility(sc, beta))
 
     def test_nonfinite_utilities_rejected_downstream(self):
         u = utility(np.array([1.0, np.nan]), (1.0, 0.0))

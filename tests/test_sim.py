@@ -148,6 +148,8 @@ class TestRun:
 
 
 KINDS = ["rootdegree", "pagerank", "springrank"]
+# zero and nonzero beta1 and beta2 in one grid
+MIXED_BETAS = [(0.0, 0.0), (3.0, -1.0), (2.5, 0.0), (0.0, -1.5)]
 # node 0 endorses nobody; A(0) holds more weight than m
 ZERO_ROW_A0 = [[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 2.0, 0.0],
                [0.0, 1.0, 0.0, 1.0], [2.0, 0.0, 1.0, 0.0]]
@@ -168,7 +170,7 @@ def kernel_states(params, a0, steps):
     """A(0), ..., A(steps): the kernel's array before the first step and
     after each one."""
     a = _initial(a0)
-    return [a.copy()] + [a.copy() for _ in _steps(params, a, steps)]
+    return [a.copy()] + [a.copy() for _ in _steps(params, a[None], steps)]
 
 
 class TestKernelBranches:
@@ -229,7 +231,7 @@ class TestSpringRankErrorParity:
         p = ModelParams(lam=0.8, beta=(1.0, -0.5), m=2, score_kind="springrank",
                         alpha_s=1e-16, seed=seed)
         a = _initial(uniform_initial(4, 2))
-        kernel = _steps(p, a, 30)
+        kernel = _steps(p, a[None], 30)
         seen = []
         for t in range(30):
             want = springrank_outcome(lambda: scores.springrank_score(a.copy(), p.alpha_s))
@@ -243,6 +245,30 @@ class TestSpringRankErrorParity:
                 next(kernel)
             assert [w.category for w in caught] == want, t
         assert seen[-1] == "fails" and [LinAlgWarning] in seen
+
+    def test_warns_and_fails_where_springrank_score_does_in_a_chunk(self):
+        """Stepped in lockstep, the cells of seeds 0 and 2 warn at every
+        step where springrank_score warns on either cell's A(t), in cell
+        order, and the chunk fails naming the first step where it fails on
+        either."""
+        p = ModelParams(lam=0.8, beta=(1.0, -0.5), m=2, score_kind="springrank",
+                        alpha_s=1e-16)
+        a = np.repeat(_initial(uniform_initial(4, 2))[None], 2, axis=0)
+        kernel = _steps(p, a, 30, cells=[(p.beta, 0), (p.beta, 2)])
+        seen = []
+        for t in range(30):
+            want = [springrank_outcome(lambda: scores.springrank_score(cell.copy(), p.alpha_s))
+                    for cell in a]
+            seen.append(want)
+            if "fails" in want:
+                with pytest.raises(NumericError, match=f"score failed at step {t}: "):
+                    next(kernel)
+                break
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                next(kernel)
+            assert [w.category for w in caught] == want[0] + want[1], t
+        assert "fails" in seen[-1] and any([LinAlgWarning] in want for want in seen)
 
 
 class TestSummaries:
@@ -300,15 +326,37 @@ class TestVarianceSweep:
             (0.0, 0.0), (0.0, -1.0), (2.0, 0.0), (2.0, -1.0)]
         assert rows[0] == rows[1]
 
-    def test_cells_match_standalone_runs(self):
-        p = ModelParams(lam=0.97, m=2, score_kind="pagerank", seed=8)
-        betas = [(0.0, 0.0), (3.0, -1.0)]
-        cells = simulate_cells(p, 4, betas, steps=60, window=20)
+    @pytest.mark.parametrize("chunk", ["one cell", "all cells"])
+    @pytest.mark.parametrize("kind, n, m, lam, betas, steps, window", [
+        *[(kind, 4, 2, 0.97, MIXED_BETAS, 60, 20) for kind in KINDS],
+        ("pagerank", scores.PAGERANK_DIRECT_MAX_N + 1, 81, 0.9,
+         [(3.0, -1.0), (0.0, 0.0), (1.5, 0.0)], 4, 2),
+        # at lam = 0, A(t) = delta(t - 1) holds m = 1 endorsement, so at
+        # least n - 2 nodes are isolated at every step after the first
+        ("springrank", 5, 1, 0.0, MIXED_BETAS, 30, 10),
+    ])
+    def test_cells_match_standalone_runs(self, kind, n, m, lam, betas, steps, window,
+                                         chunk, monkeypatch):
+        """Every cell, alone in its chunk or stepped in lockstep with the
+        whole grid, gets the bits of its own run."""
+        entries = n**2 if chunk == "one cell" else len(betas) * n**2
+        monkeypatch.setattr(sim, "LOCKSTEP_MAX_ENTRIES", entries)
+        p = ModelParams(lam=lam, m=m, score_kind=kind, seed=8)
+        cells = simulate_cells(p, n, betas, steps=steps, window=window)
         for index, (beta, (gam, var)) in enumerate(zip(betas, cells)):
             traj = run(p.with_(beta=beta, seed=_cell_seed(8, index)),
-                       a0=uniform_initial(4, 2), steps=60)
-            assert np.array_equal(gam, mean_gamma(traj, 20))
-            assert var == rank_variance(traj, 20)
+                       a0=uniform_initial(n, m), steps=steps)
+            assert np.array_equal(gam, mean_gamma(traj, window))
+            assert var == rank_variance(traj, window)
+
+    def test_failing_cell_names_the_step(self):
+        # uniform_initial(4, 16) gives every node root-degree score 2, so
+        # the second cell's beta1 = 1e308 overflows at step 0
+        p = ModelParams(lam=0.5, m=16, score_kind="rootdegree", seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="step 0: utilities must be finite"):
+                simulate_cells(p, 4, [(1.0, 0.0), (1e308, 0.0)], steps=3, window=2)
 
     def test_cells_use_independent_streams(self):
         p = ModelParams(lam=0.97, m=1, score_kind="rootdegree", seed=5)
@@ -319,7 +367,7 @@ class TestVarianceSweep:
 
     def test_fractional_window_rejected_before_any_cell_runs(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(sim, "run", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(sim, "_steps", lambda *a, **k: calls.append(a))
         p = ModelParams(lam=0.97, m=1, score_kind="rootdegree", seed=5)
         with pytest.raises(DomainError, match="window"):
             variance_sweep(p, n=4, beta1_values=[1.0, 2.0], beta2_values=[0.0],
@@ -331,7 +379,7 @@ def _pagerank_history(params, n, steps):
     """(gamma, delta) of every step and the final state of one run from
     uniform_initial(n, 1), through the simulation kernel."""
     a = _initial(uniform_initial(n, 1))
-    return list(_steps(params, a, steps)), a
+    return [(g[0], d[0]) for g, d in _steps(params, a[None], steps)], a
 
 
 class TestPageRankSolverSwap:
