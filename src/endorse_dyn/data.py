@@ -134,31 +134,33 @@ def _read_rows(path, value_name):
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            first = next(reader)
-        except StopIteration:
-            raise FormatError(f"empty file, expected header {','.join(header)}")
-        if tuple(h.strip() for h in first) != header:
-            raise FormatError(
-                f"expected header {','.join(header)}, got {','.join(first)}", line=1
-            )
-        rows = []
-        for row in reader:
-            line = reader.line_num
-            if row == []:
-                continue
-            if len(row) != 4:
-                raise FormatError(f"expected 4 fields, got {len(row)}", line=line)
-            period, src, dst, value = (f.strip() for f in row)
-            if not period:
-                raise FormatError("empty period label", line=line)
-            for label in (src, dst):
-                if not LABEL_RE.match(label):
-                    raise FormatError(f"bad node label {label!r}", line=line)
-            try:
-                value = int(value)
-            except ValueError:
-                raise FormatError(f"{value_name} must be an integer, got {value!r}", line=line)
-            rows.append((line, period, src, dst, value))
+            numbered = [(reader.line_num, row) for row in reader]
+        except csv.Error as exc:  # an oversized field, or a NUL byte before Python 3.11
+            raise FormatError(str(exc), line=reader.line_num) from None
+    if not numbered:
+        raise FormatError(f"empty file, expected header {','.join(header)}")
+    first = numbered[0][1]
+    if tuple(h.strip() for h in first) != header:
+        raise FormatError(f"expected header {','.join(header)}, got {','.join(first)}", line=1)
+    rows = []
+    for line, row in numbered[1:]:
+        if row == []:
+            continue
+        if len(row) != 4:
+            raise FormatError(f"expected 4 fields, got {len(row)}", line=line)
+        period, src, dst, value = (f.strip() for f in row)
+        if not period:
+            raise FormatError("empty period label", line=line)
+        for label in (src, dst):
+            if not LABEL_RE.match(label):
+                raise FormatError(f"bad node label {label!r}", line=line)
+        try:  # ASCII decimal digits: int() alone also reads 1_0 and Unicode digits
+            if not re.fullmatch(r"[+-]?[0-9]+", value):
+                raise ValueError
+            value = int(value)
+        except ValueError:
+            raise FormatError(f"{value_name} must be an integer, got {value!r}", line=line)
+        rows.append((line, period, src, dst, value))
     if not rows:
         raise FormatError("no interactions")
     return rows
@@ -277,22 +279,17 @@ def convert_rankings_topk(
     def ranker(i):
         return f"ranker {i}" if node_labels is None else f"ranker {node_labels[i]!r}"
 
-    expected = set(range(1, n))
+    off = ~np.eye(n, dtype=bool)
     deltas = []
     for t, r in enumerate(mats):
         if r.shape != (n, n):
             raise DomainError(f"{period(t)}: ranking matrix shape {r.shape} != ({n},{n})")
-        d = np.zeros((n, n))
-        for i in range(n):
-            row = [int(r[i, j]) for j in range(n) if j != i]
-            if set(row) != expected:
-                raise FormatError(
-                    f"{period(t)}, {ranker(i)}: row is not a permutation of 1..{n - 1}"
-                )
-            for j in range(n):
-                if j != i and r[i, j] <= k:
-                    d[i, j] = 1.0
-        deltas.append(d)
+        # one rule: each ranker's ranks of the others sort to the integers 1..n-1
+        bad = ~(np.sort(r[off].reshape(n, n - 1), axis=1) == np.arange(1, n)).all(axis=1)
+        if bad.any():
+            raise FormatError(f"{period(t)}, {ranker(int(np.argmax(bad)))}: row is not a "
+                              f"permutation of 1..{n - 1}")
+        deltas.append((off & (r <= k)).astype(float))
     return _labelled(deltas, node_labels, period_labels)
 
 

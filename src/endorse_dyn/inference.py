@@ -3,7 +3,7 @@
 The likelihood factorizes per period: roll the state forward from A(0)
 with the observed counts and the candidate lambda, score each state, and
 credit each observed endorsement i -> j with log G_ij.  The counts are
-tabulated once per fit (`_counts`); each lambda only rolls the states
+tabulated once per call (`_counts`); each lambda only rolls the states
 A(t), which never depend on beta, scores them in one stacked `score` call
 and gathers the features.  For fixed lambda the problem in beta is a
 two-parameter concave conditional logit (McFadden 1974).  It is solved by
@@ -100,18 +100,24 @@ def _counts(seq) -> _Counts:
     return _Counts(a0, stack, t, i, observed, k_rows.ravel()[observed], k_rows.sum(axis=1))
 
 
-def _identified_counts(seq) -> _Counts:
-    """`_counts` of a sequence that can pin lambda down.
-
-    The first used period is scored at A(0) whatever lambda is, so lambda
-    enters the likelihood only through endorsements in later used periods.
-    """
+def _fitting_inputs(seq, score_kinds, restarts, alpha_p, alpha_s):
+    """Apply every argument and data rule of fitting once, in order:
+    restarts, each kind's ModelParams (lam is set per evaluation), then
+    lambda's identification.  Returns the read-only count table and the
+    kinds' params."""
+    check_count("restarts", restarts, 1)
+    params = [ModelParams(lam=LAM_LO, score_kind=kind, alpha_p=alpha_p, alpha_s=alpha_s)
+              for kind in score_kinds]
     counts = _counts(seq)
+    # the first used period is scored at A(0) whatever lambda is, so lambda
+    # enters the likelihood only through endorsements in later used periods
     if not np.any(counts.t > 0):
         raise DomainError(
             "lambda is not identified: no used period after the first has an endorsement"
         )
-    return counts
+    for array in counts:
+        array.setflags(write=False)
+    return counts, params
 
 
 def _rolled_scores(counts: _Counts, params) -> np.ndarray:
@@ -297,10 +303,12 @@ def fit(
     A sequence with no endorsement in a used period after the first raises
     DomainError, since lambda would not enter its likelihood.
     """
-    check_count("restarts", restarts, 1)
-    # lam is set per evaluation
-    params = ModelParams(lam=LAM_LO, score_kind=score_kind, alpha_p=alpha_p, alpha_s=alpha_s)
-    counts = _identified_counts(seq)
+    counts, (params,) = _fitting_inputs(seq, [score_kind], restarts, alpha_p, alpha_s)
+    return _fit(counts, params, restarts)
+
+
+def _fit(counts: _Counts, params, restarts: int) -> FitResult:
+    """`fit`'s search and SEs on a checked table, for params' kind and settings."""
     evals: list[tuple[float, _BetaFit]] = []  # every beta solve, in evaluation order
 
     def solve(lam, beta0):
@@ -346,7 +354,7 @@ def fit(
             )
     se = _standard_errors(counts, params.with_(lam=lam_hat), at_hat, warnings)
     return FitResult(
-        score_kind=score_kind,
+        score_kind=params.score_kind,
         lambda_hat=lam_hat,
         beta_hat=tuple(float(b) for b in at_hat.beta),
         se=se,
@@ -354,8 +362,8 @@ def fit(
         halflife=halflife(lam_hat),
         grad_norm=at_hat.grad_norm,
         restarts=restarts,
-        alpha_p=alpha_p,
-        alpha_s=alpha_s,
+        alpha_p=params.alpha_p,
+        alpha_s=params.alpha_s,
         warnings=tuple(warnings),
     )
 
@@ -396,40 +404,31 @@ def compare_scores(
     alpha_p: float = ALPHA_P,
     alpha_s: float = ALPHA_S,
 ) -> ComparisonTable:
-    """Fit each score kind, one per pool worker, and rank by likelihood.
-
-    A DomainError propagates; a NumericError for one kind is recorded in
-    `errors`.  The order of the input kinds never affects the table.
+    """Fit each score kind on one checked count table, one kind per pool
+    worker, and rank by likelihood.  A DomainError propagates; a NumericError
+    for one kind is recorded in `errors`.  The order of the input kinds never
+    affects the table.
     """
     kinds = list(score_kinds)
     if len(kinds) < 2:
         raise DomainError("need at least 2 score kinds to compare")
     if len(set(kinds)) != len(kinds):
         raise DomainError("duplicate score kinds")
-    check_count("restarts", restarts, 1)
-    # fit's argument and data checks, before the pool starts
-    for kind in kinds:
-        ModelParams(lam=LAM_LO, score_kind=kind, alpha_p=alpha_p, alpha_s=alpha_s)
-    _identified_counts(seq)
+    counts, params = _fitting_inputs(seq, kinds, restarts, alpha_p, alpha_s)
 
-    def one(kind):
+    def one(kind_params):
         try:
-            return kind, fit(seq, kind, restarts=restarts, alpha_p=alpha_p,
-                             alpha_s=alpha_s), None
+            return kind_params.score_kind, _fit(counts, kind_params, restarts), None
         except NumericError as exc:
-            return kind, None, str(exc)
+            return kind_params.score_kind, None, str(exc)
 
-    outcomes = parallel_map(one, kinds)
-    results = sorted(
-        (r for _, r, _ in outcomes if r is not None),
-        key=lambda r: (-r.loglik, r.score_kind),
-    )
+    outcomes = parallel_map(one, params)
+    results = sorted((r for _, r, _ in outcomes if r is not None),
+                     key=lambda r: (-r.loglik, r.score_kind))
     errors = {k: msg for k, _, msg in outcomes if msg is not None}
     if not results:
         raise NumericError("every score kind failed to fit", diagnostics=errors)
-    return ComparisonTable(
-        results=tuple(results), errors=errors, best=results[0].score_kind
-    )
+    return ComparisonTable(results=tuple(results), errors=errors, best=results[0].score_kind)
 
 
 def criticality_report(fit_result: FitResult, n: int, m_bar: float) -> CriticalityReport:

@@ -81,7 +81,7 @@ def _steps(params: ModelParams, a: np.ndarray, steps: int, unit: str = "step", c
     t), so every cell gets the bits of its run alone.  Errors name the
     step, called `unit` in their messages, at which the first cell fails;
     an overflowing utility raises DomainError without numpy's overflow
-    warning.
+    warning, naming the first failing cell's beta when C > 1.
 
     The run's settings are read on the first step, so a PAGERANK_DIRECT_MAX_N
     set before it takes effect.
@@ -102,7 +102,9 @@ def _steps(params: ModelParams, a: np.ndarray, steps: int, unit: str = "step", c
         try:
             p = choice._softmax(u)
         except DomainError as exc:
-            raise DomainError(f"{unit} {t}: {exc}") from exc
+            bad = np.flatnonzero(~np.isfinite(u).all(axis=(1, 2)))
+            cell = f" in the cell at beta {beta[bad[0]]}" if len(u) > 1 else ""
+            raise DomainError(f"{unit} {t}: {exc}{cell}") from exc
         draws = [choice.sample_delta(pc, m, _step_rng(seed, t)) for pc, seed in zip(p, seeds)]
         # one cell steps with its own draw: no copy of an n x n matrix per step
         delta = draws[0][None] if len(draws) == 1 else np.stack(draws)
@@ -169,9 +171,7 @@ def simulate_cells(params: ModelParams, n: int, betas, steps: int = 2000,
         for t, (gamma, _) in enumerate(kernel):
             if t >= steps - window:
                 tail[:, t - (steps - window)] = gamma
-        # each cell's run, cut to its final window
-        runs = [Trajectory(gamma_t=g, a_final=ac, params=c) for g, ac, c in zip(tail, a, part)]
-        return [(mean_gamma(r, window), rank_variance(r, window)) for r in runs]
+        return [(g.mean(axis=0), float(np.var(g))) for g in tail]
 
     chunks = parallel_map(chunk, (cells[i:i + size] for i in range(0, len(cells), size)))
     return [cell for done in chunks for cell in done]

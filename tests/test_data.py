@@ -184,6 +184,24 @@ class TestLoadEdgeList:
         with pytest.raises(FormatError):
             load_edge_list(p)
 
+    @pytest.mark.parametrize("value", ["1_0", "٣", "1.0", "0x1"])
+    def test_counts_are_ascii_decimal_integers(self, tmp_path, value):
+        # int() alone would read 1_0 as 10 and the Arabic-Indic digit as 3
+        p = write(tmp_path, f"period,source,target,count\n1,a,b,1\n1,b,a,{value}\n")
+        with pytest.raises(FormatError, match="^line 3: count must be an integer") as exc:
+            load_edge_list(p)
+        assert exc.value.line == 3
+        p = write(tmp_path, "period,source,target,count\n1,a,b, +2 \n1,b,a,07\n")
+        assert load_edge_list(p).deltas[0].tolist() == [[0, 2], [7, 0]]
+
+    def test_what_the_csv_module_refuses_carries_the_line(self, tmp_path):
+        # a field over the csv module's size limit (and, before Python 3.11,
+        # a NUL byte) fails inside the reader, not in the row checks
+        p = write(tmp_path, "period,source,target,count\n1,a,b,1\n1,b,a," + "9" * 200_000 + "\n")
+        with pytest.raises(FormatError, match="^line 3: field larger than field limit") as exc:
+            load_edge_list(p)
+        assert exc.value.line == 3
+
     def test_nonpositive_count(self, tmp_path):
         p = write(tmp_path, "period,source,target,count\n1,a,b,0\n")
         with pytest.raises(DomainError) as exc:
@@ -398,6 +416,73 @@ class TestLoadRankings:
         assert f"line {line}: {message}" in str(exc.value)
 
 
+# text that a CSV row holds as one unquoted field on one line
+_FIELD_TEXT = st.text(st.characters(blacklist_characters=',"\r\n',
+                                    blacklist_categories=("Cs",)), max_size=6)
+_LABEL = st.from_regex(r"[A-Za-z0-9_.\-]{1,4}", fullmatch=True)
+_CORRUPTIONS = {"count": ("fields", "label", "value", "period", "below-one"),
+                "rank": ("fields", "label", "value", "period", "duplicate")}
+
+
+@st.composite
+def _corrupted_file(draw, value_name):
+    """(file text, 1-based line of the one corrupted row, corruption).
+
+    The other rows are valid, and so is the whole file without the
+    corruption; blank lines may follow any row.
+    """
+    rows = draw(st.lists(st.tuples(_LABEL, _LABEL, _LABEL, st.integers(1, 9)),
+                         min_size=2, max_size=6, unique_by=lambda r: r[:3]))
+    blank_after = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    kind = draw(st.sampled_from(_CORRUPTIONS[value_name]))
+    at = draw(st.integers(1 if kind == "duplicate" else 0, len(rows) - 1))
+    period, src, dst, value = fields = [str(x) for x in rows[at]]
+    if kind == "fields":
+        fields = draw(st.sampled_from([fields[:1], fields[:2], fields[:3],
+                                       fields + ["1"], fields + ["1", "1"]]))
+    elif kind == "label":
+        bad = draw(_FIELD_TEXT.filter(
+            lambda x: not re.fullmatch(r"[A-Za-z0-9_.\-]+", x.strip())))
+        fields[draw(st.sampled_from([1, 2]))] = bad
+    elif kind == "value":
+        fields[3] = draw(_FIELD_TEXT.filter(lambda x: not re.fullmatch(r"[+-]?[0-9]+", x.strip())))
+    elif kind == "period":
+        fields[0] = draw(st.text(" \t", max_size=3))
+    elif kind == "below-one":
+        fields[3] = str(draw(st.integers(-9, 0)))
+    else:  # a ranking of an earlier row's (period, source, target) again
+        fields[:3] = [str(x) for x in rows[draw(st.integers(0, at - 1))][:3]]
+    lines = [",".join(str(x) for x in row) for row in rows]
+    lines[at] = ",".join(fields)
+    text, line = ",".join(("period", "source", "target", value_name)) + "\n", None
+    for index, (row, blank) in enumerate(zip(lines, blank_after)):
+        text += row + "\n" + ("\n" if blank else "")
+        if index == at:
+            line = text.count("\n") - blank
+    return text, line, kind
+
+
+class TestFuzzedLoaders:
+    """One corrupted row in an otherwise valid file: the error names its line."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), value_name=st.sampled_from(["count", "rank"]))
+    def test_a_corrupted_row_is_named_by_its_line(self, tmp_path_factory, data, value_name):
+        text, line, kind = data.draw(_corrupted_file(value_name))
+        p = tmp_path_factory.mktemp("fuzz") / "rows.csv"
+        p.write_text(text, encoding="utf-8")
+        load = load_edge_list if value_name == "count" else load_rankings
+        if kind == "below-one":
+            # the one row error that is a DomainError, not a FormatError
+            with pytest.raises(DomainError, match=f"^line {line}: count must be >= 1"):
+                load(p)
+            return
+        with pytest.raises(FormatError) as exc:
+            load(p)
+        assert exc.value.line == line, (kind, text)
+        assert str(exc.value).startswith(f"line {line}: ")
+
+
 class TestConvertRankings:
     def _ranking(self, n, order_by_row):
         """order_by_row[i] lists the other nodes from most to least preferred."""
@@ -440,6 +525,30 @@ class TestConvertRankings:
             convert_rankings_topk([r, r], k=1, node_labels=("a", "b", "c"),
                                   period_labels=("1998", "1999"))
         assert "period '1998', ranker 'b'" in str(exc.value)
+
+    @pytest.mark.parametrize("rank", [1.5, 1.0 + 1e-12, np.nan, np.inf])
+    def test_non_integral_rank_is_refused(self, rank):
+        # read as rank 1 by a truncating check but as no top-1 rank by the
+        # endorsement rule, 1.5 would leave ranker 0 endorsing no one
+        r = np.array([[0, rank, 2], [1, 0, 2], [1, 2, 0]])
+        with pytest.raises(FormatError, match="period 0, ranker 0: row is not a permutation"):
+            convert_rankings_topk([r], k=1)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_a_loop_over_cells_for_integer_and_float_ranks(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 5
+        r = self._ranking(n, [rng.permutation([j for j in range(n) if j != i])
+                              for i in range(n)])
+        np.fill_diagonal(r, rng.integers(-9, 9, n))  # the diagonal is ignored
+        for k in range(1, n):
+            loop = np.zeros((n, n))
+            for i in range(n):
+                for j in range(n):
+                    if j != i and r[i, j] <= k:
+                        loop[i, j] = 1.0
+            for ranks in (r, r.astype(float)):
+                assert np.array_equal(convert_rankings_topk([ranks], k=k).deltas[0], loop)
 
     @pytest.mark.parametrize("k", [3, 0, 1.5])
     def test_k_out_of_range(self, k):

@@ -6,6 +6,7 @@ pin the vectorized version.
 """
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -607,9 +608,9 @@ class TestCompareScores:
         assert lls == sorted(lls, reverse=True)
         assert t1.errors == {}
 
-    def test_pool_only_over_kinds(self, monkeypatch):
-        # the lambda restarts run inline, so fit opens no pool and compare
-        # opens one, over the kinds, and none nests inside it
+    @pytest.fixture
+    def opened_pools(self, monkeypatch):
+        """The max_workers of every thread pool opened, in order."""
         opened = []
 
         class CountingPool(parallel.ThreadPoolExecutor):
@@ -619,11 +620,48 @@ class TestCompareScores:
 
         monkeypatch.setenv("ENDORSE_DYN_THREADS", "2")
         monkeypatch.setattr(parallel, "ThreadPoolExecutor", CountingPool)
+        return opened
+
+    def test_pool_only_over_kinds(self, opened_pools):
+        # the lambda restarts run inline, so fit opens no pool and compare
+        # opens one, over the kinds, and none nests inside it
         seq = TestFit()._synthetic(seed=11)
         fit(seq, "rootdegree", restarts=3)
-        assert opened == []
+        assert opened_pools == []
         compare_scores(seq, ("rootdegree", "springrank"), restarts=3)
-        assert opened == [2]
+        assert opened_pools == [2]
+
+    def test_tabulates_the_counts_once_for_every_kind(self, monkeypatch):
+        # one thread per kind, switching often: every kind's fit reads the
+        # one shared, read-only table and gets the fit it gets alone
+        monkeypatch.setenv("ENDORSE_DYN_THREADS", str(len(KINDS)))
+        tables, fitted = [], []
+        counts, fit_core = inference._counts, inference._fit
+
+        def counted_counts(*args):
+            tables.append(counts(*args))
+            return tables[-1]
+
+        def recorded_fit(c, params, restarts):
+            fitted.append((c, params.score_kind))
+            return fit_core(c, params, restarts)
+
+        monkeypatch.setattr(inference, "_counts", counted_counts)
+        monkeypatch.setattr(inference, "_fit", recorded_fit)
+        seq = TestFit()._synthetic(seed=11)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            table = compare_scores(seq, KINDS, restarts=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(tables) == 1
+        assert sorted(kind for _, kind in fitted) == sorted(KINDS)
+        assert all(c is tables[0] for c, _ in fitted)
+        assert not any(array.flags.writeable for array in tables[0])
+        assert {r.score_kind: r for r in table.results} == {
+            kind: fit(seq, kind, restarts=2) for kind in KINDS
+        }
 
     def test_rejects_degenerate_kind_sets(self):
         seq = TestFit()._synthetic()
@@ -632,19 +670,22 @@ class TestCompareScores:
         with pytest.raises(DomainError):
             compare_scores(seq, ("rootdegree", "rootdegree"))
 
-    @pytest.mark.parametrize("kinds,restarts,periods", [
-        (("nope", "springrank"), 2, 80),
-        (("rootdegree", "springrank"), 0, 80),
-        (("rootdegree", "springrank"), 2, 1),
-    ], ids=["unknown-kind", "zero-restarts", "one-period"])
+    @pytest.mark.parametrize("kinds,restarts,periods,message", [
+        (("nope", "springrank"), 2, 80, "unknown score kind 'nope'"),
+        (("rootdegree", "springrank"), 0, 80, "restarts must be an integer with restarts >= 1"),
+        (("rootdegree", "springrank"), 2, 1, "need a0 or at least 2 periods"),
+        (("rootdegree", "springrank"), 2, 2, "lambda is not identified"),
+    ], ids=["unknown-kind", "zero-restarts", "one-period", "two-periods"])
     def test_argument_and_data_errors_raise_instead_of_failing_each_kind(
-        self, kinds, restarts, periods
+        self, kinds, restarts, periods, message, opened_pools
     ):
         seq = TestFit()._synthetic()
         seq = InteractionSequence(seq.deltas[:periods], seq.node_labels,
                                   seq.period_labels[:periods])
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=message):
             compare_scores(seq, kinds, restarts=restarts)
+        # raised by the rules before the pool starts
+        assert opened_pools == []
 
 
 def _result(kind, beta1, se1, n_m=(24, 232.0)):

@@ -104,15 +104,17 @@ class TestRun:
         p = ModelParams(lam=0.5, beta=(1e308, 0.0), score_kind="rootdegree", seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="step 0: utilities must be finite"):
+            with pytest.raises(DomainError, match="step 0: utilities must be finite") as exc:
                 run(p, a0=OVERFLOW_A0, steps=3)
+        assert str(exc.value) == "step 0: utilities must be finite"  # one cell: no beta
 
     def test_utility_overflow_names_the_period(self):
         p = ModelParams(lam=0.5, beta=(1e308, 0.0), score_kind="rootdegree", seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="period 0: utilities must be finite"):
+            with pytest.raises(DomainError, match="period 0: utilities must be finite") as exc:
                 simulate_sequence(p, OVERFLOW_A0, periods=3)
+        assert str(exc.value) == "period 0: utilities must be finite"  # one cell: no beta
 
     def test_gamma_rows_are_distributions(self):
         p = ModelParams(lam=0.95, beta=(3.0, 0.0), m=1, score_kind="pagerank", seed=1)
@@ -355,8 +357,19 @@ class TestVarianceSweep:
         p = ModelParams(lam=0.5, m=16, score_kind="rootdegree", seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="step 0: utilities must be finite"):
+            with pytest.raises(DomainError, match="step 0: utilities must be finite") as exc:
                 simulate_cells(p, 4, [(1.0, 0.0), (1e308, 0.0)], steps=3, window=2)
+        assert str(exc.value).endswith("in the cell at beta (1e+308, 0.0)")
+
+    @pytest.mark.parametrize("betas,named", [
+        ([(1.0, 0.0), (1e308, 0.0), (-1e308, 0.0)], "(1e+308, 0.0)"),
+        ([(-1e308, 0.0), (1.0, 0.0), (1e308, 0.0)], "(-1e+308, 0.0)"),
+    ])
+    def test_failing_cell_names_the_first_failing_beta(self, betas, named):
+        p = ModelParams(lam=0.9, m=16, score_kind="rootdegree", seed=0)
+        with pytest.raises(DomainError) as exc:
+            simulate_cells(p, 4, betas, steps=3, window=1)
+        assert str(exc.value) == f"step 0: utilities must be finite in the cell at beta {named}"
 
     def test_cells_use_independent_streams(self):
         p = ModelParams(lam=0.97, m=1, score_kind="rootdegree", seed=5)
