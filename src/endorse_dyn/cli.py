@@ -22,6 +22,7 @@ from . import __version__
 from .core import SCORE_KINDS, ModelParams, uniform_initial
 from .data import (
     InteractionSequence,
+    _write_csv,
     aggregate_counts,
     convert_rankings_topk,
     load_edge_list,
@@ -105,23 +106,13 @@ def _resolve(spec: dict, flags: dict, config_path: str | None) -> dict:
     return out
 
 
-def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _write_run_json(outdir: Path, command: str, cfg: dict) -> None:
     _write_json(outdir / "run.json",
-                {"command": command, "config": _jsonable(cfg), "version": __version__})
+                {"command": command, "config": cfg, "version": __version__})
 
 
 def _outdir(cfg: dict) -> Path:
@@ -149,7 +140,7 @@ def _guarded(fn):
         except NumericError as exc:
             click.echo(f"numeric failure: {exc}", err=True)
             if exc.diagnostics:
-                click.echo(json.dumps(_jsonable(exc.diagnostics), indent=2, sort_keys=True), err=True)
+                click.echo(json.dumps(exc.diagnostics, indent=2, sort_keys=True), err=True)
             sys.exit(1)
 
     wrapper.__name__ = fn.__name__
@@ -220,14 +211,9 @@ def cmd_simulate(cfg):
     )
     traj = run(params, a0=uniform_initial(cfg["n"], cfg["m"]), steps=cfg["steps"])
     outdir = _outdir(cfg)
-    with open(outdir / "trajectory.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,node,gamma\n")
-        for t in range(traj.steps):
-            for node in range(cfg["n"]):
-                fh.write(f"{t},{node},{_fmt(traj.gamma_t[t, node])}\n")
-    with open(outdir / "final_adjacency.csv", "w", encoding="utf-8", newline="") as fh:
-        for row in traj.a_final:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+    _write_csv(outdir / "trajectory.csv", "t,node,gamma", (f"{t},{node},{_fmt(g)}"
+               for t, gamma in enumerate(traj.gamma_t) for node, g in enumerate(gamma)))
+    _write_csv(outdir / "final_adjacency.csv", None, (map(_fmt, row) for row in traj.a_final))
     _write_run_json(outdir, "simulate", cfg)
     click.echo(f"wrote {outdir}/trajectory.csv ({traj.steps} steps)")
 
@@ -258,10 +244,7 @@ def cmd_sweep(cfg):
     rows = variance_sweep(params, cfg["n"], cfg["grid_beta1"], cfg["grid_beta2"],
                           steps=cfg["steps"], window=cfg["window"])
     outdir = _outdir(cfg)
-    with open(outdir / "variance.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("beta1,beta2,variance\n")
-        for b1, b2, v in rows:
-            fh.write(f"{_fmt(b1)},{_fmt(b2)},{_fmt(v)}\n")
+    _write_csv(outdir / "variance.csv", "beta1,beta2,variance", (map(_fmt, row) for row in rows))
     _write_run_json(outdir, "sweep", cfg)
     click.echo(f"wrote {outdir}/variance.csv ({len(rows)} cells)")
 
@@ -302,17 +285,12 @@ def cmd_bifurcate(cfg):
                                steps=cfg["steps"], window=cfg["window"])
     rows = two_group_equilibria(cfg["score"], params, cfg["n"], grid)
     outdir = _outdir(cfg)
-    with open(outdir / "branches.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("beta1,k_elite,a,b,stable,max_eig_real\n")
-        for b1, eq in rows:
-            fh.write(f"{_fmt(b1)},{eq.k_elite},{_fmt(eq.a)},{_fmt(eq.b)},"
-                     f"{'true' if eq.stable else 'false'},{_fmt(eq.max_eig_real)}\n")
+    _write_csv(outdir / "branches.csv", "beta1,k_elite,a,b,stable,max_eig_real", (
+        [_fmt(b1), str(eq.k_elite), _fmt(eq.a), _fmt(eq.b), "true" if eq.stable else "false",
+         _fmt(eq.max_eig_real)] for b1, eq in rows))
     if cfg["overlay"]:
-        with open(outdir / "overlay.csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write("beta1,node,gamma\n")
-            for b1, (gam, _) in zip(grid, cells):
-                for node, g in enumerate(gam):
-                    fh.write(f"{_fmt(b1)},{node},{_fmt(g)}\n")
+        _write_csv(outdir / "overlay.csv", "beta1,node,gamma", (f"{_fmt(b1)},{node},{_fmt(g)}"
+                   for b1, (gam, _) in zip(grid, cells) for node, g in enumerate(gam)))
     _write_run_json(outdir, "bifurcate", cfg)
     click.echo(f"wrote {outdir}/branches.csv ({len(rows)} rows)")
 
@@ -350,26 +328,15 @@ def _load_sequence(data_path: str, warm_start: str | None) -> InteractionSequenc
 
 def _write_tables(outdir: Path, dataset: str, seq: InteractionSequence, results) -> None:
     """table1.csv with one row per fit; criticality.csv for the fits with SEs."""
-    with open(outdir / "table1.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write(TABLE1_HEADER + "\n")
-        for fr in results:
-            se = fr.se if fr.se is not None else (float("nan"),) * 3
-            fh.write(",".join([
-                dataset, fr.score_kind, _fmt(fr.lambda_hat), _fmt(se[0]),
-                _fmt(fr.beta_hat[0]), _fmt(se[1]), _fmt(fr.beta_hat[1]), _fmt(se[2]),
-                _fmt(fr.loglik),
-            ]) + "\n")
-    with open(outdir / "criticality.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write(TABLE2_HEADER + "\n")
-        for fr in results:
-            if fr.se is None:
-                continue
-            rep = criticality_report(fr, seq.n, seq.m_bar)
-            fh.write(",".join([
-                dataset, rep.score_kind, _fmt(rep.beta1_hat), _fmt(rep.se_beta1),
-                _fmt(rep.beta1_critical), rep.classification,
-                "true" if rep.significant else "false",
-            ]) + "\n")
+    _write_csv(outdir / "table1.csv", TABLE1_HEADER, (
+        [dataset, fr.score_kind, *map(_fmt, [fr.lambda_hat, se[0], fr.beta_hat[0], se[1],
+                                              fr.beta_hat[1], se[2], fr.loglik])]
+        for fr in results for se in [fr.se or (float("nan"),) * 3]))
+    _write_csv(outdir / "criticality.csv", TABLE2_HEADER, (
+        [dataset, rep.score_kind, _fmt(rep.beta1_hat), _fmt(rep.se_beta1),
+         _fmt(rep.beta1_critical), rep.classification, "true" if rep.significant else "false"]
+        for fr in results if fr.se is not None
+        for rep in [criticality_report(fr, seq.n, seq.m_bar)]))
 
 
 @_command("fit", _FIT_SPEC)

@@ -16,6 +16,7 @@ import csv
 import re
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,9 @@ from .sim import _initial, _steps
 
 LABEL_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
 HEADER = ("period", "source", "target", "count")
+# The largest size of a count, a rank or a summed count: a float64 holds
+# every integer up to it exactly, and rounds or overflows on larger ones.
+_EXACT_MAX = 2**53
 
 
 @dataclass(frozen=True)
@@ -154,16 +158,25 @@ def _read_rows(path, value_name):
         for label in (src, dst):
             if not LABEL_RE.match(label):
                 raise FormatError(f"bad node label {label!r}", line=line)
-        try:  # ASCII decimal digits: int() alone also reads 1_0 and Unicode digits
-            if not re.fullmatch(r"[+-]?[0-9]+", value):
-                raise ValueError
-            value = int(value)
-        except ValueError:
+        # ASCII decimal digits, as int() alone also reads 1_0 and Unicode
+        # digits; 2**53 has 16 of them, and int() refuses over 4300
+        if not re.fullmatch(r"[+-]?[0-9]+", value):
             raise FormatError(f"{value_name} must be an integer, got {value!r}", line=line)
-        rows.append((line, period, src, dst, value))
+        if len(value.lstrip("+-0")) > 16 or abs(int(value)) > _EXACT_MAX:
+            raise FormatError(f"{value_name} is above 2**53 in size", line=line)
+        rows.append((line, period, src, dst, int(value)))
     if not rows:
         raise FormatError("no interactions")
     return rows
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write every CSV of the package in its one dialect: UTF-8, LF line ends,
+    the `header` line (none when it is None), then one line per row.  The
+    header and each row are a string or a sequence of comma-joined fields."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for row in rows if header is None else chain([header], rows):
+            fh.write((row if isinstance(row, str) else ",".join(row)) + "\n")
 
 
 def _tabulate(cells: dict, dtype):
@@ -185,14 +198,17 @@ def _tabulate(cells: dict, dtype):
 def load_edge_list(path) -> InteractionSequence:
     """Read the interchange CSV into an InteractionSequence.
 
-    Duplicate (period, source, target) rows are summed.  Errors carry the
-    1-based line number of the offending row.
+    Duplicate (period, source, target) rows are summed, to at most 2**53.
+    Errors carry the 1-based line number of the offending row.
     """
     counts: dict = {}
     for line, period, src, dst, c in _read_rows(path, "count"):
         if c < 1:
             raise DomainError(f"line {line}: count must be >= 1, got {c}")
-        counts[(period, src, dst)] = counts.get((period, src, dst), 0) + c
+        total = counts.get((period, src, dst), 0) + c
+        if total > _EXACT_MAX:
+            raise FormatError(f"summed count for {src}->{dst} is above 2**53", line=line)
+        counts[(period, src, dst)] = total
     deltas, nodes, periods = _tabulate(counts, float)
     return InteractionSequence(deltas=deltas, node_labels=nodes, period_labels=periods)
 
@@ -243,14 +259,12 @@ def save_edge_list(seq: InteractionSequence, path) -> None:
             c = d[i, j]
             if abs(c - round(c)) > 1e-9:
                 raise DomainError(f"period {period}: count at ({i},{j}) is not an integer")
-            rows.append(f"{period},{seq.node_labels[i]},{seq.node_labels[j]},{int(round(c))}\n")
+            rows.append(f"{period},{seq.node_labels[i]},{seq.node_labels[j]},{int(round(c))}")
     if np.count_nonzero(sum(d.sum(axis=0) + d.sum(axis=1) for d in seq.deltas)) < 2:
         raise DomainError("endorsements touch fewer than 2 nodes; a reload needs 2")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(HEADER) + "\n")
-        fh.writelines(rows)
+    _write_csv(path, HEADER, rows)
 
 
 def convert_rankings_topk(

@@ -204,7 +204,8 @@ def _springrank(a: np.ndarray, alpha_s: float, slices: bool = False) -> np.ndarr
     """SpringRank of a validated matrix or stack.  A stack is solved by one
     batched LU solve, or with `slices` (a (C, n, n) stack only) by one
     `_cholesky_solve` per slice, which gives each slice its single-matrix
-    bits and errors.  Fits keep the LU solve: the per-slice cost is the
+    bits and errors; the NumericError of a failing slice carries its index
+    as `index`, which the simulation kernel names by its cell.  Fits keep the LU solve: the per-slice cost is the
     condition estimate the kernel must keep.  On 200 rolled fit states at
     n=16 (2 vCPU), LU took 0.47-1.6 ms, per-slice Cholesky 1.4-3.9 ms and
     0.48 ms without the estimate (dposv); over 9 fits the median was 1.19 s
@@ -213,7 +214,13 @@ def _springrank(a: np.ndarray, alpha_s: float, slices: bool = False) -> np.ndarr
     if a.ndim == 2:
         s = _cholesky_solve(lap, rhs)
     elif slices:
-        s = np.stack([_cholesky_solve(*system) for system in zip(lap, rhs)])
+        s = np.empty_like(rhs)
+        for index, system in enumerate(zip(lap, rhs)):
+            try:
+                s[index] = _cholesky_solve(*system)
+            except NumericError as exc:
+                exc.index = index
+                raise
     else:
         try:
             s = np.linalg.solve(lap, rhs[..., None])[..., 0]

@@ -24,8 +24,9 @@ a run cannot change: the kind's score core with alpha_p and the PageRank
 solver for n, or alpha_s, and the cells' beta and seeds, m and lam.  Each
 step then calls the private cores of `scores` and `choice` without their
 input checks.  The checks that stay every step are the utilities'
-finiteness, PageRank's uniform row for a row with zero out-degree, and
-each cell's SpringRank factorization with its condition estimate.
+finiteness, PageRank's uniform row for a row with zero out-degree, each
+cell's SpringRank factorization with its condition estimate, and
+`choice.sample_delta`'s `check_m`, once per cell.
 """
 
 from __future__ import annotations
@@ -81,7 +82,8 @@ def _steps(params: ModelParams, a: np.ndarray, steps: int, unit: str = "step", c
     t), so every cell gets the bits of its run alone.  Errors name the
     step, called `unit` in their messages, at which the first cell fails;
     an overflowing utility raises DomainError without numpy's overflow
-    warning, naming the first failing cell's beta when C > 1.
+    warning.  When C > 1, an overflow and a failed SpringRank factorization
+    also name the first failing cell's beta.
 
     The run's settings are read on the first step, so a PAGERANK_DIRECT_MAX_N
     set before it takes effect.
@@ -95,8 +97,10 @@ def _steps(params: ModelParams, a: np.ndarray, steps: int, unit: str = "step", c
     for t in range(steps):
         try:
             s = score(a)
-        except NumericError as exc:
-            raise NumericError(f"score failed at {unit} {t}: {exc}", exc.diagnostics) from exc
+        except NumericError as exc:  # a failed SpringRank slice carries its index
+            index = getattr(exc, "index", None) if len(a) > 1 else None
+            cell = "" if index is None else f" in the cell at beta {beta[index]}"
+            raise NumericError(f"score failed at {unit} {t}: {exc}{cell}", exc.diagnostics) from exc
         with np.errstate(over="ignore", invalid="ignore"):
             u = choice._utility(s, w1, w2)
         try:

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import endorse_dyn
-from endorse_dyn import __version__, cli
+from endorse_dyn import __version__, cli, inference
 from endorse_dyn.core import ModelParams, uniform_initial
 from endorse_dyn.data import (
     InteractionSequence,
@@ -55,19 +55,39 @@ class TestSimulate:
         assert run_meta["config"]["n"] == 4
         assert run_meta["config"]["steps"] == 50
 
-    def test_rerun_is_byte_identical(self, runner, tmp_path):
-        args = ["simulate", "--score", "rootdegree", "--n", "3", "--lambda", "0.9",
-                "--steps", "30", "--seed", "7"]
-        o1, o2 = tmp_path / "a", tmp_path / "b"
-        assert runner.invoke(cli.main, args + ["--out", str(o1)]).exit_code == 0
-        assert runner.invoke(cli.main, args + ["--out", str(o2)]).exit_code == 0
-        for name in ("trajectory.csv", "final_adjacency.csv", "run.json"):
-            b1 = (o1 / name).read_bytes()
-            b2 = (o2 / name).read_bytes()
-            if name == "run.json":
-                b1 = b1.replace(str(o1).encode(), b"")
-                b2 = b2.replace(str(o2).encode(), b"")
-            assert b1 == b2, name
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "bifurcate", "fit", "compare",
+                                         "convert"])
+    def test_rerun_is_byte_identical(self, runner, tmp_path, command):
+        """Every command writes the same bytes, and prints the same lines,
+        when rerun with the same settings into another --out."""
+        data = str(make_data_csv(tmp_path, periods=8))
+        args, outputs = {
+            "simulate": (["--score", "rootdegree", "--n", "3", "--lambda", "0.9",
+                          "--steps", "30", "--seed", "7"],
+                         ["trajectory.csv", "final_adjacency.csv"]),
+            "sweep": (["--score", "springrank", "--n", "3", "--lambda", "0.9",
+                       "--grid-beta1", "0:3:2", "--grid-beta2", "-1:0:2", "--steps", "30",
+                       "--window", "10", "--seed", "7"], ["variance.csv"]),
+            "bifurcate": (["--score", "pagerank", "--n", "4", "--grid-beta1", "2:6:2",
+                           "--overlay", "--lambda", "0.95", "--steps", "30", "--window", "10",
+                           "--seed", "7"], ["branches.csv", "overlay.csv"]),
+            "fit": (["--data", data, "--score", "rootdegree", "--restarts", "1"],
+                    ["fit.json", "table1.csv", "criticality.csv"]),
+            "compare": (["--data", data, "--restarts", "1"],
+                        ["compare.json", "table1.csv", "criticality.csv"]),
+            "convert": (["--data", data, "--top-count", "3", "--window", "2:6"],
+                        ["edges.csv"]),
+        }[command]
+        written = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            res = runner.invoke(cli.main, [command, *args, "--out", str(out)])
+            assert res.exit_code == 0, res.output + res.stderr
+            assert sorted(f.name for f in out.iterdir()) == sorted([*outputs, "run.json"])
+            files = {f.name: f.read_bytes() for f in out.iterdir()}
+            files["run.json"] = files["run.json"].replace(str(out).encode(), b"")
+            written.append((files, res.output.replace(str(out), ""), res.stderr))
+        assert written[0] == written[1]
 
     def test_missing_required_key(self, runner, tmp_path):
         res = runner.invoke(cli.main, [
@@ -141,6 +161,22 @@ class TestConfigFile:
         assert res.exit_code == 2, res.output + res.stderr
         assert res.stderr.startswith(f"error: bad value for {key}: {value!r}")
 
+    def test_overlay_no_reads_as_false(self, runner, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("score = rootdegree\nn = 3\ngrid_beta1 = 1:1:1\noverlay = no\n")
+        out = tmp_path / "o"
+        res = runner.invoke(cli.main, ["bifurcate", "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == 0, res.output + res.stderr
+        assert json.loads((out / "run.json").read_text())["config"]["overlay"] is False
+        assert not (out / "overlay.csv").exists()
+
+    def test_unreadable_config_file(self, runner, tmp_path):
+        res = runner.invoke(cli.main, ["simulate", "--config", str(tmp_path / "absent.cfg"),
+                                       "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2, res.output + res.stderr
+        assert res.stderr.startswith("error: cannot read config file: ")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("flags,expected", [([], True), (["--no-overlay"], False),
                                                 (["--overlay"], True)])
     def test_flags_override_config_for_bool_keys(self, runner, tmp_path, flags, expected):
@@ -176,6 +212,19 @@ class TestSweep:
         ])
         assert res.exit_code == 2
         assert "START:STOP:NUM" in res.stderr
+
+    @pytest.mark.parametrize("grid,reason", [
+        ("a:b:3", "grid must be START:STOP:NUM with numeric fields"),
+        ("0:1:0", "grid NUM must be >= 1"),
+    ])
+    def test_grid_with_bad_fields_is_refused(self, runner, tmp_path, grid, reason):
+        res = runner.invoke(cli.main, [
+            "sweep", "--score", "rootdegree", "--n", "4", "--lambda", "0.95",
+            "--grid-beta1", grid, "--out", str(tmp_path / "x"),
+        ])
+        assert res.exit_code == 2, res.output + res.stderr
+        assert res.stderr == f"error: bad value for grid_beta1: {grid!r} ({reason})\n"
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("command", [
         ["sweep", "--lambda", "0.95", "--grid-beta1", "0:4:3"],
@@ -346,15 +395,62 @@ class TestFitAndCompare:
         assert res.exit_code == 2
         assert res.stderr.startswith("io error:")
 
-    def test_fit_malformed_data_reports_line(self, runner, tmp_path):
+    @pytest.mark.parametrize("count", ["zero", "9" * 310], ids=["word", "310-nines"])
+    def test_fit_malformed_data_reports_line(self, runner, tmp_path, count):
         bad = tmp_path / "bad.csv"
-        bad.write_text("period,source,target,count\n1,a,b,2\n1,a,b,zero\n")
+        bad.write_text(f"period,source,target,count\n1,a,b,2\n1,a,b,{count}\n")
         res = runner.invoke(cli.main, [
             "fit", "--data", str(bad), "--score", "rootdegree",
             "--out", str(tmp_path / "x"),
         ])
         assert res.exit_code == 2
         assert "line 3" in res.stderr
+
+    def test_compare_records_one_kinds_failure(self, runner, tmp_path, monkeypatch):
+        fit_one = inference._fit
+
+        def failing_pagerank(counts, params, restarts):
+            if params.score_kind == "pagerank":
+                raise NumericError("no restart converged", {"lambda=0.5": "grad_norm=1"})
+            return fit_one(counts, params, restarts)
+
+        monkeypatch.setattr(inference, "_fit", failing_pagerank)
+        data = make_data_csv(tmp_path, periods=8)
+        out = tmp_path / "cmp"
+        res = runner.invoke(cli.main, ["compare", "--data", str(data), "--restarts", "1",
+                                       "--out", str(out)])
+        assert res.exit_code == 0, res.output + res.stderr
+        assert "warning: pagerank failed: no restart converged\n" in res.stderr
+        meta = json.loads((out / "compare.json").read_text())
+        assert meta["errors"] == {"pagerank": "no restart converged"}
+        assert sorted(r["score_kind"] for r in meta["results"]) == ["rootdegree", "springrank"]
+        t1 = (out / "table1.csv").read_text().splitlines()
+        assert len(t1) == 3 and not any(",pagerank," in row for row in t1)
+
+    @pytest.mark.parametrize("command,message", [
+        (["fit", "--score", "springrank"], "no restart converged"),
+        (["compare"], "every score kind failed to fit"),
+    ])
+    def test_no_converged_fit_exits_1_with_json_diagnostics(self, runner, tmp_path,
+                                                            monkeypatch, command, message):
+        solve = inference._maximize_beta
+        monkeypatch.setattr(inference, "_maximize_beta",
+                            lambda terms, beta0: solve(terms, beta0)._replace(ok=False))
+        data = make_data_csv(tmp_path, periods=8)
+        out = tmp_path / "o"
+        res = runner.invoke(cli.main, [*command, "--data", str(data), "--restarts", "1",
+                                       "--out", str(out)])
+        assert res.exit_code == 1, res.output + res.stderr
+        first, rest = res.stderr.split("\n", 1)
+        assert first == f"numeric failure: {message}"
+        diagnostics = json.loads(rest)
+        if command[0] == "fit":
+            assert list(diagnostics) == ["lambda=0.5"]
+            assert diagnostics["lambda=0.5"].startswith("grad_norm=")
+        else:
+            assert diagnostics == {kind: "no restart converged"
+                                   for kind in ("pagerank", "rootdegree", "springrank")}
+        assert not out.exists()
 
     def test_compare_outputs(self, runner, tmp_path):
         data = make_data_csv(tmp_path, seed=4)
@@ -536,6 +632,14 @@ class TestConvert:
         ])
         assert res.exit_code == 2
         assert "period '1999', ranker 'b': row is not a permutation of 1..2" in res.stderr
+
+    def test_window_must_be_lo_hi(self, runner, tmp_path):
+        data = make_data_csv(tmp_path)
+        res = runner.invoke(cli.main, ["convert", "--data", str(data), "--window", "3",
+                                       "--out", str(tmp_path / "x")])
+        assert res.exit_code == 2, res.output + res.stderr
+        assert res.stderr == "error: window must be LO:HI, got '3'\n"
+        assert not (tmp_path / "x").exists()
 
     def test_exactly_one_source_required(self, runner, tmp_path):
         data = make_data_csv(tmp_path)

@@ -9,6 +9,7 @@ from endorse_dyn.core import ModelParams, uniform_initial
 from endorse_dyn.data import (
     InteractionSequence,
     _sorted_periods,
+    _write_csv,
     aggregate_counts,
     convert_rankings_topk,
     load_edge_list,
@@ -218,6 +219,33 @@ class TestLoadEdgeList:
         with pytest.raises(OSError):
             load_edge_list(tmp_path / "absent.csv")
 
+    def test_empty_file(self, tmp_path):
+        p = write(tmp_path, "")
+        with pytest.raises(FormatError, match="^empty file, expected header "
+                                              "period,source,target,count$") as exc:
+            load_edge_list(p)
+        assert exc.value.line is None
+
+    @pytest.mark.parametrize("value", ["9" * 5000, "9" * 310, str(2**53 + 1), str(-(2**53) - 1),
+                                       "+000" + str(10**16)],
+                             ids=["5000-nines", "310-nines", "2**53+1", "-(2**53+1)", "10**16"])
+    def test_a_count_above_2_53_in_size_is_named_by_its_line(self, tmp_path, value):
+        # a float64 matrix would round 2**53 + 1 and overflow on 310 nines
+        p = write(tmp_path, f"period,source,target,count\n1,a,b,1\n1,b,a,{value}\n")
+        with pytest.raises(FormatError, match="^line 3: count is above 2\\*\\*53 in size$"):
+            load_edge_list(p)
+
+    def test_a_sum_above_2_53_is_named_by_the_line_that_passes_it(self, tmp_path):
+        rows = f"1,a,b,{2**52}\n1,b,a,1\n1,a,b,{2**52}\n1,a,b,1\n"
+        p = write(tmp_path, "period,source,target,count\n" + rows)
+        with pytest.raises(FormatError, match="^line 5: summed count for a->b is above 2"):
+            load_edge_list(p)
+
+    def test_counts_up_to_2_53_load_exactly(self, tmp_path):
+        rows = f"1,a,b,{2**53}\n1,b,a,{2**52}\n1,b,a,{2**52}\n"
+        p = write(tmp_path, "period,source,target,count\n" + rows)
+        assert load_edge_list(p).deltas[0].tolist() == [[0, 2**53], [2**53, 0]]
+
 
 class TestSaveEdgeList:
     def test_round_trip(self, tmp_path):
@@ -276,6 +304,22 @@ class TestSaveEdgeList:
         assert back.period_labels == seq.period_labels
         for d1, d2 in zip(back.deltas, seq.deltas):
             assert np.array_equal(d1, d2[np.ix_(idx, idx)])
+
+
+class TestWriteCsv:
+    """The one writer of every CSV the package writes."""
+
+    def test_header_then_string_and_field_rows_in_utf8_with_lf(self, tmp_path):
+        p = tmp_path / "t.csv"
+        _write_csv(p, ("x", "label"), iter(["1,a", ("2", "Zoë"), ["3", "東京"]]))
+        assert p.read_bytes() == "x,label\n1,a\n2,Zoë\n3,東京\n".encode("utf-8")
+
+    def test_no_header_line_when_header_is_none(self, tmp_path):
+        p = tmp_path / "t.csv"
+        _write_csv(p, None, [["0.5", "1.5"], "2.0,3.0"])
+        assert p.read_bytes() == b"0.5,1.5\n2.0,3.0\n"
+        _write_csv(p, "only,header", [])
+        assert p.read_bytes() == b"only,header\n"
 
 
 def _two_period_seq(node_labels=("a", "b"), period_labels=("1", "2"), empty=()):
@@ -405,6 +449,7 @@ class TestLoadRankings:
             ("1,a,b,1\n1,b,a,first\n", 3, "rank must be an integer"),
             ("1,a,b,1\n\n,b,a,1\n", 4, "empty period label"),
             ("1,a,b,1\n1,b,a,1\n1,a,b,2\n", 4, "duplicate ranking for a->b"),
+            ("1,a,b,1\n1,b,a," + "9" * 20 + "\n", 3, "rank is above 2**53 in size"),
         ],
     )
     def test_errors_carry_line_numbers(self, tmp_path, body, line, message):
@@ -549,6 +594,14 @@ class TestConvertRankings:
                         loop[i, j] = 1.0
             for ranks in (r, r.astype(float)):
                 assert np.array_equal(convert_rankings_topk([ranks], k=k).deltas[0], loop)
+
+    def test_refuses_no_periods_and_a_period_of_the_wrong_shape(self):
+        with pytest.raises(DomainError, match="need at least one ranking period"):
+            convert_rankings_topk([], k=1)
+        r = self._ranking(3, [[1, 2], [0, 2], [0, 1]])
+        with pytest.raises(DomainError, match=r"period '1999': ranking matrix shape "
+                                              r"\(2, 3\) != \(3,3\)"):
+            convert_rankings_topk([r, r[:2]], k=1, period_labels=("1998", "1999"))
 
     @pytest.mark.parametrize("k", [3, 0, 1.5])
     def test_k_out_of_range(self, k):

@@ -371,6 +371,36 @@ class TestVarianceSweep:
             simulate_cells(p, 4, betas, steps=3, window=1)
         assert str(exc.value) == f"step 0: utilities must be finite in the cell at beta {named}"
 
+    SPRING_FAILED = ("springrank solve failed: the system is not positive definite "
+                     "(leading minor 4)")
+
+    def test_failed_springrank_factorization_names_the_first_failing_cell(self):
+        # at alpha_s = 1e-300 the Laplacian of a state with edges is singular
+        # to rounding, while a zero state's is alpha_s I: only cell 1 fails
+        p = ModelParams(lam=0.9, m=1, score_kind="springrank", alpha_s=1e-300)
+        a = np.stack([np.zeros((4, 4)), _initial(uniform_initial(4, 1))])
+        kernel = _steps(p, a, 1, cells=[((1.0, 0.0), 0), ((2.0, 0.0), 1)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError) as exc:
+                next(kernel)
+        assert str(exc.value) == (f"score failed at step 0: {self.SPRING_FAILED} "
+                                  "in the cell at beta (2.0, 0.0)")
+        p = p.with_(seed=0)
+        with pytest.raises(NumericError) as exc:
+            simulate_cells(p, 4, [(1, 0), (2, 0)], steps=5, window=1)
+        assert str(exc.value).endswith(f"{self.SPRING_FAILED} in the cell at beta (1.0, 0.0)")
+
+    def test_failed_springrank_factorization_of_one_cell_names_no_cell(self):
+        p = ModelParams(lam=0.9, m=1, score_kind="springrank", alpha_s=1e-300)
+        for call, unit in [(lambda: run(p, uniform_initial(4, 1), steps=5), "step"),
+                           (lambda: simulate_sequence(p, uniform_initial(4, 1), 5), "period"),
+                           (lambda: simulate_cells(p, 4, [(1, 0)], steps=5, window=1),
+                            "step")]:
+            with pytest.raises(NumericError) as exc:
+                call()
+            assert str(exc.value) == f"score failed at {unit} 0: {self.SPRING_FAILED}"
+
     def test_cells_use_independent_streams(self):
         p = ModelParams(lam=0.97, m=1, score_kind="rootdegree", seed=5)
         rows = variance_sweep(p, n=4, beta1_values=[1.0, 1.0], beta2_values=[0.0],

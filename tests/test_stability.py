@@ -211,6 +211,20 @@ class TestPagerankRootSystem:
         with pytest.raises(DomainError):
             f_pagerank_root_system(np.array([3.2, -0.1, -0.1]), p)
 
+    @pytest.mark.parametrize("n", [5, 8, 16])
+    def test_vanishes_at_the_pagerank_roots_and_gives_their_residual(self, n):
+        """At every root two_group_equilibria reports, below and above
+        beta1_c, the root system vanishes and its sup norm is the root's
+        reported residual."""
+        p = params_for("pagerank", 0.0, -0.3)
+        bc = critical_beta1("pagerank", n, 1)
+        roots = two_group_equilibria("pagerank", p, n, [0.9 * bc, 1.5 * bc])
+        assert len({eq.k_elite for _, eq in roots}) >= 3
+        for beta1, eq in roots:
+            r = np.abs(f_pagerank_root_system(eq.s_star, p.with_(beta=(beta1, -0.3)))).max()
+            assert r <= 1e-12, (beta1, eq.k_elite)
+            assert abs(r - eq.residual) <= 1e-14, (beta1, eq.k_elite)
+
 
 class TestEgalitarianJacobian:
     @pytest.mark.parametrize("kind", KINDS)
