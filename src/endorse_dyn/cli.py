@@ -283,7 +283,7 @@ def cmd_bifurcate(cfg):
     if cfg["overlay"]:
         cells = simulate_cells(params, cfg["n"], [(b1, cfg["beta2"]) for b1 in grid],
                                steps=cfg["steps"], window=cfg["window"])
-    rows = two_group_equilibria(cfg["score"], params, cfg["n"], grid)
+    rows = two_group_equilibria(params, cfg["n"], grid)
     outdir = _outdir(cfg)
     _write_csv(outdir / "branches.csv", "beta1,k_elite,a,b,stable,max_eig_real", (
         [_fmt(b1), str(eq.k_elite), _fmt(eq.a), _fmt(eq.b), "true" if eq.stable else "false",

@@ -16,7 +16,9 @@ one Cholesky factorization by LAPACK for a single matrix.
 Each public function checks its inputs and then calls a private core
 (`_root_degree`, `_pagerank_direct` or `_pagerank_power`, `_springrank`)
 on the validated matrix; `score` calls the core that `_score_core` binds.
-The simulation kernel calls the cores directly (see :mod:`endorse_dyn.sim`).
+The simulation kernel calls the cores directly (see :mod:`endorse_dyn.sim`);
+the long-memory analysis builds its SpringRank Laplacian with `_spring_system`
+and solves against I - alpha_p P^T with `_pagerank_resolve`.
 """
 
 from __future__ import annotations
@@ -100,12 +102,16 @@ def _pagerank_solver(n: int):
     return _pagerank_direct if n <= PAGERANK_DIRECT_MAX_N else _pagerank_power
 
 
+def _pagerank_resolve(p: np.ndarray, alpha_p: float, rhs: np.ndarray) -> np.ndarray:
+    """(I - alpha_p P^T)^-1 rhs for row-stochastic P or a stack, by one LU solve."""
+    # I - alpha_p P^T is column diagonally dominant, so never singular
+    return np.linalg.solve(np.eye(p.shape[-1]) - alpha_p * np.swapaxes(p, -1, -2), rhs)
+
+
 def _pagerank_direct(a: np.ndarray, alpha_p: float) -> np.ndarray:
     n = a.shape[-1]
-    p = _row_stochastic(a)
-    # I - alpha_p P^T is column diagonally dominant, so never singular
-    lhs = np.eye(n) - alpha_p * np.swapaxes(p, -1, -2)
-    x = np.linalg.solve(lhs, np.full((*a.shape[:-1], 1), (1.0 - alpha_p) / n))[..., 0]
+    rhs = np.full((*a.shape[:-1], 1), (1.0 - alpha_p) / n)
+    x = _pagerank_resolve(_row_stochastic(a), alpha_p, rhs)[..., 0]
     return n * x / x.sum(axis=-1, keepdims=True)
 
 
@@ -115,7 +121,8 @@ def _pagerank_power(a: np.ndarray, alpha_p: float) -> np.ndarray:
 
     A slice whose L1 change reaches PAGERANK_TOL is set aside and the rest
     go on, so each slice stops at the iterate where it would stop alone and
-    gets the scores it gets alone, bit for bit.  PAGERANK_TOL and
+    gets the scores it gets alone, bit for bit.  Its NumericError carries
+    the first unconverged slice's flat index as `index`.  PAGERANK_TOL and
     PAGERANK_MAX_ITER are read at call time.
     """
     shape, n = a.shape[:-1], a.shape[-1]
@@ -135,10 +142,10 @@ def _pagerank_power(a: np.ndarray, alpha_p: float) -> np.ndarray:
             if done.all():
                 return n * out.reshape(shape)
             left, p, pi = left[~done], p[~done], pi[~done]
-    raise NumericError(
-        "pagerank power iteration did not converge",
-        diagnostics={"iterations": PAGERANK_MAX_ITER, "last_l1_diff": float(diff.max())},
-    )
+    exc = NumericError("pagerank power iteration did not converge",
+                       {"iterations": PAGERANK_MAX_ITER, "last_l1_diff": float(diff.max())})
+    exc.index = int(left[0])
+    raise exc
 
 
 def _cholesky_solve(lap: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -205,8 +212,9 @@ def _springrank(a: np.ndarray, alpha_s: float, slices: bool = False) -> np.ndarr
     batched LU solve, or with `slices` (a (C, n, n) stack only) by one
     `_cholesky_solve` per slice, which gives each slice its single-matrix
     bits and errors; the NumericError of a failing slice carries its index
-    as `index`, which the simulation kernel names by its cell.  Fits keep the LU solve: the per-slice cost is the
-    condition estimate the kernel must keep.  On 200 rolled fit states at
+    as `index`, which the simulation kernel names by its cell.  Fits keep
+    the LU solve: the per-slice cost is the condition estimate the kernel
+    must keep.  On 200 rolled fit states at
     n=16 (2 vCPU), LU took 0.47-1.6 ms, per-slice Cholesky 1.4-3.9 ms and
     0.48 ms without the estimate (dposv); over 9 fits the median was 1.19 s
     with LU and 1.45 s with per-slice Cholesky."""

@@ -82,8 +82,9 @@ def _steps(params: ModelParams, a: np.ndarray, steps: int, unit: str = "step", c
     t), so every cell gets the bits of its run alone.  Errors name the
     step, called `unit` in their messages, at which the first cell fails;
     an overflowing utility raises DomainError without numpy's overflow
-    warning.  When C > 1, an overflow and a failed SpringRank factorization
-    also name the first failing cell's beta.
+    warning.  When `cells` is given, an overflow, a failed SpringRank
+    factorization and an unconverged PageRank power iteration also name
+    the first failing cell's beta.
 
     The run's settings are read on the first step, so a PAGERANK_DIRECT_MAX_N
     set before it takes effect.
@@ -97,8 +98,8 @@ def _steps(params: ModelParams, a: np.ndarray, steps: int, unit: str = "step", c
     for t in range(steps):
         try:
             s = score(a)
-        except NumericError as exc:  # a failed SpringRank slice carries its index
-            index = getattr(exc, "index", None) if len(a) > 1 else None
+        except NumericError as exc:  # a failed slice carries its index
+            index = getattr(exc, "index", None) if cells else None
             cell = "" if index is None else f" in the cell at beta {beta[index]}"
             raise NumericError(f"score failed at {unit} {t}: {exc}{cell}", exc.diagnostics) from exc
         with np.errstate(over="ignore", invalid="ignore"):
@@ -107,7 +108,7 @@ def _steps(params: ModelParams, a: np.ndarray, steps: int, unit: str = "step", c
             p = choice._softmax(u)
         except DomainError as exc:
             bad = np.flatnonzero(~np.isfinite(u).all(axis=(1, 2)))
-            cell = f" in the cell at beta {beta[bad[0]]}" if len(u) > 1 else ""
+            cell = f" in the cell at beta {beta[bad[0]]}" if cells else ""
             raise DomainError(f"{unit} {t}: {exc}{cell}") from exc
         draws = [choice.sample_delta(pc, m, _step_rng(seed, t)) for pc, seed in zip(p, seeds)]
         # one cell steps with its own draw: no copy of an n x n matrix per step

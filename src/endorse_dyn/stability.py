@@ -10,8 +10,10 @@ deterministic drift.  Each score kind has its own natural state space:
   Laplacian of the current adjacency (closed form below).
 
 Everything that differs between kinds lives in one `_Kind` record per kind
-(``_KINDS``); the public functions take the kind's name and look its record
-up through `_kind`.
+(``_KINDS``).  A function that takes `params` reads the kind from
+``params.score_kind``, which `ModelParams` has checked; the others take the
+kind's name and look its record up through `_kind`.  :mod:`endorse_dyn.scores`
+builds the SpringRank Laplacian and solves against I - alpha_p P^T.
 
 ``two_group_equilibria`` finds every fixed point with k nodes at one score
 value and n-k at another across a beta1 grid and classifies its linear
@@ -34,7 +36,8 @@ from .choice import choice_probabilities, utility
 from .core import (ALPHA_P, ALPHA_S, ModelParams, check_alpha_p, check_alpha_s, check_count,
                    check_matrix)
 from .errors import DomainError
-from .scores import _cholesky_solve, _spring_system, in_degree, pagerank_score, springrank_score
+from .scores import (_cholesky_solve, _pagerank_resolve, _spring_system, in_degree,
+                     pagerank_score, springrank_score)
 
 
 @dataclass(frozen=True)
@@ -67,9 +70,9 @@ def egalitarian_root(score_kind: str, n: int, m: int) -> np.ndarray:
     return _kind(score_kind).egalitarian(n, m)
 
 
-def state_of(score_kind: str, a: np.ndarray, params: ModelParams) -> np.ndarray:
-    """The kind's state variable for an adjacency (in-degree or score)."""
-    return _kind(score_kind).state_of(a, params)
+def state_of(a: np.ndarray, params: ModelParams) -> np.ndarray:
+    """params' kind's state variable for an adjacency (in-degree or score)."""
+    return _KINDS[params.score_kind].state_of(a, params)
 
 
 # ---------------------------------------------------------------------------
@@ -183,18 +186,13 @@ def _pagerank_root_residual(s: np.ndarray, params: ModelParams) -> np.ndarray:
     return a * n * (g.T @ s) + (1.0 - a) - s
 
 
-def _springrank_lg(gamma: np.ndarray, g: np.ndarray) -> np.ndarray:
-    n = gamma.shape[0]
-    return np.diag(gamma) + np.eye(n) / n - (g + g.T)
-
-
 def _springrank_forcing(s: np.ndarray, params: ModelParams) -> np.ndarray:
-    """alpha_s s + m (L_G(s) s + (e/n - gamma(s))); zero at fixed points."""
-    n = s.shape[0]
-    g = state_rate_matrix("springrank", s, params.beta)
-    gamma = g.sum(axis=0)
-    lg = _springrank_lg(gamma, g)
-    return params.alpha_s * s + params.m * (lg @ s + (1.0 / n - gamma))
+    """alpha_s s + m (L_G(s) s + (e/n - gamma(s))); zero at fixed points.
+
+    It is L_alpha s - (d_in - d_out) of SpringRank's system for m G(s)."""
+    lap, rhs = _spring_system(params.m * state_rate_matrix("springrank", s, params.beta),
+                              params.alpha_s)
+    return lap @ s - rhs
 
 
 def _solve_projected(l_alpha: np.ndarray, rhs: np.ndarray, x_mean: float) -> np.ndarray:
@@ -256,35 +254,28 @@ def _pagerank_drift(s: np.ndarray, a: np.ndarray | None, params: ModelParams) ->
         )
     s = np.asarray(s, dtype=float)
     a = check_matrix(a, "adjacency")
-    n = s.shape[0]
     dout = a.sum(axis=1)
     if np.any(dout <= 0):
         raise DomainError("pagerank drift needs strictly positive out-degrees")
-    w = (a / dout[:, None]).T  # P^T
+    p = a / dout[:, None]
     h = params.m * state_rate_matrix("pagerank", s, params.beta) - a
     v = s / dout
-    rhs = h.T @ v - w @ (h.sum(axis=1) * v)
-    alpha = params.alpha_p
-    return alpha * np.linalg.solve(np.eye(n) - alpha * w, rhs)
+    rhs = h.T @ v - p.T @ (h.sum(axis=1) * v)
+    return params.alpha_p * _pagerank_resolve(p, params.alpha_p, rhs)
 
 
-def finite_memory_drift(
-    score_kind: str,
-    s: np.ndarray,
-    a: np.ndarray,
-    params: ModelParams,
-    lam: float = 1.0 - 1e-6,
-) -> np.ndarray:
+def finite_memory_drift(s: np.ndarray, a: np.ndarray, params: ModelParams,
+                        lam: float = 1.0 - 1e-6) -> np.ndarray:
     """Defining-limit oracle: [sigma(lam a + (1-lam) m G(s)) - s] / (1-lam).
 
-    Requires s = sigma(a) in the kind's state space.  The tests pin the
-    closed-form drifts of `f_drift` against it.
+    Requires s = sigma(a) in the state space of params' kind.  The tests
+    pin the closed-form drifts of `f_drift` against it.
     """
     s = np.asarray(s, dtype=float)
     a = np.asarray(a, dtype=float)
-    g = state_rate_matrix(score_kind, s, params.beta)
+    g = state_rate_matrix(params.score_kind, s, params.beta)
     a_next = lam * a + (1.0 - lam) * params.m * g
-    return (state_of(score_kind, a_next, params) - s) / (1.0 - lam)
+    return (state_of(a_next, params) - s) / (1.0 - lam)
 
 
 # ---------------------------------------------------------------------------
@@ -307,27 +298,27 @@ def critical_beta1(
     return _kind(score_kind).critical(n, m, alpha_p, alpha_s)
 
 
-def jacobian_egalitarian(score_kind: str, params: ModelParams, n: int):
+def jacobian_egalitarian(params: ModelParams, n: int):
     """M = dgamma/ds and the assembled drift Jacobian at the egalitarian root.
 
     Returns (M, J, eigenvalues).  Only beta1 enters: the proximity feature's
     gradient vanishes identically at equal scores, so J is exactly invariant
     to beta2.
     """
-    s0 = egalitarian_root(score_kind, n, params.m)
-    m_mat = dgamma_ds(score_kind, s0, params.beta)
-    jac = fixed_point_jacobian(score_kind, s0, params)
+    s0 = egalitarian_root(params.score_kind, n, params.m)
+    m_mat = dgamma_ds(params.score_kind, s0, params.beta)
+    jac = fixed_point_jacobian(s0, params)
     return m_mat, jac, np.linalg.eigvals(jac)
 
 
-def fixed_point_jacobian(score_kind: str, s_star: np.ndarray, params: ModelParams) -> np.ndarray:
+def fixed_point_jacobian(s_star: np.ndarray, params: ModelParams) -> np.ndarray:
     """Drift Jacobian at an arbitrary fixed point (egalitarian or not).
 
     Every kind reduces to J = m * Dsigma[A*] dG/ds - I at the state
     A* = m G(s*); the A-space linearization shares this spectrum apart from
     extra -1 eigenvalues.
     """
-    return _kind(score_kind).jacobian(np.asarray(s_star, dtype=float), params)
+    return _KINDS[params.score_kind].jacobian(np.asarray(s_star, dtype=float), params)
 
 
 def _rootdegree_jacobian(d_star: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -337,14 +328,12 @@ def _rootdegree_jacobian(d_star: np.ndarray, params: ModelParams) -> np.ndarray:
 
 def _pagerank_jacobian(s_star: np.ndarray, params: ModelParams) -> np.ndarray:
     # A* = m G(s*): rows sum to m/n, so P = n G and (D_out)^-1 s = (n/m) s.
-    n = s_star.shape[0]
     alpha = params.alpha_p
     p = state_probabilities("pagerank", s_star, params.beta)
     # column k of the resolvent's input is sum_i s_i dp_ij/ds_k; its partner
     # term P^T ((dP_k e) o s) vanishes because every row of p sums to one
     rhs, _ = _logit_derivatives(p, s_star, params.beta, s_star)
-    cols = alpha * np.linalg.solve(np.eye(n) - alpha * p.T, rhs)
-    return cols - np.eye(n)
+    return alpha * _pagerank_resolve(p, alpha, rhs) - np.eye(s_star.shape[0])
 
 
 def _springrank_jacobian(s_star: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -353,16 +342,16 @@ def _springrank_jacobian(s_star: np.ndarray, params: ModelParams) -> np.ndarray:
     alpha_s = params.alpha_s
     m = params.m
     p = state_probabilities("springrank", s_star, beta)
-    g = p / n
-    lg = _springrank_lg(g.sum(axis=0), g)
+    # L_alpha = m L_G + alpha_s I, SpringRank's Laplacian of A* = m G(s*)
+    lap, _ = _spring_system(m * (p / n), alpha_s)
     m_mat, _ = _logit_derivatives(p, s_star, beta, np.full(n, 1.0 / n))
     fwd, bwd = _logit_derivatives(p, s_star, beta, s_star)
-    # dF/ds columns: alpha_s I + m [L_G + diag(M v) s* - (dG + dG^T) s* - M]
+    # dF/ds columns: L_alpha + m [diag(M v) s* - (dG + dG^T) s* - M]
     dsym = (fwd + bwd) / n
-    df = alpha_s * np.eye(n) + m * (lg + m_mat * s_star[:, None] - dsym - m_mat)
+    df = lap + m * (m_mat * s_star[:, None] - dsym - m_mat)
     # column sums of dF are exactly alpha_s, so every column of
     # L_alpha^-1 dF has mean 1/n: solve the mean-zero part, add 1/n back
-    y = _solve_projected(m * lg + alpha_s * np.eye(n), df, 0.0)
+    y = _solve_projected(lap, df, 0.0)
     return -y - 1.0 / n
 
 
@@ -640,9 +629,9 @@ class Equilibrium:
         return float(self.jacobian_eigs.real.max())
 
 
-def _full_residual(score_kind: str, s: np.ndarray, params: ModelParams) -> np.ndarray:
-    """The n-dimensional root system F(s); zero exactly at fixed points."""
-    return _kind(score_kind).root_residual(s, params)
+def _full_residual(s: np.ndarray, params: ModelParams) -> np.ndarray:
+    """The n-dimensional root system F(s) of params' kind; zero exactly at fixed points."""
+    return _KINDS[params.score_kind].root_residual(s, params)
 
 
 def _two_group_vector(a: float, b: float, k: int, n: int) -> np.ndarray:
@@ -652,21 +641,16 @@ def _two_group_vector(a: float, b: float, k: int, n: int) -> np.ndarray:
 
 
 @contextmanager
-def _naming_root(score_kind: str, k: int, beta1: float):
-    """Re-raise a DomainError naming the kind, elite size and beta1 it hit."""
+def _naming_root(params: ModelParams, k: int):
+    """Re-raise a DomainError naming params' kind and beta1 and the elite size k."""
     try:
         yield
     except DomainError as exc:
-        raise DomainError(f"{score_kind} two-group root at k={k}, beta1={beta1!r}: {exc}") from None
+        raise DomainError(f"{params.score_kind} two-group root at k={k}, "
+                          f"beta1={params.beta[0]!r}: {exc}") from None
 
 
-def _newton_two_group(
-    score_kind: str,
-    params: ModelParams,
-    n: int,
-    k: int,
-    x0: np.ndarray,
-) -> np.ndarray | None:
+def _newton_two_group(params: ModelParams, n: int, k: int, x0: np.ndarray) -> np.ndarray | None:
     """Damped Newton on the 2-variable reduced system; None on failure.
 
     Each iterate evaluates [F_0, F_k] and its analytic 2x2 Jacobian on the
@@ -674,11 +658,11 @@ def _newton_two_group(
     with n, and takes the Newton step by Cramer's rule.  A non-finite
     utility raises DomainError naming the kind, k and beta1.
     """
-    kind = _kind(score_kind)
+    kind = _KINDS[params.score_kind]
     a, b = float(x0[0]), float(x0[1])
     if kind.nonneg:
         a, b = max(a, 1e-12), max(b, 1e-12)
-    with _naming_root(score_kind, k, params.beta[0]):
+    with _naming_root(params, k):
         (f0, f1), jac = kind.quotient(a, b, k, n, params)
         if not (isfinite(f0) and isfinite(f1)):
             return None
@@ -725,7 +709,7 @@ def _canonical(x, k: int, n: int) -> tuple[float, float, int]:
     return (a, b, k) if a > b else (b, a, n - k)
 
 
-def _classify(score_kind: str, x, k: int, n: int, params: ModelParams) -> Equilibrium:
+def _classify(x, k: int, n: int, params: ModelParams) -> Equilibrium:
     """Canonicalize a reduced root and read its residual and spectrum off the quotient.
 
     The drift Jacobian's spectrum is the 2x2 quotient block's two
@@ -735,7 +719,7 @@ def _classify(score_kind: str, x, k: int, n: int, params: ModelParams) -> Equili
     """
     a, b, k_elite = _canonical(x, k, n)
     k = k_elite or k
-    residual, quotient, lam = _kind(score_kind).quotient_drift(a, b, k, n, params)
+    residual, quotient, lam = _KINDS[params.score_kind].quotient_drift(a, b, k, n, params)
     if not (np.isfinite(quotient).all() and isfinite(lam[0]) and isfinite(lam[1])):
         raise DomainError("the drift Jacobian is not finite")
     eigs = np.concatenate([
@@ -752,13 +736,10 @@ def _classify(score_kind: str, x, k: int, n: int, params: ModelParams) -> Equili
     )
 
 
-def two_group_equilibria(
-    score_kind: str,
-    params: ModelParams,
-    n: int,
-    beta1_grid,
-) -> list[tuple[float, Equilibrium]]:
-    """Every two-group fixed point at each beta1 of a grid, once, classified.
+def two_group_equilibria(params: ModelParams, n: int,
+                         beta1_grid) -> list[tuple[float, Equilibrium]]:
+    """Every two-group fixed point of params' kind at each beta1 of a grid,
+    once, classified.
 
     Returns (beta1, Equilibrium) pairs sorted by (beta1, k_elite, a, b).
     The egalitarian root (k_elite 0) is classified at its closed form.  k
@@ -771,20 +752,20 @@ def two_group_equilibria(
     dropped.  A root-finder failure at one grid point loses that root there
     rather than aborting the scan.
     """
-    kind = _kind(score_kind)
+    kind = _KINDS[params.score_kind]
     check_count("n", n, 2)
     carried: dict[int, list] = {k: [] for k in range(1, n // 2 + 1)}
     out = []
     for b1 in map(float, beta1_grid):
         p = params.with_(beta=(b1,) + params.beta[1:])
         egal = float(kind.egalitarian(n, p.m)[0])
-        with _naming_root(score_kind, 0, b1):
-            out.append((b1, _classify(score_kind, (egal, egal), 1, n, p)))
+        with _naming_root(p, 0):
+            out.append((b1, _classify((egal, egal), 1, n, p)))
         for k, previous in carried.items():
             seeds = kind.seeds(n, k, p.m) + [x[::-1] for x in kind.seeds(n, n - k, p.m)]
             roots: list[tuple[float, float, int]] = []
             for x0 in seeds + previous:
-                x = _newton_two_group(score_kind, p, n, k, x0)
+                x = _newton_two_group(p, n, k, x0)
                 if x is None:
                     continue
                 a, b, k_elite = _canonical(x, k, n)
@@ -793,7 +774,7 @@ def two_group_equilibria(
                                        for ar, br, kr in roots):
                     roots.append((a, b, k_elite))
             carried[k] = [np.array((a, b) if kr == k else (b, a)) for a, b, kr in roots]
-            with _naming_root(score_kind, k, b1):
-                out += [(b1, _classify(score_kind, (a, b), kr, n, p)) for a, b, kr in roots]
+            with _naming_root(p, k):
+                out += [(b1, _classify((a, b), kr, n, p)) for a, b, kr in roots]
     out.sort(key=lambda row: (row[0], row[1].k_elite, row[1].a, row[1].b))
     return out

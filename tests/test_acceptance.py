@@ -77,7 +77,7 @@ def test_criterion_03_stability_flips_at_threshold():
             jac_by_beta2 = []
             for b2 in (0.0, -5.0):
                 p = ModelParams(lam=0.999, beta=(b1, b2), m=m, score_kind=kind)
-                _, jac, eigs = jacobian_egalitarian(kind, p, n)
+                _, jac, eigs = jacobian_egalitarian(p, n)
                 assert np.sign(eigs.real.max()) == expect_sign, (kind, shift, b2)
                 jac_by_beta2.append(jac)
             assert np.abs(jac_by_beta2[0] - jac_by_beta2[1]).max() <= 1e-12, kind
@@ -98,9 +98,9 @@ def test_criterion_04_closed_form_drift_matches_defining_limit():
                 a = a * (d / a.sum(axis=0))[None, :]
                 s = d
             else:
-                s = state_of(kind, a, p)
+                s = state_of(a, p)
             closed = f_drift(kind, s, a, p)
-            oracle = finite_memory_drift(kind, s, a, p, lam=1 - 1e-6)
+            oracle = finite_memory_drift(s, a, p, lam=1 - 1e-6)
             assert np.abs(closed - oracle).max() <= 1e-4, (kind, beta)
 
 
@@ -108,7 +108,7 @@ def _stable_branch_rank_vectors(kind, b1, beta2, n, m):
     base = ModelParams(lam=0.999, beta=(0.0, beta2), m=m, score_kind=kind)
     return [
         np.sort(state_rank_vector(kind, eq.s_star, (b1, beta2)))
-        for _, eq in two_group_equilibria(kind, base, n, [b1])
+        for _, eq in two_group_equilibria(base, n, [b1])
         if eq.stable
     ]
 
@@ -136,7 +136,7 @@ def test_criterion_05_simulations_settle_on_stable_branches():
             base = ModelParams(lam=0.999, beta=(0.0, 0.0), m=m, score_kind=kind)
             bistable = False
             for frac in (0.85, 0.90):
-                roots = two_group_equilibria(kind, base, n, [frac * bc])
+                roots = two_group_equilibria(base, n, [frac * bc])
                 stable_ks = {eq.k_elite for _, eq in roots if eq.stable}
                 if 0 in stable_ks and 1 in stable_ks:
                     bistable = True

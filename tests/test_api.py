@@ -49,6 +49,15 @@ def test_removed_name_is_absent(name):
     (endorse_dyn.log_likelihood, ("exclude_self",), ()),
     (endorse_dyn.grad_beta, ("exclude_self",), ()),
     (endorse_dyn.choice_probabilities, ("exclude_self",), ()),
+    # the long-memory functions that take params read the kind from them
+    (endorse_dyn.stability.state_of, ("score_kind",), ("params",)),
+    (endorse_dyn.finite_memory_drift, ("score_kind",), ("params",)),
+    (endorse_dyn.jacobian_egalitarian, ("score_kind",), ("params",)),
+    (endorse_dyn.fixed_point_jacobian, ("score_kind",), ("params",)),
+    (endorse_dyn.two_group_equilibria, ("score_kind",), ("params",)),
+    (endorse_dyn.stability._full_residual, ("score_kind",), ("params",)),
+    (endorse_dyn.stability._newton_two_group, ("score_kind",), ("params",)),
+    (endorse_dyn.stability._classify, ("score_kind",), ("params",)),
 ])
 def test_removed_parameters_and_defaults_stay_gone(fn, removed, required):
     params = inspect.signature(fn).parameters

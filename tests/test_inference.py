@@ -307,6 +307,26 @@ class TestDegenerateBetaProblems:
         assert any("observed information is not positive definite" in w
                    for w in res.warnings)
 
+    def test_start_with_a_non_finite_likelihood_is_returned_unconverged(self):
+        terms = _terms(_separable(), 0.5, "rootdegree")
+        r = inference._maximize_beta(terms, (1e308, 0.0))
+        assert not r.ok and r.grad_norm == np.inf and not np.isfinite(r.ll)
+        assert np.array_equal(r.beta, [1e308, 0.0])
+
+    def test_backtracking_that_runs_out_of_halvings_stops_the_solve(self, monkeypatch):
+        # at a saturated start the information is tiny (~1e-31) but well
+        # conditioned, so the undamped Newton step is ~5e31 long and no
+        # halving brings it close enough to raise the likelihood
+        terms = _terms(_separable(), 0.5, "rootdegree")
+        calls = []
+        evaluate = inference._loglik_and_grad
+        monkeypatch.setattr(inference, "_loglik_and_grad",
+                            lambda *args: calls.append(1) or evaluate(*args))
+        r = inference._maximize_beta(terms, (100.0, 0.0))
+        assert len(calls) == 1 + BETA_MAX_HALVINGS
+        assert not r.ok and np.isfinite(r.ll)
+        assert np.array_equal(r.beta, [100.0, 0.0])
+
     @pytest.mark.parametrize("h", [np.zeros((2, 2)), np.diag([-1.0, 1.0]),
                                    np.array([[-1.0, -1.0], [-1.0, -1.0]])])
     def test_damped_step_ascends_where_the_information_is_not_positive_definite(self, h):

@@ -309,6 +309,14 @@ class TestStacks:
         with pytest.raises(NumericError) as exc:
             pagerank_score(a, 0.85)
         assert exc.value.diagnostics["iterations"] == 2
+        assert exc.value.index == 1  # the uniform slice 0 converged in one step
+
+    def test_stacked_singular_springrank_raises(self):
+        # the batched LU solve of a stack: 2 + 1e-300 == 2, so each slice's
+        # Laplacian [[2, -2], [-2, 2]] stays exactly singular
+        a = np.array([[[0.0, 1.0], [1.0, 0.0]]] * 2)
+        with pytest.raises(NumericError, match="^springrank solve failed: Singular matrix$"):
+            score(a, ModelParams(lam=0.5, alpha_s=1e-300))
 
     def test_rejects_non_square_stack(self):
         with pytest.raises(DomainError):

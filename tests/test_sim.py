@@ -394,12 +394,39 @@ class TestVarianceSweep:
     def test_failed_springrank_factorization_of_one_cell_names_no_cell(self):
         p = ModelParams(lam=0.9, m=1, score_kind="springrank", alpha_s=1e-300)
         for call, unit in [(lambda: run(p, uniform_initial(4, 1), steps=5), "step"),
-                           (lambda: simulate_sequence(p, uniform_initial(4, 1), 5), "period"),
-                           (lambda: simulate_cells(p, 4, [(1, 0)], steps=5, window=1),
-                            "step")]:
+                           (lambda: simulate_sequence(p, uniform_initial(4, 1), 5), "period")]:
             with pytest.raises(NumericError) as exc:
                 call()
             assert str(exc.value) == f"score failed at {unit} 0: {self.SPRING_FAILED}"
+
+    def test_a_grid_of_one_cell_names_it(self):
+        p = ModelParams(lam=0.9, m=1, score_kind="springrank", alpha_s=1e-300)
+        with pytest.raises(NumericError) as exc:
+            simulate_cells(p, 4, [(1, 0)], steps=5, window=1)
+        assert str(exc.value) == (f"score failed at step 0: {self.SPRING_FAILED} "
+                                  "in the cell at beta (1.0, 0.0)")
+
+    @pytest.mark.parametrize("n", [4, 70])
+    def test_overflow_names_the_cell_in_a_chunk_of_any_size(self, n):
+        # 8192 // n**2 cells per chunk: both cells in one at n=4, one each at n=70
+        p = ModelParams(lam=0.9, m=4 * n, score_kind="rootdegree")
+        with pytest.raises(DomainError) as exc:
+            simulate_cells(p, n, [(1.0, 0.0), (1e308, 0.0)], steps=3, window=1)
+        assert str(exc.value) == ("step 0: utilities must be finite "
+                                  "in the cell at beta (1e+308, 0.0)")
+
+    @pytest.mark.parametrize("entries", [2 * 16, 16])
+    def test_unconverged_pagerank_power_iteration_names_the_cell(self, entries, monkeypatch):
+        # power iteration stopped after one step: every cell's uniform A(0)
+        # converges in it, no cell's A(1) does, and the first is named
+        monkeypatch.setattr(scores, "PAGERANK_DIRECT_MAX_N", 0)
+        monkeypatch.setattr(scores, "PAGERANK_MAX_ITER", 1)
+        monkeypatch.setattr(sim, "LOCKSTEP_MAX_ENTRIES", entries)
+        p = ModelParams(lam=0.9, m=1, score_kind="pagerank")
+        with pytest.raises(NumericError) as exc:
+            simulate_cells(p, 4, [(1.0, 0.0), (2.0, 0.0)], steps=3, window=1)
+        assert str(exc.value) == ("score failed at step 1: pagerank power iteration did "
+                                  "not converge in the cell at beta (1.0, 0.0)")
 
     def test_cells_use_independent_streams(self):
         p = ModelParams(lam=0.97, m=1, score_kind="rootdegree", seed=5)

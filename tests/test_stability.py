@@ -65,17 +65,18 @@ class TestKindRecords:
         "call",
         [
             lambda: egalitarian_root("nope", 5, 1),
-            lambda: state_of("nope", np.ones((3, 3)), ModelParams(lam=0.9)),
+            lambda: state_of(np.ones((3, 3)), ModelParams(lam=0.9, score_kind="nope")),
             lambda: state_probabilities("nope", np.ones(3), (1.0, 0.0)),
             lambda: state_rate_matrix("nope", np.ones(3), (1.0, 0.0)),
             lambda: state_rank_vector("nope", np.ones(3), (1.0, 0.0)),
             lambda: dgamma_ds("nope", np.ones(3), (1.0, 0.0)),
             lambda: f_drift("nope", np.ones(3), np.ones((3, 3)), ModelParams(lam=0.9)),
-            lambda: finite_memory_drift("nope", np.ones(3), np.ones((3, 3)), ModelParams(lam=0.9)),
+            lambda: finite_memory_drift(np.ones(3), np.ones((3, 3)),
+                                        ModelParams(lam=0.9, score_kind="nope")),
             lambda: critical_beta1("nope", 5, 1),
-            lambda: jacobian_egalitarian("nope", ModelParams(lam=0.9), 5),
-            lambda: fixed_point_jacobian("nope", np.ones(3), ModelParams(lam=0.9)),
-            lambda: two_group_equilibria("nope", ModelParams(lam=0.9), 5, [1.0]),
+            lambda: jacobian_egalitarian(ModelParams(lam=0.9, score_kind="nope"), 5),
+            lambda: fixed_point_jacobian(np.ones(3), ModelParams(lam=0.9, score_kind="nope")),
+            lambda: two_group_equilibria(ModelParams(lam=0.9, score_kind="nope"), 5, [1.0]),
         ],
         ids=[
             "egalitarian_root", "state_of", "state_probabilities", "state_rate_matrix",
@@ -85,6 +86,7 @@ class TestKindRecords:
         ],
     )
     def test_unknown_kind_raises(self, call):
+        # where a function reads the kind from params, ModelParams raises
         with pytest.raises(DomainError, match="unknown score kind 'nope'"):
             call()
 
@@ -134,12 +136,13 @@ class TestStateMaps:
     def test_state_of_conventions(self):
         rng = np.random.default_rng(4)
         a = rng.random((5, 5))
-        p = ModelParams(lam=0.9)
-        assert np.array_equal(state_of("rootdegree", a, p), a.sum(axis=0))
+        p = {kind: ModelParams(lam=0.9, score_kind=kind) for kind in KINDS}
+        assert np.array_equal(state_of(a, p["rootdegree"]), a.sum(axis=0))
         from endorse_dyn.scores import pagerank_score, springrank_score
 
-        assert np.array_equal(state_of("pagerank", a, p), pagerank_score(a, p.alpha_p))
-        assert np.array_equal(state_of("springrank", a, p), springrank_score(a, p.alpha_s))
+        assert np.array_equal(state_of(a, p["pagerank"]), pagerank_score(a, p["pagerank"].alpha_p))
+        assert np.array_equal(state_of(a, p["springrank"]),
+                              springrank_score(a, p["springrank"].alpha_s))
 
 
 class TestDrifts:
@@ -172,12 +175,19 @@ class TestDrifts:
         a = 2 * state_rate_matrix(kind, s, p.beta)  # consistent pair (s, a)
         if kind == "rootdegree":
             a = a * (s / a.sum(axis=0))[None, :]  # force in-degree = s exactly
-        s_chk = state_of(kind, a, p)
+        s_chk = state_of(a, p)
         if kind != "rootdegree":
             s = s_chk  # re-anchor to the exact state of a
         closed = f_drift(kind, s, a, p)
-        oracle = finite_memory_drift(kind, s, a, p, lam=1 - 1e-6)
+        oracle = finite_memory_drift(s, a, p, lam=1 - 1e-6)
         assert np.abs(closed - oracle).max() < 1e-4
+
+    def test_pagerank_drift_needs_positive_out_degrees(self):
+        a = np.ones((3, 3))
+        a[1] = 0.0
+        p = params_for("pagerank", 1.1, -0.6, m=2)
+        with pytest.raises(DomainError, match="strictly positive out-degrees"):
+            f_drift("pagerank", np.ones(3), a, p)
 
     def test_pagerank_drift_needs_the_adjacency(self):
         # with a = m G(s) the pagerank forcing vanishes at every s
@@ -218,7 +228,7 @@ class TestPagerankRootSystem:
         reported residual."""
         p = params_for("pagerank", 0.0, -0.3)
         bc = critical_beta1("pagerank", n, 1)
-        roots = two_group_equilibria("pagerank", p, n, [0.9 * bc, 1.5 * bc])
+        roots = two_group_equilibria(p, n, [0.9 * bc, 1.5 * bc])
         assert len({eq.k_elite for _, eq in roots}) >= 3
         for beta1, eq in roots:
             r = np.abs(f_pagerank_root_system(eq.s_star, p.with_(beta=(beta1, -0.3)))).max()
@@ -233,7 +243,7 @@ class TestEgalitarianJacobian:
         n, m = 5, 2
         bc = critical_beta1(kind, n, m)
         p = params_for(kind, ratio * bc, -1.0, m=m)
-        _, _, eigs = jacobian_egalitarian(kind, p, n)
+        _, _, eigs = jacobian_egalitarian(p, n)
         assert eigs.real.max() == pytest.approx(ratio - 1.0, abs=1e-9)
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -241,8 +251,8 @@ class TestEgalitarianJacobian:
         n = 6
         p0 = params_for(kind, 1.3, 0.0, m=2)
         p5 = params_for(kind, 1.3, -5.0, m=2)
-        _, j0, _ = jacobian_egalitarian(kind, p0, n)
-        _, j5, _ = jacobian_egalitarian(kind, p5, n)
+        _, j0, _ = jacobian_egalitarian(p0, n)
+        _, j5, _ = jacobian_egalitarian(p5, n)
         assert np.abs(j0 - j5).max() < 1e-12
 
 
@@ -319,13 +329,13 @@ class TestClosedFormDerivatives:
         ref_m = reference_dprob(kind, s, beta).mean(axis=0)
         ref_j = reference_jacobian(kind, s, p)
         m_mat = dgamma_ds(kind, s, beta)
-        jac = fixed_point_jacobian(kind, s, p)
+        jac = fixed_point_jacobian(s, p)
         assert np.abs(m_mat - ref_m).max() <= 1e-12 * max(1.0, np.abs(ref_m).max())
         assert np.abs(jac - ref_j).max() <= 1e-12 * max(1.0, np.abs(ref_j).max())
 
 
 def affinity_drift(kind, a, params):
-    s = state_of(kind, a, params)
+    s = state_of(a, params)
     return params.m * state_rate_matrix(kind, s, params.beta) - a
 
 
@@ -350,7 +360,7 @@ class TestFixedPointJacobian:
         rng = np.random.default_rng(6)
         s = rng.random(5) * 2 + 0.2
         p = params_for("rootdegree", 3.0, -0.8, m=2)
-        jac = fixed_point_jacobian("rootdegree", s, p)
+        jac = fixed_point_jacobian(s, p)
         fd = np.empty((5, 5))
         for k in range(5):
             h = 1e-6 * (1 + s[k])
@@ -369,7 +379,7 @@ class TestFixedPointJacobian:
         p = params_for(kind, 1.5 * bc, -0.3, m=m)
         hier = [
             eq
-            for _, eq in two_group_equilibria(kind, p, n, [1.5 * bc])
+            for _, eq in two_group_equilibria(p, n, [1.5 * bc])
             if eq.k_elite == 1 and eq.stable
         ]
         assert hier, "expected a stable one-elite equilibrium above threshold"
@@ -389,7 +399,7 @@ class TestTwoGroupContinuation:
         n, m = 8, 1
         bc = critical_beta1(kind, n, m)
         p = params_for(kind, 0.0, 0.0, m=m)
-        eqs = [eq for _, eq in two_group_equilibria(kind, p, n, [1.5 * bc])]
+        eqs = [eq for _, eq in two_group_equilibria(p, n, [1.5 * bc])]
         egal = [eq for eq in eqs if eq.k_elite == 0]
         hier = [eq for eq in eqs if eq.k_elite == 1]
         assert egal and not egal[0].stable
@@ -401,7 +411,7 @@ class TestTwoGroupContinuation:
         n, m = 8, 1
         bc = critical_beta1(kind, n, m)
         p = params_for(kind, 0.0, 0.0, m=m)
-        eqs = [eq for _, eq in two_group_equilibria(kind, p, n, [0.9 * bc])]
+        eqs = [eq for _, eq in two_group_equilibria(p, n, [0.9 * bc])]
         stable_egal = [eq for eq in eqs if eq.k_elite == 0 and eq.stable]
         stable_hier = [eq for eq in eqs if eq.k_elite == 1 and eq.stable]
         assert stable_egal and stable_hier
@@ -411,7 +421,7 @@ class TestTwoGroupContinuation:
         bc = critical_beta1("rootdegree", n, m)
         grid = np.linspace(0.5 * bc, 1.5 * bc, 5)
         p = params_for("rootdegree", 0.0, 0.0, m=m)
-        egal = [(b1, eq) for b1, eq in two_group_equilibria("rootdegree", p, n, grid)
+        egal = [(b1, eq) for b1, eq in two_group_equilibria(p, n, grid)
                 if eq.k_elite == 0]
         assert np.allclose([b1 for b1, _ in egal], grid)
         stab = [eq.stable for _, eq in egal]
@@ -421,12 +431,12 @@ class TestTwoGroupContinuation:
     def test_rejects_fewer_than_two_nodes(self, n):
         p = params_for("rootdegree", 1.0)
         with pytest.raises(DomainError, match="n >= 2"):
-            two_group_equilibria("rootdegree", p, n, [1.0])
+            two_group_equilibria(p, n, [1.0])
 
     def test_rejects_a_fractional_node_count(self):
         p = params_for("rootdegree", 1.0)
         with pytest.raises(DomainError, match="n must be an integer"):
-            two_group_equilibria("rootdegree", p, 2.5, [1.0])
+            two_group_equilibria(p, 2.5, [1.0])
 
 
 def scan_every_k(kind, params, n, grid):
@@ -444,7 +454,7 @@ def scan_every_k(kind, params, n, grid):
             p = params.with_(beta=(b1, params.beta[1]))
             uniq = []
             for x0 in _KINDS[kind].seeds(n, k, p.m) + carried:
-                x = _newton_two_group(kind, p, n, k, x0)
+                x = _newton_two_group(p, n, k, x0)
                 if x is None:
                     continue
                 scale = 1.0 + abs(x[0]) + abs(x[1])
@@ -452,7 +462,7 @@ def scan_every_k(kind, params, n, grid):
                     uniq.append(x)
             carried = uniq
             for x in uniq:
-                eq = _classify(kind, x, k, n, p)
+                eq = _classify(x, k, n, p)
                 group = kept.setdefault((b1, eq.k_elite), [])
                 scale = 1.0 + abs(eq.a) + abs(eq.b)
                 if not any(abs(eq.a - o.a) + abs(eq.b - o.b) < 1e-6 * scale for o in group):
@@ -468,7 +478,7 @@ class TestOneScan:
         bc = critical_beta1(kind, n, 1)
         grid = [0.6 * bc, 0.9 * bc, 1.1 * bc, 1.6 * bc]
         p = params_for(kind, 0.0, -0.3, m=1)
-        got = two_group_equilibria(kind, p, n, grid)
+        got = two_group_equilibria(p, n, grid)
         want = scan_every_k(kind, p, n, grid)
         key = lambda rows: [(b1, eq.k_elite, eq.stable) for b1, eq in rows]
         assert key(got) == key(want)
@@ -518,7 +528,7 @@ class TestTwoGroupQuotient:
     @pytest.mark.parametrize("kind,n,k", QUOTIENT_CASES)
     def test_residual_matches_full_root_system(self, kind, n, k, order):
         p, a, b = quotient_point(kind, n, k, order)
-        full = _full_residual(kind, _two_group_vector(a, b, k, n), p)[[0, k]]
+        full = _full_residual(_two_group_vector(a, b, k, n), p)[[0, k]]
         (f0, f1), _ = _KINDS[kind].quotient(a, b, k, n, p)
         assert np.abs(np.array([f0, f1]) - full).max() <= 1e-14 * max(1.0, np.abs(full).max())
 
@@ -542,11 +552,11 @@ class TestTwoGroupQuotient:
     @pytest.mark.parametrize("kind,n,k", QUOTIENT_CASES)
     def test_classification_matches_full_spectrum(self, kind, n, k, order):
         p, a, b = quotient_point(kind, n, k, order)
-        eq = _classify(kind, np.array([a, b]), k, n, p)
+        eq = _classify(np.array([a, b]), k, n, p)
         assert eq.k_elite == {"elite-high": k, "elite-low": n - k, "tie": 0}[order]
         assert eq.a >= eq.b
         assert np.array_equal(eq.s_star, _two_group_vector(eq.a, eq.b, eq.k_elite, n))
-        full = np.linalg.eigvals(fixed_point_jacobian(kind, eq.s_star, p))
+        full = np.linalg.eigvals(fixed_point_jacobian(eq.s_star, p))
         ref = full.real.max()
         assert abs(eq.max_eig_real - ref) <= 1e-12 * max(1.0, abs(ref))
         # the whole spectrum, multiplicities included
@@ -561,7 +571,7 @@ class TestTwoGroupQuotient:
         bc = critical_beta1(kind, n, m)
         p = params_for(kind, 0.0, 0.0, m=m)
         # elite sizes 1, 64 and 255 and their canonical partners n - k
-        roots = [(b1, eq) for b1, eq in two_group_equilibria(kind, p, n, [0.8 * bc, 1.2 * bc])
+        roots = [(b1, eq) for b1, eq in two_group_equilibria(p, n, [0.8 * bc, 1.2 * bc])
                  if eq.k_elite in (1, 64, 192, 255)]
         assert len(roots) >= 3
         for b1, eq in roots:
@@ -569,7 +579,7 @@ class TestTwoGroupQuotient:
             reported = np.abs(reported_residual(kind, eq.s_star, pb)).max()
             assert reported <= 1e-8
             assert abs(eq.residual - reported) <= 1e-12
-            ref = np.linalg.eigvals(fixed_point_jacobian(kind, eq.s_star, pb)).real.max()
+            ref = np.linalg.eigvals(fixed_point_jacobian(eq.s_star, pb)).real.max()
             # LAPACK resolves the nonsymmetric J's within-group eigenvalue,
             # of multiplicity up to 254 here, only to about 4e-11
             assert abs(eq.max_eig_real - ref) <= 1e-10
@@ -582,7 +592,7 @@ class TestTwoGroupQuotient:
         b1 = 0.9 * critical_beta1("rootdegree", n, 1)
         p = params_for("rootdegree", 0.0, 0.0, m=1)
         # the roots a scan at k = 1 alone finds, canonicalized
-        eqs = [eq for _, eq in two_group_equilibria("rootdegree", p, n, [b1])
+        eqs = [eq for _, eq in two_group_equilibria(p, n, [b1])
                if eq.k_elite in (0, 1, n - 1)]
         assert any(eq.k_elite == 1 and eq.stable for eq in eqs)
         pb = p.with_(beta=(b1, 0.0))
@@ -597,19 +607,32 @@ class TestTypedErrors:
     def test_overflowing_utility_names_kind_k_and_beta1(self, kind):
         p = params_for(kind, 1e308, 0.0, m=1)
         with pytest.raises(DomainError, match=rf"{kind} .*k=2, beta1=1e\+308.*finite"):
-            _newton_two_group(kind, p, 6, 2, np.array([9.0, 1.0]))
+            _newton_two_group(p, 6, 2, np.array([9.0, 1.0]))
+
+    def test_newton_gives_up_on_a_non_finite_start(self):
+        # the utilities are finite, but m (gamma + 1/n) a overflows
+        p = ModelParams(lam=0.9, m=1e308, score_kind="springrank")
+        assert _newton_two_group(p, 4, 2, np.array([10.0, -10.0])) is None
+
+    def test_newton_stops_at_a_singular_jacobian(self):
+        # at beta = 0 the springrank quotient is linear; with 0.5 + 1e-300 ==
+        # 0.5 its Jacobian [[1, -1], [-1, 1]] / 4 is exactly singular
+        p = ModelParams(lam=0.9, alpha_s=1e-300, score_kind="springrank")
+        (f0, _), jac = _KINDS["springrank"].quotient(1.0, 0.0, 2, 4, p)
+        assert f0 == 0.25 and jac == [(0.25, -0.25), (-0.25, 0.25)]
+        assert _newton_two_group(p, 4, 2, np.array([1.0, 0.0])) is None
 
     def test_sweep_raises_domain_error(self):
         # the egalitarian seed s = 1 keeps beta1 s finite; the next seed does not
         p = params_for("pagerank", 0.0, -1.0, m=1)
         with pytest.raises(DomainError, match=r"pagerank .*k=1, beta1=1e\+308"):
-            two_group_equilibria("pagerank", p, 8, [1e308])
+            two_group_equilibria(p, 8, [1e308])
 
     def test_egalitarian_root_names_k_0(self):
         # sqrt(m / n) > 1 at the egalitarian root, so beta1 sqrt(m / n) overflows
         p = params_for("rootdegree", 0.0, 0.0, m=4)
         with pytest.raises(DomainError, match=r"rootdegree .*k=0, beta1=1e\+308.*finite"):
-            two_group_equilibria("rootdegree", p, 2, [1e308])
+            two_group_equilibria(p, 2, [1e308])
 
 
 class TestCriticalValueDomain:
@@ -646,12 +669,12 @@ class TestOneSpdSolvePath:
         s = random_state("springrank", n, rng)
         a = rng.random((n, n)) * 3
         got = (f_drift("springrank", s, a, p), f_drift("springrank", s, None, p),
-               fixed_point_jacobian("springrank", s, p))
+               fixed_point_jacobian(s, p))
         monkeypatch.setattr(
             stability, "_cholesky_solve",
             lambda lap, rhs: scipy.linalg.solve(lap, rhs, assume_a="pos"),
         )
         want = (f_drift("springrank", s, a, p), f_drift("springrank", s, None, p),
-                fixed_point_jacobian("springrank", s, p))
+                fixed_point_jacobian(s, p))
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
