@@ -27,29 +27,21 @@ def utility(s: np.ndarray, beta) -> np.ndarray:
     if len(beta) != 2:
         raise DomainError(f"beta needs 2 coefficients (prestige, proximity), got {len(beta)}")
     b1, b2 = (float(b) for b in beta)
-    return _utility(s, _weight(b1), _weight(b2))
+    return _utility(s, b1 or None, b2 or None)
 
 
-def _weight(b):
-    """A utility coefficient as `_utility` takes it: b, a float or one per
-    slice of a stack, as a (..., 1, 1) array, with where its term is kept:
-    in every slice (True), in none (None) or in the slices where b != 0."""
-    b = np.asarray(b, dtype=float)[..., None, None]
-    on = b != 0.0
-    return b, True if on.all() else on if on.any() else None
+def _utility(s: np.ndarray, b1, b2) -> np.ndarray:
+    """The utilities of one score vector (n,) or a stack of them (..., n).
 
-
-def _utility(s: np.ndarray, w1, w2) -> np.ndarray:
-    """The utilities of one score vector (n,) or a stack of them (..., n),
-    with coefficients from `_weight`.  A zero coefficient drops its term in
-    its own slice only, and each slice gets the bits of its own call."""
+    Each coefficient is None, which drops its term, or a float or one value
+    per slice shaped (..., 1, 1).  A zero in one slice adds an exact zero,
+    which leaves a finite sum's bits as they are (0 + -0 is +0), so each
+    slice with finite terms gets the bits of its own call."""
     u = np.zeros(s.shape + s.shape[-1:])
-    b, on = w1
-    if on is not None:
-        np.add(u, b * s[..., None, :], out=u, where=on)
-    b, on = w2
-    if on is not None:
-        np.add(u, b * (s[..., :, None] - s[..., None, :]) ** 2, out=u, where=on)
+    if b1 is not None:
+        u += b1 * s[..., None, :]
+    if b2 is not None:
+        u += b2 * (s[..., :, None] - s[..., None, :]) ** 2
     return u
 
 

@@ -31,6 +31,10 @@ from .errors import DomainError
 SCORE_KINDS = ("rootdegree", "pagerank", "springrank")
 ALPHA_P = 0.85  # default PageRank damping alpha_p
 ALPHA_S = 1e-8  # default SpringRank regularizer alpha_s
+# The largest m and the largest count, rank or summed count the loaders
+# take: a float64 holds every integer up to it exactly, and rounds or
+# overflows on larger ones.
+EXACT_MAX = 2**53
 
 
 @dataclass(frozen=True)
@@ -116,9 +120,11 @@ def check_matrix(a, name: str) -> np.ndarray:
 
 
 def check_m(m) -> None:
-    """m endorsements per step: a positive integral value (2.0 passes, 2.5 does not)."""
-    if not (m >= 1 and float(m).is_integer()):
-        raise DomainError(f"m must be a positive integer, got {m!r}")
+    """m endorsements per step: a positive integral value of at most
+    EXACT_MAX (2.0 passes, 2.5 does not).  The bound comes first, so no
+    float conversion of m can overflow."""
+    if not (1 <= m <= EXACT_MAX and float(m).is_integer()):
+        raise DomainError(f"m must be a positive integer of at most 2**53, got {m!r}")
 
 
 def check_lam(lam) -> None:

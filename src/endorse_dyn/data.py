@@ -21,15 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ModelParams, check_count, check_matrix
+from .core import EXACT_MAX, ModelParams, check_count, check_matrix
 from .errors import DomainError, FormatError
 from .sim import _initial, _steps
 
 LABEL_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
 HEADER = ("period", "source", "target", "count")
-# The largest size of a count, a rank or a summed count: a float64 holds
-# every integer up to it exactly, and rounds or overflows on larger ones.
-_EXACT_MAX = 2**53
 
 
 @dataclass(frozen=True)
@@ -162,7 +159,7 @@ def _read_rows(path, value_name):
         # digits; 2**53 has 16 of them, and int() refuses over 4300
         if not re.fullmatch(r"[+-]?[0-9]+", value):
             raise FormatError(f"{value_name} must be an integer, got {value!r}", line=line)
-        if len(value.lstrip("+-0")) > 16 or abs(int(value)) > _EXACT_MAX:
+        if len(value.lstrip("+-0")) > 16 or abs(int(value)) > EXACT_MAX:
             raise FormatError(f"{value_name} is above 2**53 in size", line=line)
         rows.append((line, period, src, dst, int(value)))
     if not rows:
@@ -206,7 +203,7 @@ def load_edge_list(path) -> InteractionSequence:
         if c < 1:
             raise DomainError(f"line {line}: count must be >= 1, got {c}")
         total = counts.get((period, src, dst), 0) + c
-        if total > _EXACT_MAX:
+        if total > EXACT_MAX:
             raise FormatError(f"summed count for {src}->{dst} is above 2**53", line=line)
         counts[(period, src, dst)] = total
     deltas, nodes, periods = _tabulate(counts, float)

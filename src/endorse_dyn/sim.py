@@ -79,12 +79,14 @@ def _steps(params: ModelParams, a: np.ndarray, steps: int, unit: str = "step", c
     the float operations of `core.step`.  gamma (C, n) holds each cell's
     rank vector of A(t), the column mean of its choice matrix, and delta
     (C, n, n) each cell's draw from the generator seeded with (its seed,
-    t), so every cell gets the bits of its run alone.  Errors name the
-    step, called `unit` in their messages, at which the first cell fails;
-    an overflowing utility raises DomainError without numpy's overflow
-    warning.  When `cells` is given, an overflow, a failed SpringRank
-    factorization and an unconverged PageRank power iteration also name
-    the first failing cell's beta.
+    t), so every cell gets the bits of its run alone.  A beta coefficient
+    that is zero in every cell drops its term, decided once per run; one
+    that is zero in some cells adds exact zeros there (see
+    `choice._utility`).  Errors name the step, called `unit` in their
+    messages, at which the first cell fails; an overflowing utility raises
+    DomainError without numpy's overflow warning.  When `cells` is given,
+    an overflow, a failed SpringRank factorization and an unconverged
+    PageRank power iteration also name the first failing cell's beta.
 
     The run's settings are read on the first step, so a PAGERANK_DIRECT_MAX_N
     set before it takes effect.
@@ -92,7 +94,7 @@ def _steps(params: ModelParams, a: np.ndarray, steps: int, unit: str = "step", c
     n = a.shape[-1]
     score = scores._score_core(params, n, slices=True)
     beta, seeds = zip(*(cells or [(params.beta, params.seed)]))
-    w1, w2 = (choice._weight(b) for b in np.array(beta).T)
+    b1, b2 = (b[:, None, None] if b.any() else None for b in np.array(beta).T)
     lam, m = params.lam, params.m
     fresh = 1.0 - lam
     for t in range(steps):
@@ -103,7 +105,7 @@ def _steps(params: ModelParams, a: np.ndarray, steps: int, unit: str = "step", c
             cell = "" if index is None else f" in the cell at beta {beta[index]}"
             raise NumericError(f"score failed at {unit} {t}: {exc}{cell}", exc.diagnostics) from exc
         with np.errstate(over="ignore", invalid="ignore"):
-            u = choice._utility(s, w1, w2)
+            u = choice._utility(s, b1, b2)
         try:
             p = choice._softmax(u)
         except DomainError as exc:

@@ -15,6 +15,11 @@ score_vec = arrays(
 )
 
 
+def _bits(x):
+    """The exact bits of a float array: np.array_equal counts -0.0 equal to 0.0."""
+    return np.ascontiguousarray(x).view(np.uint64).tolist()
+
+
 class TestUtility:
     def test_hand_example(self):
         # s = (1, 0), beta = (1, -1):
@@ -22,26 +27,46 @@ class TestUtility:
         u = utility(np.array([1.0, 0.0]), (1.0, -1.0))
         assert np.allclose(u, [[1.0, -1.0], [0.0, 0.0]])
 
-    def test_zero_beta_gives_zero_utility(self):
-        u = utility(np.array([0.3, -0.7, 2.0]), (0.0, 0.0))
-        assert np.array_equal(u, np.zeros((3, 3)))
+    @pytest.mark.parametrize("s", [[0.3, -0.7, 2.0], [np.inf, 0.5]], ids=["finite", "inf"])
+    def test_zero_beta_gives_zero_utility(self, s):
+        # a zero coefficient drops its term: no 0 * inf = nan
+        u = utility(np.array(s), (0.0, 0.0))
+        assert np.array_equal(u, np.zeros((len(s), len(s))))
 
     def test_rejects_wrong_beta_length(self):
         with pytest.raises(DomainError):
             utility(np.array([1.0, 0.0]), (1.0,))
 
-    def test_stack_drops_zero_terms_per_slice(self):
-        """One coefficient pair per slice of a score stack: each slice gets
-        the bits of utility on it alone, so an infinite score under zero
-        weights stays out of its slice and the other slices keep their terms."""
-        s = np.array([[np.inf, 0.5, -1.0], [0.3, -0.7, 2.0], [1.0, 2.0, 4.0], [0.2, 0.0, 1.5]])
+    def test_stack_keeps_each_slice_bits(self):
+        """One coefficient pair per slice of a score stack, as the kernel
+        passes them: each slice gets the bits of utility on it alone, the
+        zero coefficients adding exact zeros."""
+        s = np.array([[0.0, 0.5, -1.0], [0.3, -0.7, 2.0], [1.0, 2.0, 4.0], [0.2, 0.0, 1.5]])
         betas = [(0.0, 0.0), (2.5, 0.0), (0.0, -1.5), (2.0, -1.0)]
-        w1, w2 = (choice._weight(b) for b in np.array(betas).T)
-        # the masked-out 0 * inf is still computed, as in the kernel
-        with np.errstate(invalid="ignore"):
-            u = choice._utility(s, w1, w2)
+        b1, b2 = (b[:, None, None] for b in np.array(betas).T)
+        u = choice._utility(s, b1, b2)
         for sc, beta, uc in zip(s, betas, u):
-            assert np.array_equal(uc, utility(sc, beta))
+            assert _bits(uc) == _bits(utility(sc, beta))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_stack_slices_match_their_own_calls(self, data):
+        """A stack of finite scores (exact zeros and negatives among them)
+        with one coefficient pair per slice from 0.0, -0.0 and nonzero
+        values: every slice of the stacked utility, and of its softmax,
+        equals its own single-vector call bit for bit."""
+        c, n = data.draw(st.integers(1, 4)), data.draw(st.integers(2, 5))
+        s = data.draw(arrays(np.float64, (c, n), elements=st.one_of(
+            st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0, allow_nan=False))))
+        coef = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4.0, 4.0, allow_nan=False))
+        beta = np.array(data.draw(st.lists(st.tuples(coef, coef), min_size=c, max_size=c)))
+        b1, b2 = (b[:, None, None] if b.any() else None for b in beta.T)
+        u = choice._utility(s, b1, b2)
+        p = choice._softmax(u)
+        for sc, bc, uc, pc in zip(s, beta, u, p):
+            alone = utility(sc, tuple(bc))
+            assert _bits(uc) == _bits(alone)
+            assert _bits(pc) == _bits(choice_probabilities(alone))
 
     def test_nonfinite_utilities_rejected_downstream(self):
         u = utility(np.array([1.0, np.nan]), (1.0, 0.0))

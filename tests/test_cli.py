@@ -97,6 +97,14 @@ class TestSimulate:
         assert res.exit_code == 2
         assert "missing required key: n" in res.stderr
 
+    def test_m_too_large_for_a_float_is_a_domain_error(self, runner, tmp_path):
+        res = runner.invoke(cli.main, [
+            "simulate", "--score", "rootdegree", "--n", "4", "--lambda", "0.9",
+            "--steps", "3", "--m", "1" + "0" * 400, "--out", str(tmp_path / "x"),
+        ])
+        assert res.exit_code == 2, res.output + res.stderr
+        assert res.stderr.startswith("error: m must be a positive integer of at most 2**53")
+
     def test_bad_score_kind(self, runner, tmp_path):
         res = runner.invoke(cli.main, [
             "simulate", "--score", "eigenvector", "--n", "4", "--lambda", "0.9",

@@ -80,6 +80,11 @@ class TestModelParams:
             {"lam": 0.5, "m": 2.5},
             {"lam": 0.5, "m": np.nan},
             {"lam": 0.5, "m": np.inf},
+            # above 2**53: an int too large for a float, and floats that overflow
+            # the long-memory analysis
+            {"lam": 0.5, "m": 10**400},
+            {"lam": 0.5, "m": 1e308},
+            {"lam": 0.5, "m": 2**53 + 1},
             {"lam": 0.5, "alpha_s": np.nan},
             {"lam": 0.5, "alpha_s": np.inf},
         ],
@@ -91,6 +96,7 @@ class TestModelParams:
     def test_accepts_numpy_integer_seed_and_integral_m(self):
         p = ModelParams(lam=0.5, seed=np.int64(3), m=2.0)
         assert p.seed == 3 and p.m == 2.0
+        assert ModelParams(lam=0.5, m=2**53).m == ModelParams(lam=0.5, m=2.0**53).m == 2**53
 
 
 class TestStep:

@@ -5,6 +5,8 @@ independently: a dense linear solve for PageRank and the pinned spring
 system solved by hand for the two node case.
 """
 
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -232,6 +234,13 @@ class TestDispatch:
         assert np.array_equal(score(a, p), pagerank_score(a, 0.6))
         p2 = ModelParams(lam=0.9, score_kind="rootdegree")
         assert np.array_equal(score(a, p2), root_degree_score(a))
+
+    def test_unknown_kind_of_a_duck_typed_params_raises(self):
+        # ModelParams refuses an unknown kind itself; any other params reaches
+        # the kind dispatch with it
+        params = types.SimpleNamespace(score_kind="nope", alpha_p=0.85, alpha_s=1e-8)
+        with pytest.raises(DomainError, match="unknown score kind 'nope'"):
+            score(np.ones((3, 3)), params)
 
 
 def _stack_with_edge_cases(n, rng):

@@ -610,8 +610,8 @@ class TestTypedErrors:
             _newton_two_group(p, 6, 2, np.array([9.0, 1.0]))
 
     def test_newton_gives_up_on_a_non_finite_start(self):
-        # the utilities are finite, but m (gamma + 1/n) a overflows
-        p = ModelParams(lam=0.9, m=1e308, score_kind="springrank")
+        # the utilities are finite, but alpha_s s overflows in the start's residual
+        p = ModelParams(lam=0.9, alpha_s=1e308, score_kind="springrank")
         assert _newton_two_group(p, 4, 2, np.array([10.0, -10.0])) is None
 
     def test_newton_stops_at_a_singular_jacobian(self):
