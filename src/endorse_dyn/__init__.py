@@ -57,7 +57,6 @@ from .stability import (
     f_degree,
     f_drift,
     f_pagerank_root_system,
-    f_springrank,
     finite_memory_drift,
     fixed_point_jacobian,
     jacobian_egalitarian,
@@ -81,7 +80,7 @@ __all__ = [
     "Trajectory", "run", "rank_variance", "mean_gamma", "variance_sweep",
     # stability
     "Equilibrium", "critical_beta1", "dgamma_ds", "egalitarian_root",
-    "f_degree", "f_drift", "f_pagerank_root_system", "f_springrank",
+    "f_degree", "f_drift", "f_pagerank_root_system",
     "finite_memory_drift", "fixed_point_jacobian", "jacobian_egalitarian",
     "state_rank_vector", "two_group_equilibria",
     # data

@@ -35,6 +35,7 @@ ALPHA_S = 1e-8  # default SpringRank regularizer alpha_s
 # take: a float64 holds every integer up to it exactly, and rounds or
 # overflows on larger ones.
 EXACT_MAX = 2**53
+FLOAT_MAX = float(np.finfo(float).max)  # float() of a larger int overflows
 
 
 @dataclass(frozen=True)
@@ -88,22 +89,36 @@ class ModelParams:
     def __post_init__(self):
         check_lam(self.lam)
         if np.ndim(self.beta) != 1 or len(self.beta) != 2:
-            raise DomainError(f"beta needs 2 coefficients (prestige, proximity), got {self.beta!r}")
-        object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
+            raise DomainError("beta needs 2 coefficients (prestige, proximity), "
+                              f"got {_shown(self.beta)}")
+        try:
+            object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
+        except OverflowError:
+            raise DomainError(f"beta has an entry too large: {_shown(self.beta)}") from None
         if not all(np.isfinite(self.beta)):
             raise DomainError("beta has non-finite entries")
         check_m(self.m)
         if self.score_kind not in SCORE_KINDS:
             raise DomainError(
-                f"unknown score kind {self.score_kind!r}; choose from {SCORE_KINDS}"
+                f"unknown score kind {_shown(self.score_kind)}; choose from {SCORE_KINDS}"
             )
         check_alpha_p(self.alpha_p)
         check_alpha_s(self.alpha_s)
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise DomainError(f"seed must be a non-negative integer, got {self.seed!r}")
+            raise DomainError(f"seed must be a non-negative integer, got {_shown(self.seed)}")
 
     def with_(self, **kw) -> "ModelParams":
         return replace(self, **kw)
+
+
+def _shown(value) -> str:
+    """repr(value), or the size of an int too long to print (over 4300 digits)."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, numbers.Integral):
+            return f"an integer of {int(value).bit_length()} bits"
+        return f"a {type(value).__name__} holding an integer too long to print"
 
 
 def check_matrix(a, name: str) -> np.ndarray:
@@ -124,25 +139,25 @@ def check_m(m) -> None:
     EXACT_MAX (2.0 passes, 2.5 does not).  The bound comes first, so no
     float conversion of m can overflow."""
     if not (1 <= m <= EXACT_MAX and float(m).is_integer()):
-        raise DomainError(f"m must be a positive integer of at most 2**53, got {m!r}")
+        raise DomainError(f"m must be a positive integer of at most 2**53, got {_shown(m)}")
 
 
 def check_lam(lam) -> None:
     """The memory parameter lambda lies in [0, 1]."""
     if not 0.0 <= lam <= 1.0:
-        raise DomainError(f"lambda must lie in [0, 1], got {lam}")
+        raise DomainError(f"lambda must lie in [0, 1], got {_shown(lam)}")
 
 
 def check_alpha_p(alpha_p) -> None:
     """The PageRank damping alpha_p lies in (0, 1)."""
     if not 0.0 < alpha_p < 1.0:
-        raise DomainError(f"alpha_p must lie in (0, 1), got {alpha_p!r}")
+        raise DomainError(f"alpha_p must lie in (0, 1), got {_shown(alpha_p)}")
 
 
 def check_alpha_s(alpha_s) -> None:
-    """The SpringRank regularizer alpha_s is positive and finite."""
-    if not 0.0 < alpha_s < np.inf:
-        raise DomainError(f"alpha_s must be positive and finite, got {alpha_s!r}")
+    """The SpringRank regularizer alpha_s is positive and at most the largest float."""
+    if not 0.0 < alpha_s <= FLOAT_MAX:
+        raise DomainError(f"alpha_s must be positive and finite, got {_shown(alpha_s)}")
 
 
 def check_count(name: str, value, lo: int, hi: int | None = None) -> None:
@@ -150,8 +165,8 @@ def check_count(name: str, value, lo: int, hi: int | None = None) -> None:
     (no upper bound when `hi` is None)."""
     if not (isinstance(value, numbers.Integral) and lo <= value and (hi is None or value <= hi)):
         if hi is None:
-            raise DomainError(f"{name} must be an integer with {name} >= {lo}, got {value!r}")
-        raise DomainError(f"{name} must lie in [{lo}, {hi}] and be an integer, got {value!r}")
+            raise DomainError(f"{name} must be an integer with {name} >= {lo}, got {_shown(value)}")
+        raise DomainError(f"{name} must lie in [{lo}, {hi}] and be an integer, got {_shown(value)}")
 
 
 def step(state: EndorsementState, delta: np.ndarray, lam: float) -> EndorsementState:

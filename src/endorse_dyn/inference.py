@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.optimize
 
-from .core import ALPHA_P, ALPHA_S, SCORE_KINDS, ModelParams, check_count
+from .core import ALPHA_P, ALPHA_S, SCORE_KINDS, ModelParams, _shown, check_count
 from .data import InteractionSequence
 from .errors import DomainError, NumericError
 from .parallel import parallel_map
@@ -70,7 +70,7 @@ class CriticalityReport:
 def halflife(lam: float) -> float:
     """Periods until a remembered endorsement's weight halves."""
     if not 0.0 < lam < 1.0:
-        raise DomainError(f"half-life needs lambda in (0, 1), got {lam}")
+        raise DomainError(f"half-life needs lambda in (0, 1), got {_shown(lam)}")
     return float(-np.log(2.0) / np.log(lam))
 
 

@@ -19,8 +19,10 @@ builds the SpringRank Laplacian and solves against I - alpha_p P^T.
 value and n-k at another across a beta1 grid and classifies its linear
 stability, which is what a bifurcation diagram needs.  It solves and
 classifies on the two-group quotient, at a cost per root that does not grow
-with n.  Equilibrium a/b values are reported in each kind's own state space
-(in-degree units for rootdegree, score units otherwise).
+with n.  Newton drives the kind's root system F (``_full_residual``) to
+zero, and Equilibrium.residual is its sup norm.  Equilibrium a/b values are
+reported in each kind's own state space (in-degree units for rootdegree,
+score units otherwise).
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from typing import Callable
 import numpy as np
 
 from .choice import choice_probabilities, utility
-from .core import (ALPHA_P, ALPHA_S, ModelParams, check_alpha_p, check_alpha_s, check_count,
-                   check_matrix)
+from .core import (ALPHA_P, ALPHA_S, FLOAT_MAX, ModelParams, _shown, check_alpha_p,
+                   check_alpha_s, check_count, check_matrix)
 from .errors import DomainError
 from .scores import (_cholesky_solve, _pagerank_resolve, _spring_system, in_degree,
                      pagerank_score, springrank_score)
@@ -49,12 +51,12 @@ class _Kind:
     score_slope: Callable  # state -> elementwise d score / d state
     egalitarian: Callable  # (n, m) -> the egalitarian root
     critical: Callable  # (n, m, alpha_p, alpha_s) -> critical beta1
-    root_residual: Callable  # (s, params) -> root system, zero at fixed points
+    root_residual: Callable  # (s, params) -> the root system F, zero at fixed points
     drift: Callable  # (s, a or None, params) -> closed-form drift
     jacobian: Callable  # (s*, params) -> drift Jacobian at a fixed point
-    # the two-group quotient (see below), each (a, b, k, n, params) ->
-    quotient: Callable  # [F_0, F_k] of root_residual, and its 2x2 Jacobian
-    quotient_drift: Callable  # sup-norm drift residual, drift Jacobian quotient, lam
+    # the two-group quotient (see below) of F and of the drift Jacobian:
+    quotient: Callable  # (a, b, k, n, params) -> [F_0, F_k], F's 2x2 Jacobian
+    quotient_drift: Callable  # (a, b, k, n, params, F's 2x2 Jacobian) -> J's quotient, lam
     seeds: Callable  # (n, k, m) -> fresh two-group Newton starts (a, b)
     nonneg: bool  # the state must stay nonnegative
 
@@ -157,26 +159,15 @@ def f_degree(s: np.ndarray, params: ModelParams) -> np.ndarray:
 
 
 def f_pagerank_root_system(s: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Residual of [G^T(s) + a^-1 (1-a) n^-2 E] s - a^-1 n^-1 s, e^T s = n.
-
-    Zero exactly at fixed points of the score-feedback loop.  The bracketed
-    operator has constant column sums 1/(a n), so its leading eigenvalue is
-    1/(a n) for any s.
-    """
+    """Root system alpha_p n G^T(s) s + (1 - alpha_p) - s on e^T s = n: zero
+    exactly where s is the PageRank score of A = m G(s), at the fixed points."""
     s = np.asarray(s, dtype=float)
     n = s.shape[0]
     if abs(s.sum() - n) > 1e-8 * n:
         raise DomainError("pagerank root candidates must satisfy e^T s = n")
     if np.any(s <= 0):
         raise DomainError("pagerank root candidates must be strictly positive")
-    return _pagerank_residual(s, params)
-
-
-def _pagerank_residual(s: np.ndarray, params: ModelParams) -> np.ndarray:
-    n = s.shape[0]
-    a = params.alpha_p
-    g = state_rate_matrix("pagerank", s, params.beta)
-    return g.T @ s + (1.0 - a) / (a * n * n) * s.sum() - s / (a * n)
+    return _pagerank_root_residual(s, params)
 
 
 def _pagerank_root_residual(s: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -209,29 +200,25 @@ def _solve_projected(l_alpha: np.ndarray, rhs: np.ndarray, x_mean: float) -> np.
     return x - x.mean(axis=0) + x_mean
 
 
-def f_springrank(s: np.ndarray, a: np.ndarray, params: ModelParams) -> np.ndarray:
+def _springrank_drift(s: np.ndarray, a: np.ndarray | None, params: ModelParams) -> np.ndarray:
     """Drift of the spring-embedding score at state (s, a) with s = sigma(a).
 
         f = -L_alpha(a)^-1 [ alpha_s s + m (L_G(s) s + (e/n - gamma(s))) ]
         L_G = diag(gamma) + I/n - (G + G^T)
 
-    e^T of the bracket equals alpha_s e^T s exactly, so the bracket's
-    e-component is replaced by that analytic value before the solve; the
-    solution's e-component is then -mean(s).
+    `a` defaults to m G(s).  e^T of the bracket equals alpha_s e^T s
+    exactly, so the bracket's e-component is replaced by that analytic value
+    before the solve; the solution's e-component is then -mean(s).
     """
     s = np.asarray(s, dtype=float)
+    if a is None:
+        a = params.m * state_rate_matrix("springrank", s, params.beta)
     a = check_matrix(a, "adjacency")
     forcing = _springrank_forcing(s, params)
     l_alpha, _ = _spring_system(a, params.alpha_s)
     # exact mean of L_alpha^-1 forcing is mean(s); f negates it
     y = _solve_projected(l_alpha, forcing, s.mean())
     return -y
-
-
-def _springrank_drift(s: np.ndarray, a: np.ndarray | None, params: ModelParams) -> np.ndarray:
-    if a is None:
-        a = params.m * state_rate_matrix("springrank", s, params.beta)
-    return f_springrank(s, a, params)
 
 
 def f_drift(score_kind: str, s: np.ndarray, a: np.ndarray | None, params: ModelParams) -> np.ndarray:
@@ -291,8 +278,9 @@ def critical_beta1(
     alpha_s: float = ALPHA_S,
 ) -> float:
     """Threshold on beta1 where the egalitarian root loses stability; m may be a mean count."""
-    if not (float(n).is_integer() and n >= 2 and 0.0 < m < np.inf):
-        raise DomainError(f"need an integral n >= 2 and a finite m > 0, got n={n}, m={m}")
+    if not (2 <= n <= FLOAT_MAX and float(n).is_integer() and 0.0 < m <= FLOAT_MAX):
+        raise DomainError("need an integral n >= 2 and a finite m > 0, "
+                          f"got n={_shown(n)}, m={_shown(m)}")
     check_alpha_p(alpha_p)
     check_alpha_s(alpha_s)
     return _kind(score_kind).critical(n, m, alpha_p, alpha_s)
@@ -440,14 +428,13 @@ def _rootdegree_quotient(a: float, b: float, k: int, n: int, params: ModelParams
     return f, jac
 
 
-def _rootdegree_quotient_drift(a: float, b: float, k: int, n: int, params: ModelParams):
+def _rootdegree_quotient_drift(a: float, b: float, k: int, n: int, params: ModelParams, jac):
     # the root system is the drift: J = m M - I, and M = fwd(e/n) diag(slope)
-    f, jac = _rootdegree_quotient(a, b, k, n, params)
     r = (sqrt(a), sqrt(b))
     p, _ = _two_group_logit(r, k, n, params.beta)
     fwd, _ = _within_group_contractions(p, r, k, n, params.beta, (1.0 / n, 1.0 / n))
     lam = [params.m * fwd[y] * (0.5 / r[y]) - 1.0 for y in (0, 1)]
-    return max(abs(f[0]), abs(f[1])), jac, lam
+    return jac, lam
 
 
 def _pagerank_quotient(a: float, b: float, k: int, n: int, params: ModelParams):
@@ -464,22 +451,18 @@ def _pagerank_quotient(a: float, b: float, k: int, n: int, params: ModelParams):
     return f, jac
 
 
-def _pagerank_quotient_drift(a: float, b: float, k: int, n: int, params: ModelParams):
-    # J = alpha (I - alpha P^T)^-1 fwd(s) - I; P^T is block-constant (lam 0)
+def _pagerank_quotient_drift(a: float, b: float, k: int, n: int, params: ModelParams, jac):
+    # J = alpha (I - alpha P^T)^-1 fwd(s) - I, not F's `jac`; P^T is block-constant (lam 0)
     s = (a, b)
     nw = (k, n - k)
     p, dp = _two_group_logit(s, k, n, params.beta)
     al = params.alpha_p
-    total = k * a + (n - k) * b
-    residual = max(abs((k * p[0][y] * a + (n - k) * p[1][y] * b) / n
-                       + (1.0 - al) / (al * n * n) * total - s[y] / (al * n))
-                   for y in (0, 1))
     resolvent = np.eye(2) - al * np.array([[nw[z] * p[z][y] for z in (0, 1)] for y in (0, 1)])
     rhs = np.array([[k * a * dp[0][y][z] + (n - k) * b * dp[1][y][z] for z in (0, 1)]
                     for y in (0, 1)])
     quotient = al * np.linalg.solve(resolvent, rhs) - np.eye(2)
     fwd, _ = _within_group_contractions(p, s, k, n, params.beta, s)
-    return residual, quotient, [al * fwd[y] - 1.0 for y in (0, 1)]
+    return quotient, [al * fwd[y] - 1.0 for y in (0, 1)]
 
 
 def _springrank_quotient(a: float, b: float, k: int, n: int, params: ModelParams):
@@ -508,20 +491,16 @@ def _springrank_quotient(a: float, b: float, k: int, n: int, params: ModelParams
     return f, jac
 
 
-def _springrank_quotient_drift(a: float, b: float, k: int, n: int, params: ModelParams):
-    # The drift is -P L^-1 P F - mean(s) e and J = -P L^-1 P dF - E/n, where
-    # L = m L_G + alpha_s I and P = I - E/n.  On the quotient P maps onto the
-    # mean-zero direction (n - k, -k), on which L acts as
-    # mu = m (p_01 + p_10) + alpha_s; so P L^-1 P = P / mu there, and the
-    # 1/alpha_s of L's e-direction never enters.
+def _springrank_quotient_drift(a: float, b: float, k: int, n: int, params: ModelParams, df):
+    # The drift Jacobian is J = -P L^-1 P dF - E/n, where dF = `df` is the
+    # root system's Jacobian, L = m L_G + alpha_s I and P = I - E/n.  On the
+    # quotient P maps onto the mean-zero direction (n - k, -k), on which L
+    # acts as mu = m (p_01 + p_10) + alpha_s; so P L^-1 P = P / mu there, and
+    # the 1/alpha_s of L's e-direction never enters.
     s = (a, b)
-    f, df = _springrank_quotient(a, b, k, n, params)
     p, _ = _two_group_logit(s, k, n, params.beta)
     m, al = params.m, params.alpha_s
     mu = m * (p[0][1] + p[1][0]) + al
-    f_mean = (k * f[0] + (n - k) * f[1]) / n
-    s_mean = (k * a + (n - k) * b) / n
-    residual = max(abs((f[y] - f_mean) / mu + s_mean) for y in (0, 1))
     quotient = np.array([[-(df[y][z] - (k * df[0][z] + (n - k) * df[1][z]) / n) / mu
                           - (k if z == 0 else n - k) / n for z in (0, 1)] for y in (0, 1)])
     # lam of dF = alpha_s I + m (L_G + diag(s) M - (fwd(s) + bwd(s)) / n - M)
@@ -533,7 +512,7 @@ def _springrank_quotient_drift(a: float, b: float, k: int, n: int, params: Model
         gam = (k * p[0][y] + (n - k) * p[1][y]) / n
         df_lam = al + m * (gam + 1.0 / n + s[y] * m_lam[y] - (fwd[y] + bwd[y]) / n - m_lam[y])
         lam.append(-df_lam / (m * (gam + 1.0 / n) + al))
-    return residual, quotient, lam
+    return quotient, lam
 
 
 # ---------------------------------------------------------------------------
@@ -667,9 +646,9 @@ def _newton_two_group(params: ModelParams, n: int, k: int, x0: np.ndarray) -> np
         if not (isfinite(f0) and isfinite(f1)):
             return None
         norm = max(abs(f0), abs(f1))
-        # iterate past NEWTON_TOL while steps still improve: downstream
-        # residual reporting divides by a possibly small spectral gap, so
-        # polish to the numerical floor when it is cheap
+        # iterate past NEWTON_TOL while steps still improve: the springrank
+        # drift at the root applies L_alpha^-1 to F, which a small spectral
+        # gap amplifies, so polish to the numerical floor when it is cheap
         for _ in range(NEWTON_MAX_ITER):
             if norm <= 1e-15 * (1.0 + max(abs(a), abs(b))):
                 break
@@ -712,14 +691,18 @@ def _canonical(x, k: int, n: int) -> tuple[float, float, int]:
 def _classify(x, k: int, n: int, params: ModelParams) -> Equilibrium:
     """Canonicalize a reduced root and read its residual and spectrum off the quotient.
 
-    The drift Jacobian's spectrum is the 2x2 quotient block's two
-    eigenvalues, lam_0 with multiplicity k - 1 and lam_1 with multiplicity
-    n - k - 1, for the partition the root is canonicalized to; a tie is a
-    constant state, which k's own partition describes as well as any.
+    The residual is the sup norm of the kind's root system F there, which is
+    the sup norm of `_full_residual` at s_star.  The drift Jacobian's
+    spectrum is the 2x2 quotient block's two eigenvalues, lam_0 with
+    multiplicity k - 1 and lam_1 with multiplicity n - k - 1, for the
+    partition the root is canonicalized to; a tie is a constant state, which
+    k's own partition describes as well as any.
     """
     a, b, k_elite = _canonical(x, k, n)
     k = k_elite or k
-    residual, quotient, lam = _KINDS[params.score_kind].quotient_drift(a, b, k, n, params)
+    kind = _KINDS[params.score_kind]
+    (f0, f1), jac = kind.quotient(a, b, k, n, params)
+    quotient, lam = kind.quotient_drift(a, b, k, n, params, jac)
     if not (np.isfinite(quotient).all() and isfinite(lam[0]) and isfinite(lam[1])):
         raise DomainError("the drift Jacobian is not finite")
     eigs = np.concatenate([
@@ -727,7 +710,7 @@ def _classify(x, k: int, n: int, params: ModelParams) -> Equilibrium:
     ])
     return Equilibrium(
         s_star=_two_group_vector(a, b, k, n),
-        residual=float(residual),
+        residual=float(max(abs(f0), abs(f1))),
         jacobian_eigs=eigs,
         stable=float(eigs.real.max()) < 0.0,
         k_elite=k_elite,

@@ -23,6 +23,7 @@ REMOVED = (
     "rate_matrix",
     "Branch",
     "pagerank_alternating_solve",
+    "f_springrank",
 )
 
 

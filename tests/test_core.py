@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from endorse_dyn.core import (
     EndorsementState,
     ModelParams,
+    check_count,
+    check_m,
     rank_vector,
     sparse_random_initial,
     step,
@@ -87,11 +89,29 @@ class TestModelParams:
             {"lam": 0.5, "m": 2**53 + 1},
             {"lam": 0.5, "alpha_s": np.nan},
             {"lam": 0.5, "alpha_s": np.inf},
+            # integers too long for Python to print (over 4300 digits) or
+            # too large for a float
+            {"lam": 0.5, "m": 10**5000},
+            {"lam": 0.5, "seed": -10**5000},
+            {"lam": 10**5000},
+            {"lam": 0.5, "alpha_p": -10**5000},
+            {"lam": 0.5, "alpha_s": 10**5000},
+            {"lam": 0.5, "alpha_s": 10**400},
+            {"lam": 0.5, "beta": (10**400, 0.0)},
+            {"lam": 0.5, "beta": (10**5000,)},
+            {"lam": 0.5, "score_kind": 10**5000},
         ],
     )
     def test_rejects_bad_values(self, kw):
         with pytest.raises(DomainError):
             ModelParams(**kw)
+
+    def test_names_a_huge_integer_by_its_size(self):
+        huge = 10**5000  # 16610 bits
+        for bad in (lambda: check_count("n", huge, 2, 10), lambda: check_count("n", -huge, 2),
+                    lambda: check_m(-huge), lambda: ModelParams(lam=0.5, m=huge)):
+            with pytest.raises(DomainError, match="got an integer of 16610 bits"):
+                bad()
 
     def test_accepts_numpy_integer_seed_and_integral_m(self):
         p = ModelParams(lam=0.5, seed=np.int64(3), m=2.0)
@@ -188,7 +208,12 @@ class TestInitialStates:
         [uniform_initial, lambda n, m: sparse_random_initial(n, m, np.random.default_rng(0))],
         ids=["uniform", "sparse"],
     )
-    @pytest.mark.parametrize("n,m", [(1, 1), (3, 0), (2.5, 1), (3, 2.5), (3, np.nan)])
+    @pytest.mark.parametrize("n,m", [
+        (1, 1), (3, 0), (2.5, 1), (3, 2.5), (3, np.nan),
+        # integers too long for Python to print (over 4300 digits)
+        pytest.param(-10**5000, 1, id="huge-negative-n"),
+        pytest.param(3, -10**5000, id="huge-negative-m"),
+    ])
     def test_rejects_degenerate_sizes(self, make, n, m):
         with pytest.raises(DomainError):
             make(n, m)

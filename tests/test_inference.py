@@ -91,16 +91,35 @@ def random_sequence(rng, n=4, t_len=6, m=5, a0=False):
     return seq
 
 
+def sparse_sequence(rng, n=5, t_len=7, m=5, a0=False):
+    """A random sequence whose middle period is empty and whose last node
+    never endorses but is endorsed in every other period."""
+    deltas = []
+    for t in range(t_len):
+        d = np.zeros((n, n))
+        if t != t_len // 2:
+            for i, j in zip(rng.integers(0, n - 1, size=m), rng.integers(0, n, size=m)):
+                d[i, j] += 1
+            d[0, n - 1] += 1
+        deltas.append(d)
+    labels = tuple(f"n{i}" for i in range(n))
+    periods = tuple(str(t) for t in range(t_len))
+    seq = InteractionSequence(tuple(deltas), labels, periods)
+    if a0:
+        seq = seq.with_a0(rng.random((n, n)) * 2)
+    return seq
+
+
 class TestLogLikelihood:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("warm", [False, True])
     def test_matches_brute_force(self, kind, warm):
         rng = np.random.default_rng(3 if warm else 4)
-        seq = random_sequence(rng, a0=warm)
         lam, beta = 0.82, (1.7, -0.9)
-        ll = log_likelihood(seq, lam, beta, kind)
-        ref = brute_loglik(seq, lam, beta, kind)
-        assert ll == pytest.approx(ref, rel=1e-10)
+        for seq in (random_sequence(rng, a0=warm), sparse_sequence(rng, a0=warm)):
+            ll = log_likelihood(seq, lam, beta, kind)
+            ref = brute_loglik(seq, lam, beta, kind)
+            assert ll == pytest.approx(ref, rel=1e-10)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("lam", [0.0, 1.0])
@@ -356,7 +375,7 @@ class TestHalflife:
         assert halflife(2.0 ** (-1 / 10)) == pytest.approx(10.0, rel=1e-12)
 
     def test_domain(self):
-        for bad in (0.0, 1.0, -0.2, 1.3):
+        for bad in (0.0, 1.0, -0.2, 1.3, 10**5000):
             with pytest.raises(DomainError):
                 halflife(bad)
 

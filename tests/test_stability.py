@@ -18,7 +18,6 @@ from endorse_dyn.stability import (
     _classify,
     _full_residual,
     _newton_two_group,
-    _pagerank_residual,
     _two_group_vector,
     dgamma_ds,
     dprob_tensor,
@@ -26,7 +25,6 @@ from endorse_dyn.stability import (
     f_degree,
     f_drift,
     f_pagerank_root_system,
-    f_springrank,
     finite_memory_drift,
     fixed_point_jacobian,
     jacobian_egalitarian,
@@ -157,7 +155,7 @@ class TestDrifts:
         for n in (7, 8):
             p = params_for("springrank", 1.5, -0.5, m=2)
             a_egal = 2 * state_rate_matrix("springrank", np.zeros(n), p.beta)
-            f = f_springrank(np.zeros(n), a_egal, p)
+            f = f_drift("springrank", np.zeros(n), a_egal, p)
             assert np.abs(f).max() < 1e-10
 
     def test_pagerank_drift_zero_at_egalitarian(self):
@@ -204,9 +202,6 @@ class TestDrifts:
         a[0, 1] = entry
         with pytest.raises(DomainError, match="adjacency"):
             f_drift(kind, s, a, p)
-        if kind == "springrank":
-            with pytest.raises(DomainError, match="adjacency"):
-                f_springrank(s, a, p)
 
     def test_degree_drift_rejects_negative_degrees(self):
         with pytest.raises(DomainError):
@@ -222,16 +217,21 @@ class TestPagerankRootSystem:
             f_pagerank_root_system(np.array([3.2, -0.1, -0.1]), p)
 
     @pytest.mark.parametrize("n", [5, 8, 16])
-    def test_vanishes_at_the_pagerank_roots_and_gives_their_residual(self, n):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_vanishes_at_the_pagerank_roots_and_gives_their_residual(self, kind, n):
         """At every root two_group_equilibria reports, below and above
-        beta1_c, the root system vanishes and its sup norm is the root's
-        reported residual."""
-        p = params_for("pagerank", 0.0, -0.3)
-        bc = critical_beta1("pagerank", n, 1)
+        beta1_c, the kind's root system vanishes and its sup norm is the
+        root's reported residual; pagerank's is f_pagerank_root_system."""
+        p = params_for(kind, 0.0, -0.3)
+        bc = critical_beta1(kind, n, 1)
         roots = two_group_equilibria(p, n, [0.9 * bc, 1.5 * bc])
         assert len({eq.k_elite for _, eq in roots}) >= 3
         for beta1, eq in roots:
-            r = np.abs(f_pagerank_root_system(eq.s_star, p.with_(beta=(beta1, -0.3)))).max()
+            pb = p.with_(beta=(beta1, -0.3))
+            f = _full_residual(eq.s_star, pb)
+            if kind == "pagerank":
+                assert np.array_equal(f, f_pagerank_root_system(eq.s_star, pb))
+            r = np.abs(f).max()
             assert r <= 1e-12, (beta1, eq.k_elite)
             assert abs(r - eq.residual) <= 1e-14, (beta1, eq.k_elite)
 
@@ -514,15 +514,6 @@ def quotient_point(kind, n, k, order):
     return p, a, b
 
 
-def reported_residual(kind, s, params):
-    """The n-dimensional drift whose sup norm each Equilibrium reports."""
-    if kind == "rootdegree":
-        return f_degree(s, params)
-    if kind == "pagerank":
-        return _pagerank_residual(s, params)
-    return f_drift("springrank", s, None, params)
-
-
 class TestTwoGroupQuotient:
     @pytest.mark.parametrize("order", ["elite-high", "elite-low", "tie"])
     @pytest.mark.parametrize("kind,n,k", QUOTIENT_CASES)
@@ -562,7 +553,7 @@ class TestTwoGroupQuotient:
         # the whole spectrum, multiplicities included
         assert eq.jacobian_eigs.shape == (n,)
         assert np.abs(np.sort_complex(eq.jacobian_eigs) - np.sort_complex(full)).max() < 1e-10
-        reported = np.abs(reported_residual(kind, eq.s_star, p)).max()
+        reported = np.abs(_full_residual(eq.s_star, p)).max()
         assert abs(eq.residual - reported) <= 1e-14 * max(1.0, reported)
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -576,7 +567,7 @@ class TestTwoGroupQuotient:
         assert len(roots) >= 3
         for b1, eq in roots:
             pb = p.with_(beta=(b1, 0.0))
-            reported = np.abs(reported_residual(kind, eq.s_star, pb)).max()
+            reported = np.abs(_full_residual(eq.s_star, pb)).max()
             assert reported <= 1e-8
             assert abs(eq.residual - reported) <= 1e-12
             ref = np.linalg.eigvals(fixed_point_jacobian(eq.s_star, pb)).real.max()
@@ -642,6 +633,13 @@ class TestCriticalValueDomain:
         ("pagerank", 8, np.nan, 1e-8), ("springrank", 8, 0.0, 1e-8),
         ("rootdegree", np.nan, 1, 1e-8), ("rootdegree", 2.5, 1, 1e-8),
         ("springrank", np.inf, 1, 1e-8),
+        # integers too long to print (over 4300 digits) or too large for a float
+        pytest.param("rootdegree", 10**5000, 1, 1e-8, id="huge-n"),
+        pytest.param("springrank", -10**5000, 1, 1e-8, id="huge-negative-n"),
+        pytest.param("springrank", 8, 10**5000, 1e-8, id="huge-m"),
+        pytest.param("pagerank", 8, -10**5000, 1e-8, id="huge-negative-m"),
+        pytest.param("rootdegree", 10**400, 1, 1e-8, id="n-above-float-range"),
+        pytest.param("springrank", 8, 1, 10**5000, id="huge-alpha_s"),
         # the damping rule holds for every kind, also one that ignores it
         ("springrank", 8, 1, 0.0), ("rootdegree", 8, 1, -1.0), ("pagerank", 8, 1, np.nan),
     ])
