@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import check_m
+from .core import check_beta, check_m
 from .errors import DomainError
 
 
@@ -24,9 +24,7 @@ def utility(s: np.ndarray, beta) -> np.ndarray:
     weight contributes nothing rather than 0 * inf = nan.
     """
     s = np.asarray(s, dtype=float)
-    if len(beta) != 2:
-        raise DomainError(f"beta needs 2 coefficients (prestige, proximity), got {len(beta)}")
-    b1, b2 = (float(b) for b in beta)
+    b1, b2 = check_beta(beta)
     return _utility(s, b1 or None, b2 or None)
 
 

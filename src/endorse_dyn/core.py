@@ -11,16 +11,18 @@ so the total remembered weight relaxes geometrically toward ``m``.  Score
 functions over ``a`` live in :mod:`endorse_dyn.scores`; utilities, choice
 probabilities, and sampling live in :mod:`endorse_dyn.choice`.
 
-Each model input has one rule here (`check_matrix`, `check_m`, `check_lam`,
-`check_alpha_p`, `check_alpha_s`, `check_count`), which every entry point
-that takes the input calls before any work, and each damping constant one
-default (`ALPHA_P`, `ALPHA_S`), which every signature that takes it uses.
+Each model input has one rule here (`check_matrix`, `check_n`, `check_m`,
+`check_lam`, `check_beta`, `check_score_kind`, `check_alpha_p`,
+`check_alpha_s`, `check_count`), which every entry point that takes the
+input calls before any work, and each damping constant one default
+(`ALPHA_P`, `ALPHA_S`), which every signature that takes it uses.
 The simulation kernel in :mod:`endorse_dyn.sim` applies the rules once per
 run and `step`'s update in place; its module notes say what runs each step.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, replace
 
@@ -35,6 +37,7 @@ ALPHA_S = 1e-8  # default SpringRank regularizer alpha_s
 # take: a float64 holds every integer up to it exactly, and rounds or
 # overflows on larger ones.
 EXACT_MAX = 2**53
+N_MAX = math.isqrt(EXACT_MAX)  # 94,906,265: an n x n state has at most EXACT_MAX cells
 FLOAT_MAX = float(np.finfo(float).max)  # float() of a larger int overflows
 
 
@@ -88,20 +91,9 @@ class ModelParams:
 
     def __post_init__(self):
         check_lam(self.lam)
-        if np.ndim(self.beta) != 1 or len(self.beta) != 2:
-            raise DomainError("beta needs 2 coefficients (prestige, proximity), "
-                              f"got {_shown(self.beta)}")
-        try:
-            object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
-        except OverflowError:
-            raise DomainError(f"beta has an entry too large: {_shown(self.beta)}") from None
-        if not all(np.isfinite(self.beta)):
-            raise DomainError("beta has non-finite entries")
+        object.__setattr__(self, "beta", check_beta(self.beta))
         check_m(self.m)
-        if self.score_kind not in SCORE_KINDS:
-            raise DomainError(
-                f"unknown score kind {_shown(self.score_kind)}; choose from {SCORE_KINDS}"
-            )
+        check_score_kind(self.score_kind)
         check_alpha_p(self.alpha_p)
         check_alpha_s(self.alpha_s)
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
@@ -121,6 +113,13 @@ def _shown(value) -> str:
         return f"a {type(value).__name__} holding an integer too long to print"
 
 
+def _plain(value):
+    """A numpy scalar as the Python number it holds, so that a float bound
+    compares exactly: numpy would first cast the bound to a float32 or
+    float16 value, where FLOAT_MAX overflows to inf."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def check_matrix(a, name: str) -> np.ndarray:
     """`a` as a float array: one square matrix or a stack of them, with
     finite, nonnegative entries.  Each check_* raises DomainError outside its rule."""
@@ -134,11 +133,18 @@ def check_matrix(a, name: str) -> np.ndarray:
     return a
 
 
+def check_n(n) -> None:
+    """n nodes: an integer in [2, N_MAX], so an n x n state has at most
+    EXACT_MAX cells."""
+    if not (isinstance(n, numbers.Integral) and 2 <= n <= N_MAX):
+        raise DomainError(f"n must be an integer with n >= 2 and n <= {N_MAX}, got {_shown(n)}")
+
+
 def check_m(m) -> None:
     """m endorsements per step: a positive integral value of at most
     EXACT_MAX (2.0 passes, 2.5 does not).  The bound comes first, so no
     float conversion of m can overflow."""
-    if not (1 <= m <= EXACT_MAX and float(m).is_integer()):
+    if not (1 <= _plain(m) <= EXACT_MAX and float(m).is_integer()):
         raise DomainError(f"m must be a positive integer of at most 2**53, got {_shown(m)}")
 
 
@@ -146,6 +152,26 @@ def check_lam(lam) -> None:
     """The memory parameter lambda lies in [0, 1]."""
     if not 0.0 <= lam <= 1.0:
         raise DomainError(f"lambda must lie in [0, 1], got {_shown(lam)}")
+
+
+def check_beta(beta) -> tuple[float, float]:
+    """The utility weights (prestige, proximity) as two floats: a pair of
+    finite reals.  The bounds come before any conversion, so none overflows."""
+    try:
+        pair = tuple(beta) if len(beta) == 2 else ()
+    except TypeError:
+        pair = ()
+    if not (pair and all(isinstance(b, numbers.Real) and -FLOAT_MAX <= _plain(b) <= FLOAT_MAX
+                         for b in pair)):
+        raise DomainError("beta needs 2 coefficients (prestige, proximity), each a finite "
+                          f"real, got {_shown(beta)}")
+    return float(pair[0]), float(pair[1])
+
+
+def check_score_kind(kind) -> None:
+    """The score kind is one of SCORE_KINDS, by name."""
+    if not (isinstance(kind, str) and kind in SCORE_KINDS):
+        raise DomainError(f"unknown score kind {_shown(kind)}; choose from {SCORE_KINDS}")
 
 
 def check_alpha_p(alpha_p) -> None:
@@ -156,7 +182,7 @@ def check_alpha_p(alpha_p) -> None:
 
 def check_alpha_s(alpha_s) -> None:
     """The SpringRank regularizer alpha_s is positive and at most the largest float."""
-    if not 0.0 < alpha_s <= FLOAT_MAX:
+    if not 0.0 < _plain(alpha_s) <= FLOAT_MAX:
         raise DomainError(f"alpha_s must be positive and finite, got {_shown(alpha_s)}")
 
 
@@ -193,14 +219,14 @@ def rank_vector(p: np.ndarray) -> np.ndarray:
 
 def uniform_initial(n: int, m: int) -> np.ndarray:
     """Default A(0) = (m/n^2) E: uniform weights with stationary total m."""
-    check_count("n", n, 2)
+    check_n(n)
     check_m(m)
     return np.full((n, n), m / n**2)
 
 
 def sparse_random_initial(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """Seeded sparse start: m endorsements scattered uniformly over cells."""
-    check_count("n", n, 2)
+    check_n(n)
     check_m(m)
     counts = rng.multinomial(m, np.full(n * n, 1.0 / (n * n)))
     return counts.reshape(n, n).astype(float)

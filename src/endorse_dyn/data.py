@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import EXACT_MAX, ModelParams, check_count, check_matrix
+from .core import EXACT_MAX, ModelParams, check_count, check_matrix, check_n
 from .errors import DomainError, FormatError
 from .sim import _initial, _steps
 
@@ -49,8 +49,7 @@ class InteractionSequence:
         if len(self.deltas) < 1:
             raise DomainError("need at least one period")
         n = len(self.node_labels)
-        if n < 2:
-            raise DomainError("need at least 2 nodes")
+        check_n(n)
 
         def frozen(d, name):  # a read-only n x n copy
             d = check_matrix(d, name).copy()

@@ -30,8 +30,9 @@ import numpy as np
 from scipy.linalg import LinAlgWarning
 from scipy.linalg.lapack import dlange, dpocon, dpotrf, dpotrs
 
-from .core import ALPHA_P, ALPHA_S, check_alpha_p, check_alpha_s, check_matrix
-from .errors import DomainError, NumericError
+from .core import (ALPHA_P, ALPHA_S, check_alpha_p, check_alpha_s, check_matrix,
+                   check_score_kind)
+from .errors import NumericError
 
 # Largest n whose PageRank is taken by a direct solve; larger matrices go
 # by power iteration.  Measured on 2 vCPU (OpenBLAS 0.3.31, one and two
@@ -253,12 +254,11 @@ def _score_core(params, n: int, slices: bool = False):
     scores each slice bit for bit as alone (see `_springrank`).
     """
     kind = params.score_kind
+    check_score_kind(kind)
     if kind == "rootdegree":
         return _root_degree
     if kind == "pagerank":
         check_alpha_p(params.alpha_p)
         return partial(_pagerank_solver(n), alpha_p=params.alpha_p)
-    if kind == "springrank":
-        check_alpha_s(params.alpha_s)
-        return partial(_springrank, alpha_s=params.alpha_s, slices=slices)
-    raise DomainError(f"unknown score kind {kind!r}")
+    check_alpha_s(params.alpha_s)
+    return partial(_springrank, alpha_s=params.alpha_s, slices=slices)

@@ -12,8 +12,9 @@ deterministic drift.  Each score kind has its own natural state space:
 Everything that differs between kinds lives in one `_Kind` record per kind
 (``_KINDS``).  A function that takes `params` reads the kind from
 ``params.score_kind``, which `ModelParams` has checked; the others take the
-kind's name and look its record up through `_kind`.  :mod:`endorse_dyn.scores`
-builds the SpringRank Laplacian and solves against I - alpha_p P^T.
+kind's name and look its record up through `_kind`, which applies `core`'s
+kind rule first.  :mod:`endorse_dyn.scores` builds the SpringRank Laplacian
+and solves against I - alpha_p P^T.
 
 ``two_group_equilibria`` finds every fixed point with k nodes at one score
 value and n-k at another across a beta1 grid and classifies its linear
@@ -35,8 +36,8 @@ from typing import Callable
 import numpy as np
 
 from .choice import choice_probabilities, utility
-from .core import (ALPHA_P, ALPHA_S, FLOAT_MAX, ModelParams, _shown, check_alpha_p,
-                   check_alpha_s, check_count, check_matrix)
+from .core import (ALPHA_P, ALPHA_S, FLOAT_MAX, ModelParams, _plain, _shown, check_alpha_p,
+                   check_alpha_s, check_matrix, check_n, check_score_kind)
 from .errors import DomainError
 from .scores import (_cholesky_solve, _pagerank_resolve, _spring_system, in_degree,
                      pagerank_score, springrank_score)
@@ -62,13 +63,12 @@ class _Kind:
 
 
 def _kind(score_kind: str) -> _Kind:
-    try:
-        return _KINDS[score_kind]
-    except KeyError:
-        raise DomainError(f"unknown score kind {score_kind!r}") from None
+    check_score_kind(score_kind)
+    return _KINDS[score_kind]
 
 
 def egalitarian_root(score_kind: str, n: int, m: int) -> np.ndarray:
+    check_n(n)
     return _kind(score_kind).egalitarian(n, m)
 
 
@@ -251,13 +251,16 @@ def _pagerank_drift(s: np.ndarray, a: np.ndarray | None, params: ModelParams) ->
     return params.alpha_p * _pagerank_resolve(p, params.alpha_p, rhs)
 
 
-def finite_memory_drift(s: np.ndarray, a: np.ndarray, params: ModelParams,
-                        lam: float = 1.0 - 1e-6) -> np.ndarray:
-    """Defining-limit oracle: [sigma(lam a + (1-lam) m G(s)) - s] / (1-lam).
+def finite_memory_drift(s: np.ndarray, a: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Defining-limit oracle: [sigma(lam a + (1-lam) m G(s)) - s] / (1-lam)
+    at lam = params.lam, which must be below 1.
 
     Requires s = sigma(a) in the state space of params' kind.  The tests
-    pin the closed-form drifts of `f_drift` against it.
+    pin the closed-form drifts of `f_drift` against it at lam = 1 - 1e-6.
     """
+    lam = params.lam
+    if lam == 1.0:
+        raise DomainError("finite_memory_drift needs lambda < 1, got 1")
     s = np.asarray(s, dtype=float)
     a = np.asarray(a, dtype=float)
     g = state_rate_matrix(params.score_kind, s, params.beta)
@@ -278,25 +281,23 @@ def critical_beta1(
     alpha_s: float = ALPHA_S,
 ) -> float:
     """Threshold on beta1 where the egalitarian root loses stability; m may be a mean count."""
-    if not (2 <= n <= FLOAT_MAX and float(n).is_integer() and 0.0 < m <= FLOAT_MAX):
-        raise DomainError("need an integral n >= 2 and a finite m > 0, "
-                          f"got n={_shown(n)}, m={_shown(m)}")
+    check_n(n)
+    if not 0.0 < _plain(m) <= FLOAT_MAX:
+        raise DomainError(f"m must be positive and finite, got {_shown(m)}")
     check_alpha_p(alpha_p)
     check_alpha_s(alpha_s)
     return _kind(score_kind).critical(n, m, alpha_p, alpha_s)
 
 
 def jacobian_egalitarian(params: ModelParams, n: int):
-    """M = dgamma/ds and the assembled drift Jacobian at the egalitarian root.
+    """The drift Jacobian J at the egalitarian root, and its eigenvalues.
 
-    Returns (M, J, eigenvalues).  Only beta1 enters: the proximity feature's
-    gradient vanishes identically at equal scores, so J is exactly invariant
-    to beta2.
+    Returns (J, eigenvalues); `dgamma_ds` gives M = dgamma/ds there.  Only
+    beta1 enters: the proximity feature's gradient vanishes identically at
+    equal scores, so J is exactly invariant to beta2.
     """
-    s0 = egalitarian_root(params.score_kind, n, params.m)
-    m_mat = dgamma_ds(params.score_kind, s0, params.beta)
-    jac = fixed_point_jacobian(s0, params)
-    return m_mat, jac, np.linalg.eigvals(jac)
+    jac = fixed_point_jacobian(egalitarian_root(params.score_kind, n, params.m), params)
+    return jac, np.linalg.eigvals(jac)
 
 
 def fixed_point_jacobian(s_star: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -735,19 +736,19 @@ def two_group_equilibria(params: ModelParams, n: int,
     dropped.  A root-finder failure at one grid point loses that root there
     rather than aborting the scan.
     """
+    check_n(n)
     kind = _KINDS[params.score_kind]
-    check_count("n", n, 2)
-    carried: dict[int, list] = {k: [] for k in range(1, n // 2 + 1)}
+    carried: dict[int, list] = {}  # each k's roots at the previous grid point
     out = []
     for b1 in map(float, beta1_grid):
         p = params.with_(beta=(b1,) + params.beta[1:])
         egal = float(kind.egalitarian(n, p.m)[0])
         with _naming_root(p, 0):
             out.append((b1, _classify((egal, egal), 1, n, p)))
-        for k, previous in carried.items():
+        for k in range(1, n // 2 + 1):
             seeds = kind.seeds(n, k, p.m) + [x[::-1] for x in kind.seeds(n, n - k, p.m)]
             roots: list[tuple[float, float, int]] = []
-            for x0 in seeds + previous:
+            for x0 in seeds + carried.get(k, []):
                 x = _newton_two_group(p, n, k, x0)
                 if x is None:
                     continue

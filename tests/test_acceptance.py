@@ -77,7 +77,7 @@ def test_criterion_03_stability_flips_at_threshold():
             jac_by_beta2 = []
             for b2 in (0.0, -5.0):
                 p = ModelParams(lam=0.999, beta=(b1, b2), m=m, score_kind=kind)
-                _, jac, eigs = jacobian_egalitarian(p, n)
+                jac, eigs = jacobian_egalitarian(p, n)
                 assert np.sign(eigs.real.max()) == expect_sign, (kind, shift, b2)
                 jac_by_beta2.append(jac)
             assert np.abs(jac_by_beta2[0] - jac_by_beta2[1]).max() <= 1e-12, kind
@@ -100,7 +100,7 @@ def test_criterion_04_closed_form_drift_matches_defining_limit():
             else:
                 s = state_of(a, p)
             closed = f_drift(kind, s, a, p)
-            oracle = finite_memory_drift(s, a, p, lam=1 - 1e-6)
+            oracle = finite_memory_drift(s, a, p.with_(lam=1 - 1e-6))
             assert np.abs(closed - oracle).max() <= 1e-4, (kind, beta)
 
 

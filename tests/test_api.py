@@ -52,7 +52,7 @@ def test_removed_name_is_absent(name):
     (endorse_dyn.choice_probabilities, ("exclude_self",), ()),
     # the long-memory functions that take params read the kind from them
     (endorse_dyn.stability.state_of, ("score_kind",), ("params",)),
-    (endorse_dyn.finite_memory_drift, ("score_kind",), ("params",)),
+    (endorse_dyn.finite_memory_drift, ("score_kind", "lam"), ("params",)),
     (endorse_dyn.jacobian_egalitarian, ("score_kind",), ("params",)),
     (endorse_dyn.fixed_point_jacobian, ("score_kind",), ("params",)),
     (endorse_dyn.two_group_equilibria, ("score_kind",), ("params",)),

@@ -37,6 +37,14 @@ class TestUtility:
         with pytest.raises(DomainError):
             utility(np.array([1.0, 0.0]), (1.0,))
 
+    @pytest.mark.parametrize("beta", [
+        (1.0, 2.0, 3.0), 1.0, (10**400, 0), (0, -10**5000), ("1", 0), (None, 0),
+        (1j, 0), (np.nan, 0), (0, np.inf), (np.float32(np.inf), 0),
+    ])
+    def test_rejects_a_beta_that_is_not_two_finite_reals(self, beta):
+        with pytest.raises(DomainError, match="beta needs 2 coefficients"):
+            utility(np.array([1.0, 0.0]), beta)
+
     def test_stack_keeps_each_slice_bits(self):
         """One coefficient pair per slice of a score stack, as the kernel
         passes them: each slice gets the bits of utility on it alone, the

@@ -114,6 +114,23 @@ class TestSimulate:
         assert res.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--lambda", "0.9"],
+    ["sweep", "--lambda", "0.9", "--grid-beta1", "0:1:2", "--window", "2"],
+    ["bifurcate", "--grid-beta1", "0:1:2"],
+    ["bifurcate", "--grid-beta1", "0:1:2", "--overlay", "--window", "2"],
+])
+def test_n_too_large_for_a_state_is_a_domain_error(runner, tmp_path, command):
+    # 99999999999^2 cells are more than 2**53: refused before any allocation
+    out = tmp_path / "out"
+    res = runner.invoke(cli.main, [*command, "--score", "rootdegree", "--n", "99999999999",
+                                   "--steps", "5", "--out", str(out)])
+    assert res.exit_code == 2, res.output + res.stderr
+    assert res.stderr.startswith("error: n must be an integer with n >= 2")
+    assert res.stderr.count("\n") == 1 and "Traceback" not in res.output
+    assert not out.exists()
+
+
 class TestConfigFile:
     def test_flags_override_config(self, runner, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,13 +1,26 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from endorse_dyn.core import (
+    EXACT_MAX,
+    FLOAT_MAX,
+    N_MAX,
+    SCORE_KINDS,
     EndorsementState,
     ModelParams,
+    check_alpha_p,
+    check_alpha_s,
+    check_beta,
     check_count,
+    check_lam,
     check_m,
+    check_n,
+    check_score_kind,
     rank_vector,
     sparse_random_initial,
     step,
@@ -100,6 +113,11 @@ class TestModelParams:
             {"lam": 0.5, "beta": (10**400, 0.0)},
             {"lam": 0.5, "beta": (10**5000,)},
             {"lam": 0.5, "score_kind": 10**5000},
+            {"lam": 0.5, "score_kind": ["springrank"]},
+            {"lam": 0.5, "beta": ("a", "b")},
+            {"lam": 0.5, "beta": (None, 0)},
+            {"lam": 0.5, "beta": (1j, 0)},
+            {"lam": 0.5, "beta": "ab"},
         ],
     )
     def test_rejects_bad_values(self, kw):
@@ -209,7 +227,11 @@ class TestInitialStates:
         ids=["uniform", "sparse"],
     )
     @pytest.mark.parametrize("n,m", [
-        (1, 1), (3, 0), (2.5, 1), (3, 2.5), (3, np.nan),
+        (1, 1), (3, 0), (2.5, 1), (3, 2.5), (3, np.nan), (3.0, 1),
+        # n x n would hold more than 2**53 cells; the rule refuses n before
+        # any allocation
+        pytest.param(N_MAX + 1, 1, id="n-above-N_MAX"),
+        pytest.param(99999999999, 1, id="n-99999999999"),
         # integers too long for Python to print (over 4300 digits)
         pytest.param(-10**5000, 1, id="huge-negative-n"),
         pytest.param(3, -10**5000, id="huge-negative-m"),
@@ -217,3 +239,101 @@ class TestInitialStates:
     def test_rejects_degenerate_sizes(self, make, n, m):
         with pytest.raises(DomainError):
             make(n, m)
+
+
+# Integers of any size: beyond the float range and beyond Python's 4300-digit
+# printing limit as well.
+huge_ints = st.builds(lambda digits, sign: sign * 10**digits,
+                      st.integers(0, 6000), st.sampled_from([1, -1]))
+numpy_scalars = st.one_of(
+    st.floats(width=64).map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.floats(width=16).map(np.float16),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+)
+reals = st.one_of(st.integers(), huge_ints, st.floats(), numpy_scalars)
+
+
+class TestRules:
+    """Each rule refuses what lies outside it with DomainError, never
+    another exception, whatever real number it gets."""
+
+    @pytest.mark.parametrize("rule", [
+        check_m, check_lam, check_alpha_p, check_alpha_s, check_n,
+        lambda v: check_count("count", v, 1), lambda v: check_count("count", v, 2, 10),
+    ], ids=["m", "lam", "alpha_p", "alpha_s", "n", "count", "count-in-range"])
+    @settings(max_examples=300, deadline=None)
+    @given(value=reals)
+    def test_rules_raise_only_domain_error_on_real_numbers(self, rule, value):
+        try:
+            rule(value)
+        except DomainError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.one_of(
+        st.text().filter(lambda k: k not in SCORE_KINDS),
+        st.text().filter(lambda k: k not in SCORE_KINDS).map(np.str_),
+        st.sampled_from(SCORE_KINDS).map(str.upper),
+        st.sampled_from(SCORE_KINDS).map(str.encode),
+        st.sampled_from(SCORE_KINDS).map(lambda k: [k]),
+        st.integers(), huge_ints, st.floats(), st.none(),
+        st.lists(st.text(), max_size=3),
+        st.dictionaries(st.text(), st.integers(), max_size=3),
+    ))
+    def test_score_kind_rule_refuses_every_other_object(self, kind):
+        with pytest.raises(DomainError, match="^unknown score kind .*; choose from"):
+            check_score_kind(kind)
+
+    @pytest.mark.parametrize("kind", SCORE_KINDS)
+    def test_score_kind_rule_takes_each_kind_by_name(self, kind):
+        check_score_kind(kind)
+        check_score_kind(np.str_(kind))
+
+    finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.integers(-2**1023, 2**1023), numpy_scalars.filter(np.isfinite))
+    not_finite_real = st.one_of(
+        st.text(), st.none(), st.complex_numbers(), st.complex_numbers().map(np.complex128),
+        st.sampled_from([np.nan, np.inf, -np.inf, np.float32(np.nan)]),
+        huge_ints.filter(lambda b: abs(b) > FLOAT_MAX),
+        st.lists(st.floats(), max_size=2),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(beta=st.one_of(
+        st.tuples(not_finite_real, finite), st.tuples(finite, not_finite_real),
+        st.tuples(not_finite_real, not_finite_real),
+        st.lists(finite, max_size=5).filter(lambda b: len(b) != 2),
+        finite, st.none(), st.text(max_size=4),
+    ))
+    def test_beta_rule_refuses_anything_but_two_finite_reals(self, beta):
+        with pytest.raises(DomainError, match="^beta needs 2 coefficients"):
+            check_beta(beta)
+
+    @settings(max_examples=200, deadline=None)
+    @given(beta=st.one_of(st.tuples(finite, finite), st.lists(finite, min_size=2, max_size=2)))
+    def test_beta_rule_returns_the_pair_as_floats(self, beta):
+        pair = check_beta(beta)
+        assert pair == (float(beta[0]), float(beta[1]))
+        assert all(type(b) is float for b in pair)
+        assert check_beta(np.array(pair)) == pair
+
+    def test_a_float32_or_float16_value_meets_the_float_bounds_exactly(self):
+        # numpy would cast the bound FLOAT_MAX to the scalar's own type, inf
+        with pytest.raises(DomainError, match="alpha_s"):
+            check_alpha_s(np.float32(np.inf))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            check_alpha_s(np.float32(1e-8))
+            check_m(np.float16(2.0))
+            assert check_beta((np.float32(1.5), np.float16(-2.0))) == (1.5, -2.0)
+
+    def test_n_rule_bounds_an_n_x_n_state_at_2_53_cells(self):
+        assert N_MAX == math.isqrt(EXACT_MAX) == 94_906_265
+        assert N_MAX**2 <= EXACT_MAX < (N_MAX + 1) ** 2
+        for n in (2, np.int64(8), N_MAX):
+            check_n(n)  # a rule allocates nothing
+        for n in (N_MAX + 1, 8.0, np.float64(8), True, "8", None):
+            with pytest.raises(DomainError, match="n must be an integer with n >= 2"):
+                check_n(n)

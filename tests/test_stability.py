@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 
 from endorse_dyn.choice import choice_probabilities
-from endorse_dyn.core import SCORE_KINDS, ModelParams
+from endorse_dyn.core import N_MAX, SCORE_KINDS, ModelParams
 from endorse_dyn.errors import DomainError
 from endorse_dyn.stability import (
     _KINDS,
@@ -177,7 +177,7 @@ class TestDrifts:
         if kind != "rootdegree":
             s = s_chk  # re-anchor to the exact state of a
         closed = f_drift(kind, s, a, p)
-        oracle = finite_memory_drift(s, a, p, lam=1 - 1e-6)
+        oracle = finite_memory_drift(s, a, p.with_(lam=1 - 1e-6))
         assert np.abs(closed - oracle).max() < 1e-4
 
     def test_pagerank_drift_needs_positive_out_degrees(self):
@@ -243,7 +243,7 @@ class TestEgalitarianJacobian:
         n, m = 5, 2
         bc = critical_beta1(kind, n, m)
         p = params_for(kind, ratio * bc, -1.0, m=m)
-        _, _, eigs = jacobian_egalitarian(p, n)
+        _, eigs = jacobian_egalitarian(p, n)
         assert eigs.real.max() == pytest.approx(ratio - 1.0, abs=1e-9)
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -251,8 +251,8 @@ class TestEgalitarianJacobian:
         n = 6
         p0 = params_for(kind, 1.3, 0.0, m=2)
         p5 = params_for(kind, 1.3, -5.0, m=2)
-        _, j0, _ = jacobian_egalitarian(p0, n)
-        _, j5, _ = jacobian_egalitarian(p5, n)
+        j0, _ = jacobian_egalitarian(p0, n)
+        j5, _ = jacobian_egalitarian(p5, n)
         assert np.abs(j0 - j5).max() < 1e-12
 
 
@@ -626,6 +626,50 @@ class TestTypedErrors:
             two_group_equilibria(p, 2, [1e308])
 
 
+class TestInputRules:
+    """The kind, beta and n rules of `core` hold at every entry point here."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: critical_beta1(["x"], 8, 1),
+        lambda: state_rank_vector(["x"], np.ones(3), (1.0, 0.0)),
+        lambda: critical_beta1(10**5000, 8, 1),
+        lambda: f_drift(10**5000, np.ones(3), None, ModelParams(lam=0.9)),
+        lambda: egalitarian_root(np.str_("nope"), 5, 1),
+    ], ids=["unhashable", "unhashable-state-map", "huge-int", "huge-int-drift", "numpy-str"])
+    def test_refuses_a_kind_that_is_not_a_kind_name(self, call):
+        with pytest.raises(DomainError, match="unknown score kind .*; choose from"):
+            call()
+
+    @pytest.mark.parametrize("beta", [(10**400, 0), ("a", "b"), (None, 0), (np.nan, 0), (1.0,)])
+    @pytest.mark.parametrize("call", [
+        dprob_tensor,
+        lambda s, beta: state_rank_vector("pagerank", s, beta),
+        lambda s, beta: dgamma_ds("rootdegree", s, beta),
+    ], ids=["dprob_tensor", "state_rank_vector", "dgamma_ds"])
+    def test_refuses_a_beta_that_is_not_two_finite_reals(self, call, beta):
+        with pytest.raises(DomainError, match="beta needs 2 coefficients"):
+            call(np.array([0.5, 1.5]), beta)
+
+    # N_MAX + 1 and above fail the rule before anything of their size is built
+    @pytest.mark.parametrize("n", [-3, 0, 1, 2.5, 8.0, np.float64(8), N_MAX + 1, 99999999999])
+    @pytest.mark.parametrize("call", [
+        lambda n: egalitarian_root("rootdegree", n, 1),
+        lambda n: jacobian_egalitarian(params_for("pagerank", 1.0), n),
+        lambda n: critical_beta1("springrank", n, 1),
+        lambda n: two_group_equilibria(params_for("rootdegree", 1.0), n, [1.0]),
+    ], ids=["egalitarian_root", "jacobian_egalitarian", "critical_beta1",
+            "two_group_equilibria"])
+    def test_refuses_an_n_outside_the_rule(self, call, n):
+        with pytest.raises(DomainError, match="n must be an integer with n >= 2"):
+            call(n)
+
+    def test_finite_memory_drift_refuses_lambda_one(self):
+        s = egalitarian_root("springrank", 3, 1)
+        p = params_for("springrank", 1.0).with_(lam=1.0)
+        with pytest.raises(DomainError, match="lambda < 1"):
+            finite_memory_drift(s, np.ones((3, 3)), p)
+
+
 class TestCriticalValueDomain:
     @pytest.mark.parametrize("kind,n,m,alpha_s", [
         ("springrank", 8, 1, np.nan), ("springrank", 8, 1, np.inf),
@@ -633,6 +677,8 @@ class TestCriticalValueDomain:
         ("pagerank", 8, np.nan, 1e-8), ("springrank", 8, 0.0, 1e-8),
         ("rootdegree", np.nan, 1, 1e-8), ("rootdegree", 2.5, 1, 1e-8),
         ("springrank", np.inf, 1, 1e-8),
+        # numpy would cast the bound to float32, where it is inf
+        ("springrank", 8, np.float32(np.inf), 1e-8),
         # integers too long to print (over 4300 digits) or too large for a float
         pytest.param("rootdegree", 10**5000, 1, 1e-8, id="huge-n"),
         pytest.param("springrank", -10**5000, 1, 1e-8, id="huge-negative-n"),
