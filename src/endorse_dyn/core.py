@@ -141,16 +141,17 @@ def check_n(n) -> None:
 
 
 def check_m(m) -> None:
-    """m endorsements per step: a positive integral value of at most
-    EXACT_MAX (2.0 passes, 2.5 does not).  The bound comes first, so no
-    float conversion of m can overflow."""
-    if not (1 <= _plain(m) <= EXACT_MAX and float(m).is_integer()):
+    """m endorsements per step: a positive integral real of at most
+    EXACT_MAX (2.0 passes, 2.5 and "2" do not).  The bound comes first, so
+    no float conversion of m can overflow."""
+    if not (isinstance(m, numbers.Real) and 1 <= _plain(m) <= EXACT_MAX
+            and float(m).is_integer()):
         raise DomainError(f"m must be a positive integer of at most 2**53, got {_shown(m)}")
 
 
 def check_lam(lam) -> None:
-    """The memory parameter lambda lies in [0, 1]."""
-    if not 0.0 <= lam <= 1.0:
+    """The memory parameter lambda is a real in [0, 1]."""
+    if not (isinstance(lam, numbers.Real) and 0.0 <= lam <= 1.0):
         raise DomainError(f"lambda must lie in [0, 1], got {_shown(lam)}")
 
 
@@ -175,14 +176,14 @@ def check_score_kind(kind) -> None:
 
 
 def check_alpha_p(alpha_p) -> None:
-    """The PageRank damping alpha_p lies in (0, 1)."""
-    if not 0.0 < alpha_p < 1.0:
+    """The PageRank damping alpha_p is a real in (0, 1)."""
+    if not (isinstance(alpha_p, numbers.Real) and 0.0 < alpha_p < 1.0):
         raise DomainError(f"alpha_p must lie in (0, 1), got {_shown(alpha_p)}")
 
 
 def check_alpha_s(alpha_s) -> None:
-    """The SpringRank regularizer alpha_s is positive and at most the largest float."""
-    if not 0.0 < _plain(alpha_s) <= FLOAT_MAX:
+    """The SpringRank regularizer alpha_s is a positive real of at most the largest float."""
+    if not (isinstance(alpha_s, numbers.Real) and 0.0 < _plain(alpha_s) <= FLOAT_MAX):
         raise DomainError(f"alpha_s must be positive and finite, got {_shown(alpha_s)}")
 
 

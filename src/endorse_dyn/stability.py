@@ -28,6 +28,7 @@ score units otherwise).
 
 from __future__ import annotations
 
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 from math import exp, isfinite, sqrt
@@ -67,8 +68,16 @@ def _kind(score_kind: str) -> _Kind:
     return _KINDS[score_kind]
 
 
-def egalitarian_root(score_kind: str, n: int, m: int) -> np.ndarray:
+def _check_mean_m(m) -> None:
+    """The long-memory analysis takes a mean count m: a positive finite real."""
+    if not (isinstance(m, numbers.Real) and 0.0 < _plain(m) <= FLOAT_MAX):
+        raise DomainError(f"m must be positive and finite, got {_shown(m)}")
+
+
+def egalitarian_root(score_kind: str, n: int, m: float) -> np.ndarray:
+    """The kind's egalitarian root at n nodes; m may be a mean count."""
     check_n(n)
+    _check_mean_m(m)
     return _kind(score_kind).egalitarian(n, m)
 
 
@@ -282,8 +291,7 @@ def critical_beta1(
 ) -> float:
     """Threshold on beta1 where the egalitarian root loses stability; m may be a mean count."""
     check_n(n)
-    if not 0.0 < _plain(m) <= FLOAT_MAX:
-        raise DomainError(f"m must be positive and finite, got {_shown(m)}")
+    _check_mean_m(m)
     check_alpha_p(alpha_p)
     check_alpha_s(alpha_s)
     return _kind(score_kind).critical(n, m, alpha_p, alpha_s)

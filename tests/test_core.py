@@ -118,6 +118,12 @@ class TestModelParams:
             {"lam": 0.5, "beta": (None, 0)},
             {"lam": 0.5, "beta": (1j, 0)},
             {"lam": 0.5, "beta": "ab"},
+            # not numbers at all
+            {"lam": "0.5"},
+            {"lam": None},
+            {"lam": 0.5, "alpha_p": None},
+            {"lam": 0.5, "m": "2"},
+            {"lam": 0.5, "alpha_s": "1"},
         ],
     )
     def test_rejects_bad_values(self, kw):
@@ -270,6 +276,18 @@ class TestRules:
             rule(value)
         except DomainError:
             pass
+
+    @pytest.mark.parametrize("rule", [check_m, check_lam, check_alpha_p, check_alpha_s],
+                             ids=["m", "lam", "alpha_p", "alpha_s"])
+    @settings(max_examples=100, deadline=None)
+    @given(value=st.one_of(
+        st.text(), st.none(), st.binary(), st.complex_numbers(),
+        st.complex_numbers().map(np.complex128), st.text().map(np.str_),
+        st.lists(st.floats(), max_size=2), st.dictionaries(st.text(), st.floats(), max_size=2),
+    ))
+    def test_rules_refuse_a_value_that_is_not_a_real_number(self, rule, value):
+        with pytest.raises(DomainError):
+            rule(value)
 
     @settings(max_examples=300, deadline=None)
     @given(kind=st.one_of(

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import LinAlgWarning
 
 from endorse_dyn import choice, scores, sim
@@ -9,7 +11,10 @@ from endorse_dyn.core import EndorsementState, ModelParams, rank_vector, step, u
 from endorse_dyn.data import simulate_sequence
 from endorse_dyn.errors import DomainError, NumericError
 from endorse_dyn.sim import (
+    _SEED_BLOCK_PAIRS,
+    LOCKSTEP_MAX_ENTRIES,
     Trajectory,
+    _block_states,
     _cell_seed,
     _initial,
     _step_rng,
@@ -115,6 +120,11 @@ class TestRun:
             with pytest.raises(DomainError, match="period 0: utilities must be finite") as exc:
                 simulate_sequence(p, OVERFLOW_A0, periods=3)
         assert str(exc.value) == "period 0: utilities must be finite"  # one cell: no beta
+
+    @pytest.mark.parametrize("seed", [2**32, 2**64 + 3, 2**100 + 7])
+    def test_multi_word_seed_matches_manual_replay(self, seed):
+        p = ModelParams(lam=0.8, beta=(2.0, -1.0), m=2, score_kind="pagerank", seed=seed)
+        assert_replays(p, uniform_initial(4, 2), 25)
 
     def test_gamma_rows_are_distributions(self):
         p = ModelParams(lam=0.95, beta=(3.0, 0.0), m=1, score_kind="pagerank", seed=1)
@@ -484,3 +494,67 @@ class TestPageRankSolverSwap:
                     assert np.array_equal(a_direct, a_power)
                 else:
                     assert np.min(np.diff(np.sort(power[parted][0]))) <= 1e-12
+
+
+def seeded_state(words):
+    """The whole bit-generator state the kernel sets from one cell's
+    `_block_states` words (state high, state low, inc high, inc low)."""
+    s_hi, s_lo, i_hi, i_lo = (int(w) for w in words)
+    bits = np.random.PCG64()
+    bits.state = {"bit_generator": "PCG64", "state": {"state": s_hi << 64 | s_lo,
+                                                      "inc": i_hi << 64 | i_lo},
+                  "has_uint32": 0, "uinteger": 0}
+    return bits.state
+
+
+def assert_block_matches_step_rng(seeds, t0, count, check=None):
+    """The `_block_states` rows equal `_step_rng`'s states at every t in
+    `check` (by default all of t0 .. t0 + count - 1)."""
+    rows = _block_states(seeds, t0, count)
+    assert rows.shape == (count, len(seeds), 4) and rows.dtype == np.uint64
+    for t in range(t0, t0 + count) if check is None else check:
+        for seed, words in zip(seeds, rows[t - t0]):
+            assert seeded_state(words) == _step_rng(seed, t).bit_generator.state, (seed, t)
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3]
+
+
+class TestBlockSeeding:
+    """The kernel seeds each step's generator from `_block_states`, which
+    must give `default_rng((seed, t))`'s states, on every numpy."""
+
+    # the kernel's blocks for one cell and for a 128-cell chunk at n=8
+    @pytest.mark.parametrize("block", [_SEED_BLOCK_PAIRS, _SEED_BLOCK_PAIRS // 128])
+    def test_block_edges_and_t_below_2_32(self, block):
+        for t0 in (0, block, 2**32 - block, 2**32):
+            edges = (t0, t0 + 1, t0 + block - 1)
+            assert_block_matches_step_rng(SEEDS, t0, block, check=edges)
+
+    def test_a_short_block_and_t_of_several_words(self):
+        for t0 in (0, 2**40, 2**64, 2**96):
+            assert_block_matches_step_rng(SEEDS, t0, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seeds=st.lists(st.integers(0, 2**128 - 1), min_size=1, max_size=3),
+           t=st.integers(0, 2**80), count=st.integers(1, 4))
+    def test_equals_default_rng_for_any_seed_and_t(self, seeds, t, count):
+        t0 = t - t % 4  # aligned, so the steps share t's high words
+        assert_block_matches_step_rng(seeds, t0, count)
+
+    def test_a_full_lockstep_chunk_replays_each_cell(self):
+        """128 cells at n=8 (LOCKSTEP_MAX_ENTRIES entries), stepped across
+        many blocks of seeds: every cell gets the bits of its own run
+        driven through _step_rng and sample_delta."""
+        n, cells, steps = 8, LOCKSTEP_MAX_ENTRIES // 64, 130
+        assert cells == 128
+        p = ModelParams(lam=0.9, m=2, score_kind="rootdegree")
+        grid = [((4.0 * i / cells, -0.5 * (i % 2)), _cell_seed(3, i)) for i in range(cells)]
+        a = np.repeat(_initial(uniform_initial(n, 2))[None], cells, axis=0)
+        history = [(g.copy(), d) for g, d in _steps(p, a, steps, cells=grid)]
+        for index, (beta, seed) in enumerate(grid):
+            hist, a_last, deltas = manual_run(p.with_(beta=beta, seed=seed),
+                                              uniform_initial(n, 2), steps)
+            assert np.array_equal(np.array([g[index] for g, _ in history]), hist)
+            assert all(np.array_equal(d[index], e) for (_, d), e in zip(history, deltas))
+            assert np.array_equal(a[index], a_last)

@@ -663,6 +663,15 @@ class TestInputRules:
         with pytest.raises(DomainError, match="n must be an integer with n >= 2"):
             call(n)
 
+    @pytest.mark.parametrize("m", ["x", None, 0, -1.0, np.nan, np.inf,
+                                   pytest.param(10**5000, id="huge-m")])
+    def test_egalitarian_root_refuses_an_m_that_is_not_a_positive_finite_real(self, m):
+        with pytest.raises(DomainError, match="m must be positive and finite"):
+            egalitarian_root("rootdegree", 4, m)
+
+    def test_egalitarian_root_takes_a_mean_count(self):
+        assert np.array_equal(egalitarian_root("rootdegree", 4, 2.5), np.full(4, 0.625))
+
     def test_finite_memory_drift_refuses_lambda_one(self):
         s = egalitarian_root("springrank", 3, 1)
         p = params_for("springrank", 1.0).with_(lam=1.0)
@@ -679,6 +688,8 @@ class TestCriticalValueDomain:
         ("springrank", np.inf, 1, 1e-8),
         # numpy would cast the bound to float32, where it is inf
         ("springrank", 8, np.float32(np.inf), 1e-8),
+        # a mean count, but a real number
+        ("rootdegree", 8, "1", 1e-8), ("pagerank", 8, None, 1e-8),
         # integers too long to print (over 4300 digits) or too large for a float
         pytest.param("rootdegree", 10**5000, 1, 1e-8, id="huge-n"),
         pytest.param("springrank", -10**5000, 1, 1e-8, id="huge-negative-n"),
