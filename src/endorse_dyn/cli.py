@@ -11,6 +11,7 @@ format, or domain error.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -83,6 +84,8 @@ def _parse_grid(text: str) -> list[float]:
         raise ValueError("grid must be START:STOP:NUM with numeric fields")
     if num < 1:
         raise ValueError("grid NUM must be >= 1")
+    if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(stop - start)):
+        raise ValueError("grid START, STOP and STOP - START must be finite")
     return [float(x) for x in np.linspace(start, stop, num)]
 
 

@@ -81,11 +81,6 @@ class InteractionSequence:
         return len(self.deltas)
 
     @property
-    def m_t(self) -> np.ndarray:
-        """Total endorsements per period."""
-        return np.array([d.sum() for d in self.deltas])
-
-    @property
     def m_bar(self) -> float:
         """Mean endorsements over the used periods; the m used for critical values."""
         _, used = self.used_periods()

@@ -20,15 +20,15 @@ work.  Every cell draws from its own (seed, t) generators and gets the
 bits of its run alone.
 
 The kernel does not build `_step_rng(seed, t)` = default_rng((seed, t))
-each step.  `_block_states` computes the PCG64 states those generators
-start from for every cell and a block of steps in one pass of array
-arithmetic (SeedSequence's hash, then PCG64's seeding, both fixed by numpy
-across versions), and each cell's draw sets its state on one generator
-per kernel call.  A block holds at most _SEED_BLOCK_PAIRS (cell, step)
-pairs and starts at a multiple of its length, a power of two.  Each cell's
-draw is `choice.sample_delta`'s, one multinomial of m over its n^2 rates
-p/n, normalized for the whole stack at once; `_step_rng` and
-`sample_delta` stay as the oracles the tests replay runs through.
+each step.  `_seed_words` hashes (seed, t) as SeedSequence does for every
+cell and a block of steps in one pass of array arithmetic (an algorithm
+numpy keeps fixed across versions), and each cell's draw hands its words
+to numpy's PCG64, which seeds from them as default_rng does.  A block
+holds at most _SEED_BLOCK_PAIRS (cell, step) pairs and starts at a
+multiple of its length, a power of two.  Each cell's draw is
+`choice.sample_delta`'s, one multinomial of m over its n^2 rates p/n,
+normalized for the whole stack at once; `_step_rng` and `sample_delta`
+stay as the oracles the tests replay runs through.
 
 Once per run, `_initial` validates A(0) and the kernel reads the settings
 a run cannot change: the kind's score core with alpha_p and the PageRank
@@ -45,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import choice, scores
 from .core import EndorsementState, ModelParams, check_count, uniform_initial
@@ -59,23 +60,20 @@ from .parallel import parallel_map
 # entries); four cells at n=256 took 1.44x.
 LOCKSTEP_MAX_ENTRIES = 8192
 
-# The most (cell, step) pairs whose generator states `_steps` computes in
-# one `_block_states` call.  Measured on 2 vCPU, a call took about 0.2 ms
-# plus 0.14 us per pair and held about 140 bytes per pair at its peak.  At
-# 512 pairs that is 0.45 us per pair and a 70 KB peak, where one block for
-# two cells' 1000 steps peaked at 270 KB and raised a sweep's peak RSS.
+# The most (cell, step) pairs whose seed words `_steps` computes in one
+# `_seed_words` call.  Measured on 2 vCPU, a call for two cells took about
+# 0.15 ms plus 0.1 us per pair and held about 105 bytes per pair at its
+# peak (145 for 128 cells).  At 512 pairs that is 0.4-0.9 us per pair and
+# a 53-72 KB peak, where one block for two cells' 1000 steps peaks at
+# 200 KB; blocks that size raised a sweep's peak RSS.
 _SEED_BLOCK_PAIRS = 512
 
-# SeedSequence's hash constants and pool size (numpy.random.bit_generator)
-# and PCG64's LCG multiplier (pcg64.h): fixed algorithms, stable across
-# numpy versions (NEP 19)
+# SeedSequence's hash constants and pool size (numpy.random.bit_generator):
+# a fixed algorithm, stable across numpy versions (NEP 19)
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_U32, _U64 = 2**32 - 1, 2**64 - 1
-# uint64 operands, so that numpy 1.x keeps uint64 arithmetic in uint64
-_B1, _B32, _B63, _LOW32 = np.uint64(1), np.uint64(32), np.uint64(63), np.uint64(_U32)
+_U32 = 2**32 - 1
 
 
 @dataclass(frozen=True)
@@ -91,7 +89,7 @@ class Trajectory:
 
 def _step_rng(seed: int, t: int) -> np.random.Generator:
     """The generator of step t of the run seeded with `seed`.  The kernel
-    sets the same PCG64 states from `_block_states`; tests hold the two
+    seeds the same PCG64 streams from `_seed_words`; tests hold the two
     equal."""
     return np.random.default_rng((int(seed), int(t)))
 
@@ -103,32 +101,6 @@ def _words(x: int) -> list[int]:
     while x := x >> 32:
         out.append(x & _U32)
     return out
-
-
-def _block_states(seeds, t0: int, count: int) -> np.ndarray:
-    """The PCG64 state and increment that `_step_rng(seed, t)` starts from,
-    for each seed and t0 <= t < t0 + count, as uint64 words (state high,
-    state low, inc high, inc low) on the last axis of a (count, cells, 4)
-    array.
-
-    PCG64 seeds from SeedSequence's 128-bit s and i (`_seed_words`) with
-    two LCG steps: inc = (i << 1) | 1, state = ((inc + s) * MULT + inc)
-    mod 2**128, here in 64-bit halves.
-    """
-    words = _seed_words(seeds, t0, count)
-    s_hi, s_lo, i_hi, i_lo = np.moveaxis(words, -1, 0)
-    inc_hi, inc_lo = i_hi << _B1 | i_lo >> _B63, i_lo << _B1 | _B1
-    x_lo = inc_lo + s_lo
-    x_hi = inc_hi + s_hi + (x_lo < inc_lo)
-    m_hi, m_lo = _PCG64_MULT >> 64, _PCG64_MULT & _U64
-    x_hi *= np.uint64(m_lo)
-    x_hi += _mul_hi(x_lo, m_lo)
-    x_hi += x_lo * np.uint64(m_hi)
-    x_lo *= np.uint64(m_lo)  # x * MULT mod 2**128
-    words[..., 1] = x_lo + inc_lo
-    words[..., 0] = x_hi + inc_hi + (words[..., 1] < x_lo)
-    words[..., 2], words[..., 3] = inc_hi, inc_lo
-    return words
 
 
 def _seed_words(seeds, t0: int, count: int) -> np.ndarray:
@@ -183,31 +155,33 @@ def _seed_words(seeds, t0: int, count: int) -> np.ndarray:
         const = const * _MULT_B & _U32
         value *= np.uint32(const)
         out[..., word] = value ^ value >> 16
+    # native uint64 in a fresh C-contiguous array: PCG64 reads each row's memory
     return out.view("<u8").astype(np.uint64)
 
 
-def _mul_hi(a: np.ndarray, b: int) -> np.ndarray:
-    """The high 64 bits of each a * b, for uint64 a and b < 2**64, from
-    the products of their 32-bit halves."""
-    a0, a1, b0, b1 = a & _LOW32, a >> _B32, np.uint64(b & _U32), np.uint64(b >> 32)
-    low, cross, other = a0 * b0, a0 * b1, a1 * b0
-    carry = (low >> _B32) + (cross & _LOW32) + (other & _LOW32)
-    return a1 * b1 + (cross >> _B32) + (other >> _B32) + (carry >> _B32)
+class _Words(ISeedSequence):
+    """A seed sequence that generates one cell's `_seed_words` row: PCG64
+    reads its 4 uint64 words from the row's memory, so the row must be
+    C-contiguous native uint64."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint64):
+        return self.words
 
 
-def _draws(gen: np.random.Generator, states: np.ndarray, p: np.ndarray, m) -> np.ndarray:
+def _draws(words: np.ndarray, p: np.ndarray, m) -> np.ndarray:
     """`choice.sample_delta`'s draw for each (n, n) choice matrix of the
-    stack p, each from its cell's `_block_states` words set on `gen`, so
-    from `_step_rng(seed, t)`'s state.  The rates g = p/n are normalized
+    stack p, each from a PCG64 seeded with its cell's row of `words`, so
+    from `_step_rng(seed, t)`'s stream.  The rates g = p/n are normalized
     for the whole stack at once."""
     n = p.shape[-1]
     g = p.reshape(len(p), n * n) / n
     g /= g.sum(axis=-1, keepdims=True)  # exact unit sums for the multinomial sampler
     delta = np.empty_like(g)
-    for cell, (s_hi, s_lo, i_hi, i_lo) in enumerate(states.tolist()):
-        state = {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}
-        gen.bit_generator.state = {"bit_generator": "PCG64", "state": state,
-                                   "has_uint32": 0, "uinteger": 0}
+    for cell, row in enumerate(words):
+        gen = np.random.Generator(np.random.PCG64(_Words(row)))
         delta[cell] = gen.multinomial(m, g[cell])
     return delta.reshape(p.shape)
 
@@ -245,15 +219,13 @@ def _steps(params: ModelParams, a: np.ndarray, steps: int, unit: str = "step", c
     b1, b2 = (b[:, None, None] if b.any() else None for b in np.array(beta).T)
     lam, m = params.lam, params.m
     fresh = 1.0 - lam
-    # one generator per call, never shared: simulate_cells runs chunks on threads
-    gen = np.random.Generator(np.random.PCG64())
-    # the steps whose states one _block_states call holds: a power of two
+    # the steps whose words one _seed_words call holds: a power of two
     # (so no block straddles t = 2**32) with at most _SEED_BLOCK_PAIRS
     # (cell, t) pairs
     block = 1 << (max(1, _SEED_BLOCK_PAIRS // len(seeds)).bit_length() - 1)
     for t in range(steps):
         if t % block == 0:
-            states = _block_states(seeds, t, min(block, steps - t))
+            words = _seed_words(seeds, t, min(block, steps - t))
         try:
             s = score(a)
         except NumericError as exc:  # a failed slice carries its index
@@ -268,7 +240,7 @@ def _steps(params: ModelParams, a: np.ndarray, steps: int, unit: str = "step", c
             bad = np.flatnonzero(~np.isfinite(u).all(axis=(1, 2)))
             cell = f" in the cell at beta {beta[bad[0]]}" if cells else ""
             raise DomainError(f"{unit} {t}: {exc}{cell}") from exc
-        delta = _draws(gen, states[t % block], p, m)
+        delta = _draws(words[t % block], p, m)
         a *= lam
         a += fresh * delta
         yield p.sum(axis=-2) / n, delta

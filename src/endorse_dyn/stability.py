@@ -604,17 +604,39 @@ NEWTON_MAX_ITER = 80
 
 @dataclass(frozen=True)
 class Equilibrium:
-    s_star: np.ndarray
+    """A two-group root: k nodes at a and n - k at b, and the drift
+    Jacobian's spectrum there, stored as the 2x2 quotient block's two
+    eigenvalues and the two within-group eigenvalues, of multiplicities
+    k - 1 and n - k - 1, so that a root holds no array of length n."""
+
     residual: float
-    jacobian_eigs: np.ndarray
-    stable: bool
     k_elite: int  # 0 marks the egalitarian (degenerate a = b) root
     a: float
     b: float
+    n: int
+    k: int  # the partition's size, k_elite or 1 for the egalitarian root
+    quotient_eigs: np.ndarray  # the 2 eigenvalues of the quotient block
+    within_eigs: np.ndarray  # lam_0 and lam_1, the within-group eigenvalues
+
+    @property
+    def s_star(self) -> np.ndarray:
+        return _two_group_vector(self.a, self.b, self.k, self.n)
+
+    @property
+    def jacobian_eigs(self) -> np.ndarray:
+        """The n eigenvalues: the quotient's, then lam_0 and lam_1 repeated."""
+        repeats = (self.k - 1, self.n - self.k - 1)
+        return np.concatenate([self.quotient_eigs, np.repeat(self.within_eigs, repeats)])
 
     @property
     def max_eig_real(self) -> float:
-        return float(self.jacobian_eigs.real.max())
+        # a within-group eigenvalue of multiplicity 0 (k = 1 or k = n - 1) is no eigenvalue
+        present = self.within_eigs[[self.k > 1, self.n - self.k > 1]]
+        return float(np.concatenate([self.quotient_eigs, present]).real.max())
+
+    @property
+    def stable(self) -> bool:
+        return self.max_eig_real < 0.0
 
 
 def _full_residual(s: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -714,17 +736,15 @@ def _classify(x, k: int, n: int, params: ModelParams) -> Equilibrium:
     quotient, lam = kind.quotient_drift(a, b, k, n, params, jac)
     if not (np.isfinite(quotient).all() and isfinite(lam[0]) and isfinite(lam[1])):
         raise DomainError("the drift Jacobian is not finite")
-    eigs = np.concatenate([
-        np.linalg.eigvals(quotient), np.full(k - 1, lam[0]), np.full(n - k - 1, lam[1])
-    ])
     return Equilibrium(
-        s_star=_two_group_vector(a, b, k, n),
         residual=float(max(abs(f0), abs(f1))),
-        jacobian_eigs=eigs,
-        stable=float(eigs.real.max()) < 0.0,
         k_elite=k_elite,
         a=a,
         b=b,
+        n=n,
+        k=k,
+        quotient_eigs=np.linalg.eigvals(quotient),
+        within_eigs=np.array(lam, dtype=float),
     )
 
 

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import click
@@ -727,6 +728,24 @@ class TestErrorMapping:
         assert res.exit_code == 1
         assert "numeric failure: solver fell over" in res.stderr
         assert '"iterations": 3' in res.stderr
+
+    @pytest.mark.parametrize("grid", ["1e308:-1e308:3", "inf:1:3", "nan:1:3"])
+    @pytest.mark.parametrize("command,key", [
+        ("sweep", "grid_beta1"), ("sweep", "grid_beta2"), ("bifurcate", "grid_beta1"),
+    ])
+    def test_grid_bounds_that_are_not_finite_are_refused(self, runner, tmp_path,
+                                                         command, key, grid):
+        grids = {"grid_beta1": "0:1:2", key: grid}
+        flags = [x for k, v in grids.items() for x in (f"--{k.replace('_', '-')}", v)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning from numpy fails the test
+            res = runner.invoke(cli.main, [command, "--score", "rootdegree", "--n", "4",
+                                           "--lambda", "0.9", *flags,
+                                           "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2, res.output + res.stderr
+        assert res.stderr == (f"error: bad value for {key}: {grid!r} "
+                              "(grid START, STOP and STOP - START must be finite)\n")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command,args", [
         ("simulate", ["--n", "4", "--lambda", "0.9", "--steps", "5"]),

@@ -14,11 +14,12 @@ from endorse_dyn.sim import (
     _SEED_BLOCK_PAIRS,
     LOCKSTEP_MAX_ENTRIES,
     Trajectory,
-    _block_states,
     _cell_seed,
     _initial,
+    _seed_words,
     _step_rng,
     _steps,
+    _Words,
     mean_gamma,
     rank_variance,
     run,
@@ -168,6 +169,40 @@ ZERO_ROW_A0 = [[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 2.0, 0.0],
 # node 0 neither endorses nor is endorsed
 ISOLATED_A0 = [[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 2.0, 1.0],
                [0.0, 1.0, 0.0, 1.0], [0.0, 3.0, 0.0, 0.0]]
+
+
+# node i endorses node i+1 most; no symmetry maps the nodes onto each other
+RELABEL_A0 = [[0.0, 2.0, 0.5, 0.0, 0.0], [0.0, 0.0, 1.5, 0.0, 0.5],
+              [0.5, 0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0, 2.5],
+              [1.0, 0.5, 0.0, 0.0, 0.0]]
+RELABEL_PERM = [3, 0, 4, 1, 2]  # new node k is old node RELABEL_PERM[k]
+
+
+class TestRelabelledRun:
+    """Relabelling the nodes relabels the law of a run.  The paths differ,
+    since `sample_delta` draws the cells in index order, so the test
+    compares each node's mean gamma at step T over S independent seeds per
+    side, within 4 standard errors of the difference."""
+
+    S, T = 200, 5
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_mean_gamma_follows_the_nodes(self, kind):
+        p = ModelParams(lam=0.8, beta=(1.5, -0.5), m=5, score_kind=kind)
+        a0, perm = np.array(RELABEL_A0), RELABEL_PERM
+        relabelled = a0[perm][:, perm]
+
+        def gamma_at_t(start, first_seed):
+            return np.array([run(p.with_(seed=seed), start, steps=self.T + 1).gamma_t[self.T]
+                             for seed in range(first_seed, first_seed + self.S)])
+
+        before = gamma_at_t(a0, 0)
+        after = np.empty_like(before)
+        after[:, perm] = gamma_at_t(relabelled, self.S)  # back to the old labels
+        se = np.sqrt((before.var(axis=0, ddof=1) + after.var(axis=0, ddof=1)) / self.S)
+        assert np.all(np.abs(before.mean(axis=0) - after.mean(axis=0)) <= 4 * se)
+        # the comparison sees a labelling it was not given
+        assert np.any(np.abs(before.mean(axis=0) - after[:, perm].mean(axis=0)) > 4 * se)
 
 
 def assert_replays(params, a0, steps):
@@ -496,32 +531,26 @@ class TestPageRankSolverSwap:
                     assert np.min(np.diff(np.sort(power[parted][0]))) <= 1e-12
 
 
-def seeded_state(words):
-    """The whole bit-generator state the kernel sets from one cell's
-    `_block_states` words (state high, state low, inc high, inc low)."""
-    s_hi, s_lo, i_hi, i_lo = (int(w) for w in words)
-    bits = np.random.PCG64()
-    bits.state = {"bit_generator": "PCG64", "state": {"state": s_hi << 64 | s_lo,
-                                                      "inc": i_hi << 64 | i_lo},
-                  "has_uint32": 0, "uinteger": 0}
-    return bits.state
-
-
 def assert_block_matches_step_rng(seeds, t0, count, check=None):
-    """The `_block_states` rows equal `_step_rng`'s states at every t in
+    """The `_seed_words` rows equal SeedSequence((seed, t))'s words, and
+    PCG64 seeded from them starts in `_step_rng`'s state, at every t in
     `check` (by default all of t0 .. t0 + count - 1)."""
-    rows = _block_states(seeds, t0, count)
+    rows = _seed_words(seeds, t0, count)
     assert rows.shape == (count, len(seeds), 4) and rows.dtype == np.uint64
+    assert rows.flags.c_contiguous and rows.dtype.isnative
     for t in range(t0, t0 + count) if check is None else check:
         for seed, words in zip(seeds, rows[t - t0]):
-            assert seeded_state(words) == _step_rng(seed, t).bit_generator.state, (seed, t)
+            expected = np.random.SeedSequence((seed, t)).generate_state(4, np.uint64)
+            assert np.array_equal(words, expected), (seed, t)
+            state = np.random.PCG64(_Words(words)).state
+            assert state == _step_rng(seed, t).bit_generator.state, (seed, t)
 
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3]
 
 
 class TestBlockSeeding:
-    """The kernel seeds each step's generator from `_block_states`, which
+    """The kernel seeds each step's generator from `_seed_words`, which
     must give `default_rng((seed, t))`'s states, on every numpy."""
 
     # the kernel's blocks for one cell and for a 128-cell chunk at n=8

@@ -6,6 +6,8 @@ a' = m G(sigma(a)) - a: the reduced spectrum must reappear inside the full
 spectrum, with every remaining eigenvalue equal to -1.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -591,6 +593,19 @@ class TestTwoGroupQuotient:
             assert np.all(np.isfinite(eq.jacobian_eigs))
             assert eq.b > 0.0
             assert np.abs(f_degree(eq.s_star, pb)).max() <= 1e-8
+
+    def test_roots_hold_no_array_of_length_n(self):
+        # two length-n arrays per root would hold about 29 MB for the 915
+        # roots of one beta1 here
+        n = 2000
+        p = params_for("rootdegree", 0.0, 0.0, m=1)
+        rows = two_group_equilibria(p, n, [0.9 * critical_beta1("rootdegree", n, 1)])
+        assert len(rows) > n // 4
+        for _, eq in rows:
+            assert all(np.size(getattr(eq, f.name)) <= 2 for f in dataclasses.fields(eq))
+        for _, eq in rows[:3] + rows[-3:]:  # the egalitarian root and both ends of k
+            assert eq.s_star.shape == eq.jacobian_eigs.shape == (n,)
+            assert eq.max_eig_real == eq.jacobian_eigs.real.max()
 
 
 class TestTypedErrors:
