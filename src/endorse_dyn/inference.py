@@ -221,17 +221,20 @@ def _newton_step(g, h):
     """Ascent step solving (-h + mu I) step = g; returns (step, mu).
 
     -h is the observed information in beta.  Where it is not numerically
-    positive definite (a flat or separable direction) mu > 0 shifts it
-    until it is (Levenberg damping), so the step still ascends; mu = 0 gives
+    positive definite (a flat or separable direction), or is negligible
+    against the gradient (a saturated start, where the Newton step would be
+    far too long for any halving to bring back), mu > 0 shifts it until it
+    is neither (Levenberg damping), so the step still ascends; mu = 0 gives
     the plain Newton step.
     """
     if not np.any(g):
         return np.zeros(2), 0.0
     info = -h
     lo, hi = np.linalg.eigvalsh(info)
+    g_max = float(np.abs(g).max())
     mu = 0.0
-    if not lo > 1e-10 * hi:
-        mu = max(-lo, 0.0) + max(1e-8 * hi, float(np.abs(g).max()))
+    if not lo > 1e-10 * max(hi, g_max):
+        mu = max(-lo, 0.0) + max(1e-8 * hi, g_max)
     return np.linalg.solve(info + mu * np.eye(2), g), mu
 
 

@@ -266,15 +266,21 @@ def rank_variance(traj: Trajectory, window: int = 500) -> float:
     Zero for a constant egalitarian trajectory; larger values mean a more
     concentrated (more strongly hierarchical) endorsement flow.
     """
-    check_count("window", window, 1, traj.steps)
+    _check_window(window, traj.steps)
     tail = traj.gamma_t[-window:]
     return float(np.var(tail))
 
 
 def mean_gamma(traj: Trajectory, window: int = 500) -> np.ndarray:
     """Time-averaged rank vector over the final window."""
-    check_count("window", window, 1, traj.steps)
+    _check_window(window, traj.steps)
     return traj.gamma_t[-window:].mean(axis=0)
+
+
+def _check_window(window: int, steps: int) -> None:
+    """A final window of gamma needs at least one step, and fits in the steps."""
+    check_count("steps", steps, 1)
+    check_count("window", window, 1, steps)
 
 
 def _cell_seed(base_seed: int, index: int) -> int:
@@ -290,8 +296,7 @@ def simulate_cells(params: ModelParams, n: int, betas, steps: int = 2000,
     of that run alone.  Consecutive cells step in lockstep chunks of at
     most LOCKSTEP_MAX_ENTRIES state entries, and the thread pool maps the
     chunks."""
-    check_count("window", window, 1, steps)
-    check_count("steps", steps, 0)
+    _check_window(window, steps)
     a0 = _initial(uniform_initial(n, params.m))
     cells = [params.with_(beta=beta, seed=_cell_seed(params.seed, index))
              for index, beta in enumerate(betas)]

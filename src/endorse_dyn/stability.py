@@ -59,7 +59,7 @@ class _Kind:
     # the two-group quotient (see below) of F and of the drift Jacobian:
     quotient: Callable  # (a, b, k, n, params) -> [F_0, F_k], F's 2x2 Jacobian
     quotient_drift: Callable  # (a, b, k, n, params, F's 2x2 Jacobian) -> J's quotient, lam
-    seeds: Callable  # (n, k, m) -> fresh two-group Newton starts (a, b)
+    seeds: Callable  # (n, k, m) -> fresh two-group Newton starts (a, b) with a != b
     nonneg: bool  # the state must stay nonnegative
 
 
@@ -530,20 +530,15 @@ def _springrank_quotient_drift(a: float, b: float, k: int, n: int, params: Model
 
 
 def _mass_seeds(n: int, k: int, total: float) -> list[np.ndarray]:
-    """Egalitarian, perturbed and elite-dominated splits of a fixed total."""
+    """Perturbed and elite-dominated splits of a fixed total."""
     e0 = total / n
-    seeds = [np.array([e0, e0]), np.array([1.3 * e0, e0 * (1 - 0.3 * k / (n - k))])]
-    for frac in (0.6, 0.9, 0.99):
-        seeds.append(np.array([frac * total / k, (1 - frac) * total / (n - k)]))
-    return seeds
+    return [np.array([1.3 * e0, e0 * (1 - 0.3 * k / (n - k))])] + [
+        np.array([frac * total / k, (1 - frac) * total / (n - k)]) for frac in (0.6, 0.9, 0.99)]
 
 
 def _centered_seeds(n: int, k: int, m: float) -> list[np.ndarray]:
-    """Zero-mean splits: egalitarian, then growing elite gaps."""
-    seeds = [np.array([0.0, 0.0])]
-    for c in (0.2, 1.0, 3.0, 6.0):
-        seeds.append(np.array([c * (n - k) / n, -c * k / n]))
-    return seeds
+    """Zero-mean splits with growing elite gaps."""
+    return [np.array([c * (n - k) / n, -c * k / n]) for c in (0.2, 1.0, 3.0, 6.0)]
 
 
 _KINDS = {
@@ -756,27 +751,30 @@ def two_group_equilibria(params: ModelParams, n: int,
     Returns (beta1, Equilibrium) pairs sorted by (beta1, k_elite, a, b).
     The egalitarian root (k_elite 0) is classified at its closed form.  k
     nodes at a and n - k at b is the state n - k nodes at b and k at a, so
-    only elite sizes k = 1..n//2 are solved, each from the kind's seeds for
-    k, the mirrored seeds for n - k and the roots found at k at the
-    previous grid point.  Each root is canonicalized to a > b, with k_elite
-    k or n - k, deduplicated, and classified by the drift-Jacobian spectrum
-    read off the two-group quotient; ties are the egalitarian root and are
-    dropped.  A root-finder failure at one grid point loses that root there
-    rather than aborting the scan.
+    only elite sizes k = 1..n//2 are solved.  Each k runs across the grid
+    from the kind's seeds for k and the mirrored seeds for n - k, built once
+    per k since they depend on n, k and m only, and from the roots found at
+    k at the previous grid point.  No seed sits at the egalitarian root.
+    Each root is canonicalized to a > b, with k_elite k or n - k,
+    deduplicated, and classified by the drift-Jacobian spectrum read off
+    the two-group quotient; ties are the egalitarian root and are dropped.
+    A root-finder failure at one grid point loses that root there rather
+    than aborting the scan.
     """
     check_n(n)
     kind = _KINDS[params.score_kind]
-    carried: dict[int, list] = {}  # each k's roots at the previous grid point
+    points = [params.with_(beta=(b1,) + params.beta[1:]) for b1 in map(float, beta1_grid)]
+    egal = float(kind.egalitarian(n, params.m)[0])
     out = []
-    for b1 in map(float, beta1_grid):
-        p = params.with_(beta=(b1,) + params.beta[1:])
-        egal = float(kind.egalitarian(n, p.m)[0])
+    for p in points:
         with _naming_root(p, 0):
-            out.append((b1, _classify((egal, egal), 1, n, p)))
-        for k in range(1, n // 2 + 1):
-            seeds = kind.seeds(n, k, p.m) + [x[::-1] for x in kind.seeds(n, n - k, p.m)]
+            out.append((p.beta[0], _classify((egal, egal), 1, n, p)))
+    for k in range(1, n // 2 + 1):
+        starts = kind.seeds(n, k, params.m) + [x[::-1] for x in kind.seeds(n, n - k, params.m)]
+        carried = []  # k's roots at the previous grid point
+        for p in points:
             roots: list[tuple[float, float, int]] = []
-            for x0 in seeds + carried.get(k, []):
+            for x0 in starts + carried:
                 x = _newton_two_group(p, n, k, x0)
                 if x is None:
                     continue
@@ -785,8 +783,8 @@ def two_group_equilibria(params: ModelParams, n: int,
                 if k_elite and not any(k_elite == kr and abs(a - ar) + abs(b - br) < tol
                                        for ar, br, kr in roots):
                     roots.append((a, b, k_elite))
-            carried[k] = [np.array((a, b) if kr == k else (b, a)) for a, b, kr in roots]
+            carried = [np.array((a, b) if kr == k else (b, a)) for a, b, kr in roots]
             with _naming_root(p, k):
-                out += [(b1, _classify((a, b), kr, n, p)) for a, b, kr in roots]
+                out += [(p.beta[0], _classify((a, b), kr, n, p)) for a, b, kr in roots]
     out.sort(key=lambda row: (row[0], row[1].k_elite, row[1].a, row[1].b))
     return out

@@ -269,6 +269,20 @@ class TestSweep:
         assert calls == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,steps", [
+        (["sweep", "--lambda", "0.95", "--grid-beta1", "0:4:3"], "-5"),
+        (["sweep", "--lambda", "0.95", "--grid-beta1", "0:4:3"], "0"),
+        (["bifurcate", "--grid-beta1", "2.0:6.0:2", "--overlay"], "0"),
+    ])
+    def test_steps_checked_before_the_window(self, runner, tmp_path, command, steps):
+        # a window against [1, steps] would name the window, not the steps at fault
+        out = tmp_path / "out"
+        res = runner.invoke(cli.main, [*command, "--score", "rootdegree", "--n", "4",
+                                       "--steps", steps, "--out", str(out)])
+        assert res.exit_code == 2, res.output + res.stderr
+        assert res.stderr == f"error: steps must be an integer with steps >= 1, got {steps}\n"
+        assert not out.exists()
+
 
 class TestBifurcate:
     def test_single_point_grid(self, runner, tmp_path):

@@ -110,6 +110,29 @@ def sparse_sequence(rng, n=5, t_len=7, m=5, a0=False):
     return seq
 
 
+@st.composite
+def _sparse_sequences(draw):
+    """Sequences of 2-5 nodes with counts 0-2, some periods empty and some
+    nodes silent (they never endorse), with or without a drawn A(0)."""
+    n = draw(st.integers(2, 5))
+    warm = draw(st.booleans())
+    t_len = draw(st.integers(1 if warm else 2, 6))
+    silent = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n - 1)))
+    empty = draw(st.sets(st.integers(0, t_len - 1), max_size=t_len - 1))
+    cells = st.lists(st.integers(0, 2), min_size=n * n, max_size=n * n)
+    deltas = []
+    for t in range(t_len):
+        d = np.array(draw(cells), dtype=float).reshape(n, n)
+        d[silent] = 0.0
+        deltas.append(d * (t not in empty))
+    seq = InteractionSequence(tuple(deltas), tuple(f"n{i}" for i in range(n)),
+                              tuple(map(str, range(t_len))))
+    if warm:
+        a0 = draw(st.lists(st.floats(0.0, 2.0), min_size=n * n, max_size=n * n))
+        seq = seq.with_a0(np.reshape(a0, (n, n)))
+    return seq
+
+
 class TestLogLikelihood:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("warm", [False, True])
@@ -199,6 +222,25 @@ class TestGradient:
         ).with_a0(uniform_initial(2, 1))
         g = grad_beta(seq, 0.9, (0.0, 0.0), "rootdegree")
         assert np.array_equal(g, np.zeros(2))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), lam=st.floats(0.0, 1.0),
+           beta=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+    def test_likelihood_and_gradient_on_sparse_sequences(self, kind, data, lam, beta):
+        # empty periods and nodes that never endorse, with and without A(0)
+        seq = data.draw(_sparse_sequences())
+        ll = log_likelihood(seq, lam, beta, kind)
+        assert ll == pytest.approx(brute_loglik(seq, lam, beta, kind), rel=1e-10)
+        g = grad_beta(seq, lam, beta, kind)
+        for k in range(2):
+            h = 1e-6
+            bp, bm = np.array(beta), np.array(beta)
+            bp[k] += h
+            bm[k] -= h
+            fd = (log_likelihood(seq, lam, bp, kind) - log_likelihood(seq, lam, bm, kind)) / (2 * h)
+            # the difference quotient carries the rounding of ll over 2h
+            assert g[k] == pytest.approx(fd, rel=1e-6, abs=1e-8 * (1.0 + abs(ll)))
 
     def test_concavity_along_segments(self):
         rng = np.random.default_rng(10)
@@ -332,19 +374,36 @@ class TestDegenerateBetaProblems:
         assert not r.ok and r.grad_norm == np.inf and not np.isfinite(r.ll)
         assert np.array_equal(r.beta, [1e308, 0.0])
 
-    def test_backtracking_that_runs_out_of_halvings_stops_the_solve(self, monkeypatch):
+    def test_saturated_start_raises_the_likelihood(self):
         # at a saturated start the information is tiny (~1e-31) but well
-        # conditioned, so the undamped Newton step is ~5e31 long and no
-        # halving brings it close enough to raise the likelihood
+        # conditioned; the undamped Newton step would be ~5e31 long, so the
+        # step is damped against the gradient and the solve leaves the start
         terms = _terms(_separable(), 0.5, "rootdegree")
-        calls = []
+        start = np.array([100.0, 0.0])
+        ll0, g0, _ = inference._loglik_and_grad(terms, start)
+        r = inference._maximize_beta(terms, start)
+        assert np.isfinite(r.ll) and r.ll > ll0 + 100.0
+        assert r.grad_norm < 0.5 * np.abs(g0).max()
+        assert not r.ok  # the data are separable: there is no maximum to reach
+
+    def test_backtracking_that_runs_out_of_halvings_stops_the_solve(self, monkeypatch):
+        # a likelihood that falls everywhere off the start, so no halving of
+        # the ascent step passes Armijo's test
+        terms = _terms(random_sequence(np.random.default_rng(31), a0=True), 0.5, "springrank")
         evaluate = inference._loglik_and_grad
-        monkeypatch.setattr(inference, "_loglik_and_grad",
-                            lambda *args: calls.append(1) or evaluate(*args))
-        r = inference._maximize_beta(terms, (100.0, 0.0))
+        ll0 = evaluate(terms, np.zeros(2))[0]
+        calls = []
+
+        def falls(terms, beta):
+            calls.append(1)
+            ll, g, h = evaluate(terms, beta)
+            return (ll if not np.any(beta) else ll0 - 1.0), g, h
+
+        monkeypatch.setattr(inference, "_loglik_and_grad", falls)
+        r = inference._maximize_beta(terms, (0.0, 0.0))
         assert len(calls) == 1 + BETA_MAX_HALVINGS
-        assert not r.ok and np.isfinite(r.ll)
-        assert np.array_equal(r.beta, [100.0, 0.0])
+        assert not r.ok and r.ll == ll0
+        assert np.array_equal(r.beta, [0.0, 0.0])
 
     @pytest.mark.parametrize("h", [np.zeros((2, 2)), np.diag([-1.0, 1.0]),
                                    np.array([[-1.0, -1.0], [-1.0, -1.0]])])

@@ -355,6 +355,19 @@ class TestSummaries:
             mean_gamma(traj, window=0)
 
     @pytest.mark.parametrize("summary", [rank_variance, mean_gamma])
+    def test_a_run_without_steps_has_no_window(self, summary):
+        # the message names the run's steps, not a window range [1, 0]
+        traj = run(ModelParams(lam=0.9), a0=uniform_initial(3, 1), steps=0)
+        with pytest.raises(DomainError, match=r"^steps must be an integer with steps >= 1, got 0$"):
+            summary(traj, window=1)
+
+    @pytest.mark.parametrize("steps", [0, -5, 2.5])
+    def test_simulate_cells_checks_steps_before_the_window(self, steps):
+        want = rf"^steps must be an integer with steps >= 1, got {steps}$"
+        with pytest.raises(DomainError, match=want):
+            simulate_cells(ModelParams(lam=0.9), 4, [(1.0, 0.0)], steps=steps, window=500)
+
+    @pytest.mark.parametrize("summary", [rank_variance, mean_gamma])
     def test_fractional_window_rejected(self, summary):
         traj = self._const_traj([0.5, 0.5], steps=5)
         with pytest.raises(DomainError, match="window"):

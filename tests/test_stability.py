@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from endorse_dyn import stability
 from endorse_dyn.choice import choice_probabilities
 from endorse_dyn.core import N_MAX, SCORE_KINDS, ModelParams
 from endorse_dyn.errors import DomainError
 from endorse_dyn.stability import (
     _KINDS,
+    _canonical,
     _classify,
     _full_residual,
     _newton_two_group,
@@ -492,6 +494,60 @@ class TestOneScan:
             assert abs(g.max_eig_real - w.max_eig_real) <= 1e-12
 
 
+class TestScanStarts:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_no_newton_start_at_the_egalitarian_root(self, kind, monkeypatch):
+        # the egalitarian root is classified at its closed form; a Newton
+        # start there only finds it again
+        n = 8
+        bc = critical_beta1(kind, n, 1)
+        grid = [0.6 * bc, 0.9 * bc, 1.1 * bc, 1.6 * bc]
+        starts = {}
+        newton = stability._newton_two_group
+
+        def recorded(p, n, k, x0):
+            starts.setdefault((k, p.beta[0]), []).append(np.array(x0, dtype=float))
+            return newton(p, n, k, x0)
+
+        monkeypatch.setattr(stability, "_newton_two_group", recorded)
+        two_group_equilibria(params_for(kind, 0.0, -0.3, m=1), n, grid)
+        assert set(starts) == {(k, b1) for k in range(1, n // 2 + 1) for b1 in grid}
+        for (k, _), xs in starts.items():
+            assert all(_canonical(x, k, n)[2] != 0 for x in xs), (k, xs)
+            # the fixed starts, the same at every grid point, come first
+            fixed = starts[k, grid[0]]
+            assert len(fixed) == 8
+            assert all(np.array_equal(x, y) for x, y in zip(xs, fixed))
+
+
+def missed_pagerank_root():
+    """TestOneScan's pagerank setup at n=16 and 0.9 beta1_c, and a stable
+    one-elite root there that Newton reaches from a start on e^T s = n."""
+    n, k = 16, 1
+    bc = critical_beta1("pagerank", n, 1)
+    p = params_for("pagerank", 0.0, -0.3, m=1)
+    pb = p.with_(beta=(0.9 * bc, -0.3))
+    x = _newton_two_group(pb, n, k, np.array([4.0, 0.8]))  # 4 + 15 * 0.8 = n
+    assert x is not None
+    eq = _classify(x, k, n, pb)
+    assert eq.k_elite == 1 and eq.stable and eq.residual <= 1e-12
+    assert abs(eq.a - 4.43304) < 1e-5 and abs(eq.b - 0.77113) < 1e-5
+    return p, n, [0.6 * bc, 0.9 * bc, 1.1 * bc, 1.6 * bc], eq
+
+
+class TestMissedBranch:
+    def test_the_missed_root_is_a_stable_root(self):
+        missed_pagerank_root()
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP known defect 8: the scan's starts miss "
+                       "a stable pagerank branch")
+    def test_scan_finds_the_stable_one_elite_pagerank_root(self):
+        p, n, grid, eq = missed_pagerank_root()
+        rows = two_group_equilibria(p, n, grid)
+        assert any(b1 == grid[1] and got.k_elite == 1
+                   and abs(got.a - eq.a) + abs(got.b - eq.b) < 1e-6 for b1, got in rows)
+
+
 # ---------------------------------------------------------------------------
 # the two-group quotient against its n-dimensional oracles
 # ---------------------------------------------------------------------------
@@ -629,7 +685,7 @@ class TestTypedErrors:
         assert _newton_two_group(p, 4, 2, np.array([1.0, 0.0])) is None
 
     def test_sweep_raises_domain_error(self):
-        # the egalitarian seed s = 1 keeps beta1 s finite; the next seed does not
+        # the egalitarian root s = 1 keeps beta1 s finite; the first seed does not
         p = params_for("pagerank", 0.0, -1.0, m=1)
         with pytest.raises(DomainError, match=r"pagerank .*k=1, beta1=1e\+308"):
             two_group_equilibria(p, 8, [1e308])
