@@ -11,15 +11,17 @@ damped Newton ascent on the exact Hessian -sum_i k_i Cov_{p_i}(phi);
 lambda is maximized by a derivative-free 1-D search over restarts.  The
 multinomial coefficient is dropped throughout: it shifts the likelihood by
 a data constant and no comparison here needs it.
+
+scipy.optimize is imported by `_fit`, the lambda search, and nowhere else,
+so importing this module does not import scipy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.optimize
 
 from .core import ALPHA_P, ALPHA_S, SCORE_KINDS, ModelParams, _shown, check_count
 from .data import InteractionSequence
@@ -154,12 +156,16 @@ def _terms_at(counts: _Counts, params) -> _LogitTerms:
 
 
 def _loglik_and_grad(terms: _LogitTerms, beta):
-    """Constant-free log-likelihood, its exact beta-gradient and beta-Hessian.
+    """Constant-free log-likelihood, its exact beta-gradient, and a function
+    that forms the beta-Hessian.
 
     With p the choice probabilities of a row, the gradient is
     sum k phi - sum_rows k_row E_p[phi] and the Hessian is
     -sum_rows k_row Cov_p(phi), formed from the centered features.
-    Everything stays in log space.
+    Everything stays in log space.  The Hessian costs about a third of an
+    evaluation and most evaluations (rejected Armijo trials, polish steps,
+    the lambda differences of the SEs) never read it, so it is formed only
+    when the returned function is called.
     """
     phi1, phi2, k_phi, c = terms
     n = phi1.shape[1]
@@ -174,20 +180,25 @@ def _loglik_and_grad(terms: _LogitTerms, beta):
         mean1 = np.einsum("rj,rj->r", p, phi1)
         mean2 = np.einsum("rj,rj->r", p, phi2)
         g = k_phi - np.array([c.k_row @ mean1, c.k_row @ mean2])
-        c1 = phi1 - mean1[:, None]
-        c2 = phi2 - mean2[:, None]
-        w = p * c.k_row[:, None]
-        wc1 = w * c1
-        # einsum, not a BLAS dot: OpenBLAS threads dots this long, and the
-        # threads cost more CPU than they save here
-        h12 = -float(np.einsum("rj,rj->", wc1, c2))
-        h = np.array([[-float(np.einsum("rj,rj->", wc1, c1)), h12],
-                      [h12, -float(np.einsum("rj,rj,rj->", w, c2, c2))]])
-    return ll, g, h
+
+    def hessian():
+        with np.errstate(over="ignore", invalid="ignore"):
+            c1 = phi1 - mean1[:, None]
+            c2 = phi2 - mean2[:, None]
+            w = p * c.k_row[:, None]
+            wc1 = w * c1
+            # einsum, not a BLAS dot: OpenBLAS threads dots this long, and
+            # the threads cost more CPU than they save here
+            h12 = -float(np.einsum("rj,rj->", wc1, c2))
+            return np.array([[-float(np.einsum("rj,rj->", wc1, c1)), h12],
+                             [h12, -float(np.einsum("rj,rj,rj->", w, c2, c2))]])
+
+    return ll, g, hessian
 
 
 def _evaluate(seq, lam, beta, score_kind, alpha_p, alpha_s):
-    """(ll, gradient, Hessian) at one (lambda, beta); ModelParams checks both."""
+    """(ll, gradient, Hessian function) at one (lambda, beta); ModelParams
+    checks both."""
     params = ModelParams(lam=lam, beta=beta, score_kind=score_kind, alpha_p=alpha_p,
                          alpha_s=alpha_s)
     return _loglik_and_grad(_terms_at(_counts(seq), params), params.beta)
@@ -245,7 +256,7 @@ class _BetaFit(NamedTuple):
     beta: np.ndarray
     grad_norm: float  # infinity norm of the beta-gradient
     ok: bool  # converged
-    hess: np.ndarray  # (2, 2) exact beta-Hessian at beta
+    hess: Callable[[], np.ndarray] | None  # forms the exact (2, 2) beta-Hessian at beta
 
 
 def _maximize_beta(terms, beta0) -> _BetaFit:
@@ -261,7 +272,7 @@ def _maximize_beta(terms, beta0) -> _BetaFit:
     if not np.isfinite(ll):
         return _BetaFit(ll, beta, np.inf, False, h)
     for _ in range(BETA_MAX_ITER):
-        step, mu = _newton_step(g, h)
+        step, mu = _newton_step(g, h())
         slope = float(g @ step)
         rounding = 1e-12 * (1.0 + abs(ll))
         if slope <= rounding:
@@ -312,11 +323,20 @@ def fit(
 
 def _fit(counts: _Counts, params, restarts: int) -> FitResult:
     """`fit`'s search and SEs on a checked table, for params' kind and settings."""
+    import scipy.optimize
+
     evals: list[tuple[float, _BetaFit]] = []  # every beta solve, in evaluation order
+    hat = None  # best(evals) so far, the one entry that keeps its Hessian function
 
     def solve(lam, beta0):
-        evals.append((lam, _maximize_beta(_terms_at(counts, params.with_(lam=lam)), beta0)))
-        return evals[-1][1]
+        # a Hessian function holds its solve's score state, so the others
+        # drop theirs and the search frees each state as it goes on
+        nonlocal hat
+        r = _maximize_beta(_terms_at(counts, params.with_(lam=lam)), beta0)
+        if r.ok and (hat is None or r.ll > hat[1].ll):
+            hat = (lam, r)
+        evals.append((lam, r._replace(hess=None)))
+        return r
 
     def best(entries):  # the converged entry of highest likelihood, first among ties
         return max((e for e in entries if e[1].ok), key=lambda e: e[1].ll, default=None)
@@ -324,7 +344,7 @@ def _fit(counts: _Counts, params, restarts: int) -> FitResult:
     starts = [0.5] if restarts == 1 else np.linspace(0.1, 0.9, restarts).tolist()
     for lam in starts:
         solve(lam, (0.0, 0.0))
-    if (start := best(evals)) is None:
+    if (start := hat) is None:
         raise NumericError(
             "no restart converged",
             diagnostics={f"lambda={lam:g}": f"grad_norm={r.grad_norm:.3g}" for lam, r in evals},
@@ -346,7 +366,7 @@ def _fit(counts: _Counts, params, restarts: int) -> FitResult:
             objective, bounds=(max(LAM_LO, start[0] - spacing), min(LAM_HI, start[0] + spacing)),
             method="bounded", options={"xatol": LAM_XATOL, "maxiter": 200},
         )
-    lam_hat, at_hat = best(evals)
+    lam_hat, at_hat = hat
 
     warnings: list[str] = []
     for name, bound in (("LAM_LO", LAM_LO), ("LAM_HI", LAM_HI)):
@@ -388,7 +408,7 @@ def _standard_errors(counts: _Counts, params, at_hat: _BetaFit, warnings: list):
     hess = np.empty((3, 3))
     hess[0, 0] = (ll_up - 2.0 * at_hat.ll + ll_dn) / step**2
     hess[0, 1:] = hess[1:, 0] = (g_up - g_dn) / (2.0 * step)
-    hess[1:, 1:] = at_hat.hess
+    hess[1:, 1:] = at_hat.hess()
     fisher = -hess
     eigs = np.linalg.eigvalsh(fisher)
     if eigs.min() <= 0.0:

@@ -19,16 +19,19 @@ on the validated matrix; `score` calls the core that `_score_core` binds.
 The simulation kernel calls the cores directly (see :mod:`endorse_dyn.sim`);
 the long-memory analysis builds its SpringRank Laplacian with `_spring_system`
 and solves against I - alpha_p P^T with `_pagerank_resolve`.
+
+scipy is bound only where it is called: `_cholesky_solve` binds its LAPACK
+routines on its first call (`_lapack`) and LinAlgWarning when it warns, so
+importing this module, and any score but a single-matrix or per-slice
+SpringRank solve, never imports scipy.
 """
 
 from __future__ import annotations
 
 import warnings
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
-from scipy.linalg import LinAlgWarning
-from scipy.linalg.lapack import dlange, dpocon, dpotrf, dpotrs
 
 from .core import (ALPHA_P, ALPHA_S, check_alpha_p, check_alpha_s, check_matrix,
                    check_score_kind)
@@ -149,6 +152,16 @@ def _pagerank_power(a: np.ndarray, alpha_p: float) -> np.ndarray:
     raise exc
 
 
+@cache
+def _lapack():
+    """The LAPACK routines of `_cholesky_solve`, bound on its first call so
+    that a process that never solves one SpringRank matrix never imports
+    scipy.linalg."""
+    from scipy.linalg.lapack import dlange, dpocon, dpotrf, dpotrs
+
+    return dpotrf, dpocon, dlange, dpotrs
+
+
 def _cholesky_solve(lap: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve lap x = rhs for one symmetric positive definite matrix.
 
@@ -159,6 +172,7 @@ def _cholesky_solve(lap: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     factorization that fails raises NumericError, and a reciprocal
     condition number below machine epsilon warns with LinAlgWarning.
     """
+    dpotrf, dpocon, dlange, dpotrs = _lapack()
     c, info = dpotrf(lap)
     if info > 0:
         raise NumericError(
@@ -167,6 +181,8 @@ def _cholesky_solve(lap: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         )
     rcond, _ = dpocon(c, dlange("1", lap))
     if not rcond >= np.finfo(float).eps:
+        from scipy.linalg import LinAlgWarning
+
         warnings.warn(
             f"ill-conditioned springrank system (rcond={rcond:.6g}): "
             "scores may not be accurate",

@@ -22,7 +22,8 @@ bits of its run alone.
 The kernel does not build `_step_rng(seed, t)` = default_rng((seed, t))
 each step.  `_seed_words` hashes (seed, t) as SeedSequence does for every
 cell and a block of steps in one pass of array arithmetic (an algorithm
-numpy keeps fixed across versions), and each cell's draw hands its words
+numpy keeps fixed across versions); the kernel reads the cells' seed words
+once per run (`_seed_hasher`), and each cell's draw hands its words
 to numpy's PCG64, which seeds from them as default_rng does.  A block
 holds at most _SEED_BLOCK_PAIRS (cell, step) pairs and starts at a
 multiple of its length, a power of two.  Each cell's draw is
@@ -105,26 +106,49 @@ def _words(x: int) -> list[int]:
 
 def _seed_words(seeds, t0: int, count: int) -> np.ndarray:
     """`SeedSequence((seed, t)).generate_state(4, np.uint64)` for each seed
-    and t0 <= t < t0 + count, shaped (count, cells, 4).
+    and t0 <= t < t0 + count, shaped (count, cells, 4); see `_seed_hasher`."""
+    return _seed_hasher(seeds)(t0, count)
+
+
+def _seed_hasher(seeds):
+    """A function of (t0, count) that returns `_seed_words(seeds, t0, count)`.
 
     SeedSequence hashes the entropy words (the seed's, then t's) into a
     pool of 4 uint32 with constants that do not depend on the data, so
-    uint32 array arithmetic hashes every (t, cell) in one pass.  The steps
-    must not straddle a multiple of 2**32: then they share t's high words,
-    and their low word is t0's plus an offset.  A seed's words past the
-    pool each mix into it once more, so a cell whose entropy is shorter
-    keeps its pool there.
+    uint32 array arithmetic hashes every (t, cell) in one pass.  The seeds'
+    words do not depend on t, so they are read once here, as the rows of
+    entropy each call starts from.  The steps must not straddle a multiple
+    of 2**32: then they share t's high words, and their low word is t0's
+    plus an offset.  A seed's words past the pool each mix into it once
+    more, so a cell whose entropy is shorter keeps its pool there.
     """
-    high = _words(t0 >> 32) if t0 >> 32 else []
-    t_words = [np.arange(count, dtype=np.uint32) + np.uint32(t0 & _U32)]
-    t_words += [np.full(count, w, dtype=np.uint32) for w in high]
     seed_words = [_words(int(seed)) for seed in seeds]
-    lengths = np.array([len(w) + len(t_words) for w in seed_words])
-    entropy = np.zeros((max(_POOL, lengths.max()), count, len(seeds)), dtype=np.uint32)
+    seed_lengths = np.array([len(w) for w in seed_words])
+    seed_rows = np.zeros((seed_lengths.max(), 1, len(seeds)), dtype=np.uint32)
     for cell, w in enumerate(seed_words):
-        entropy[:len(w), :, cell] = np.array(w, dtype=np.uint32)[:, None]
-        entropy[len(w):lengths[cell], :, cell] = t_words
+        seed_rows[:len(w), 0, cell] = w
+    cells = np.arange(len(seeds))
 
+    def hashed(t0: int, count: int) -> np.ndarray:
+        high = _words(t0 >> 32) if t0 >> 32 else []
+        t_words = [np.arange(count, dtype=np.uint32) + np.uint32(t0 & _U32)]
+        t_words += [np.full(count, w, dtype=np.uint32) for w in high]
+        lengths = seed_lengths + len(t_words)
+        entropy = np.zeros((max(_POOL, lengths.max()), count, len(seeds)), dtype=np.uint32)
+        entropy[:len(seed_rows)] = seed_rows
+        # t's words follow each seed's own: rows seed_lengths + k of each cell
+        for k, word in enumerate(t_words):
+            entropy[seed_lengths + k, :, cells] = word
+        return _hash_entropy(entropy, lengths)
+
+    return hashed
+
+
+def _hash_entropy(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """SeedSequence's 4 uint64 state words, shaped (count, cells, 4), for
+    each (t, cell) of a (words, count, cells) entropy array whose cells
+    hold `lengths` words each."""
+    count, cells = entropy.shape[1:]
     const = _INIT_A
 
     def hashmix(value):
@@ -148,7 +172,7 @@ def _seed_words(seeds, t0: int, count: int) -> np.ndarray:
         for dst in range(_POOL):
             pool[dst] = np.where(has, mix(pool[dst], hashmix(entropy[src])), pool[dst])
     # 8 uint32 words, cycling the pool, read as 4 little-endian uint64 as numpy does
-    out = np.empty((count, len(seeds), 8), dtype="<u4")
+    out = np.empty((count, cells, 8), dtype="<u4")
     const = _INIT_B
     for word in range(8):
         value = pool[word % _POOL] ^ np.uint32(const)
@@ -223,9 +247,10 @@ def _steps(params: ModelParams, a: np.ndarray, steps: int, unit: str = "step", c
     # (so no block straddles t = 2**32) with at most _SEED_BLOCK_PAIRS
     # (cell, t) pairs
     block = 1 << (max(1, _SEED_BLOCK_PAIRS // len(seeds)).bit_length() - 1)
+    seed_words = _seed_hasher(seeds)
     for t in range(steps):
         if t % block == 0:
-            words = _seed_words(seeds, t, min(block, steps - t))
+            words = seed_words(t, min(block, steps - t))
         try:
             s = score(a)
         except NumericError as exc:  # a failed slice carries its index

@@ -21,7 +21,7 @@ from endorse_dyn.data import (
     simulate_sequence,
 )
 from endorse_dyn.errors import NumericError
-from endorse_dyn.sim import _cell_seed, mean_gamma, run
+from endorse_dyn.sim import _cell_seed, mean_gamma, run, simulate_cells
 
 
 @pytest.fixture
@@ -879,3 +879,115 @@ def test_module_entry_point_help(tmp_path):
     assert "Usage: endorse-dyn" in proc.stdout
     for cmd in SUBCOMMANDS:
         assert cmd in proc.stdout
+
+
+# Each cold-start test runs in a fresh interpreter, which starts with no
+# scipy module: scipy is bound only where it is called (scores._lapack and
+# inference._fit), and these tests hold each command to the modules it
+# needs.  A child prints, as its last line, the scipy modules it ended with.
+_SCIPY_LOADED = (
+    "import json, sys; print(json.dumps(sorted(m for m in sys.modules"
+    " if m in ('scipy', 'scipy.linalg', 'scipy.optimize'))))"
+)
+
+_COMMANDS = (
+    "import sys\n"
+    "from endorse_dyn.cli import main\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    main(argv, prog_name='endorse-dyn', standalone_mode=False)\n"
+)
+
+
+def _cold_run(code, *args, env=None, cwd=None):
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import json\n{code}\n{_SCIPY_LOADED}", *args],
+        capture_output=True, text=True, timeout=120, env=env or _child_env(), cwd=cwd,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines(), json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cold_start_import_loads_no_scipy():
+    _, loaded = _cold_run("import endorse_dyn.cli")
+    assert loaded == []
+
+
+@pytest.mark.parametrize("group,expected", [
+    ("no solve", []),
+    ("springrank simulation", ["scipy", "scipy.linalg"]),
+    ("fit", ["scipy", "scipy.linalg", "scipy.optimize"]),
+    ("compare", ["scipy", "scipy.linalg", "scipy.optimize"]),
+])
+def test_cold_start_scipy_modules_per_command(tmp_path, group, expected):
+    """--help, convert, rootdegree and pagerank simulations and bifurcate of
+    every kind load no scipy; a SpringRank simulation loads scipy.linalg
+    and not scipy.optimize; fit and compare load scipy.optimize."""
+    data = str(make_data_csv(tmp_path, periods=8))
+    sim = ["--n", "4", "--lambda", "0.9", "--steps", "5"]
+    commands = {
+        "no solve": [
+            ["--help"],
+            ["convert", "--data", data],
+            *(["simulate", "--score", kind, *sim] for kind in ("rootdegree", "pagerank")),
+            ["sweep", "--score", "pagerank", *sim, "--grid-beta1", "0:1:2", "--window", "2"],
+            *(["bifurcate", "--score", kind, "--n", "4", "--grid-beta1", "0.5:1.5:2"]
+              for kind in ("rootdegree", "pagerank", "springrank")),
+        ],
+        "springrank simulation": [["simulate", "--score", "springrank", *sim]],
+        "fit": [["fit", "--data", data, "--score", "rootdegree", "--restarts", "1"]],
+        "compare": [["compare", "--data", data, "--restarts", "1"]],
+    }[group]
+    argvs = [[*argv, "--out", str(tmp_path / f"o{i}")] if argv != ["--help"] else argv
+             for i, argv in enumerate(commands)]
+    lines, loaded = _cold_run(_COMMANDS, json.dumps(argvs), cwd=tmp_path)
+    assert loaded == expected
+    if group == "no solve":
+        assert "Usage: endorse-dyn" in lines[0]
+    for i, argv in enumerate(commands):
+        if argv != ["--help"]:
+            assert (tmp_path / f"o{i}" / "run.json").is_file(), argv
+
+
+def test_cold_start_ill_conditioned_springrank_warns():
+    """The warning branch binds LinAlgWarning itself, so a solve in a
+    process that has not imported scipy warns with scipy's category."""
+    code = (
+        "import sys, warnings\n"
+        "import numpy as np\n"
+        "from endorse_dyn.scores import springrank_score\n"
+        "assert 'scipy' not in sys.modules\n"
+        "a = np.round(np.random.default_rng(1).random((8, 8)) * 4)\n"
+        "with warnings.catch_warnings(record=True) as caught:\n"
+        "    warnings.simplefilter('always')\n"
+        "    s = springrank_score(a, alpha_s=1e-14)\n"
+        "from scipy.linalg import LinAlgWarning\n"
+        "assert [w.category for w in caught] == [LinAlgWarning], caught\n"
+        "assert np.all(np.isfinite(s))\n"
+    )
+    _, loaded = _cold_run(code)
+    assert loaded == ["scipy", "scipy.linalg"]
+
+
+def test_cold_start_springrank_cells_on_two_threads_match_a_serial_run(monkeypatch):
+    """Two n=72 SpringRank cells are two chunks on the pool, so both worker
+    threads bind the LAPACK routines on their first step; the cells keep
+    the bits of a serial run."""
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from endorse_dyn.core import ModelParams\n"
+        "from endorse_dyn.sim import simulate_cells\n"
+        "assert 'scipy' not in sys.modules\n"
+        "p = ModelParams(lam=0.9, m=72, score_kind='springrank', seed=5)\n"
+        "out = simulate_cells(p, 72, [(1.0, 0.0), (2.0, -0.5)], steps=20, window=5)\n"
+        "print(json.dumps([[g.tolist(), v] for g, v in out]))\n"
+    )
+    env = _child_env()
+    env["ENDORSE_DYN_THREADS"] = "2"
+    lines, loaded = _cold_run(code, env=env)
+    assert loaded == ["scipy", "scipy.linalg"]
+    monkeypatch.setenv("ENDORSE_DYN_THREADS", "1")
+    p = ModelParams(lam=0.9, m=72, score_kind="springrank", seed=5)
+    serial = simulate_cells(p, 72, [(1.0, 0.0), (2.0, -0.5)], steps=20, window=5)
+    # floats round-trip through JSON exactly
+    assert json.loads(lines[-2]) == [[g.tolist(), v] for g, v in serial]

@@ -281,7 +281,7 @@ class TestBetaNewton:
         seq = _no_self_counts(random_sequence(rng, n=5, t_len=7, m=6, a0=True))
         lam, beta = 0.8, np.array([0.7, -0.4])
         terms = _terms(seq, lam, kind)
-        _, _, hess = inference._loglik_and_grad(terms, beta)
+        hess = inference._loglik_and_grad(terms, beta)[2]()
         for k in range(2):
             h = 1e-5 * (1 + abs(beta[k]))
             bp, bm = beta.copy(), beta.copy()
@@ -584,9 +584,36 @@ class TestFit:
         hess = np.empty((3, 3))
         hess[0, 0] = (ll_up - 2.0 * ll0 + ll_dn) / step**2
         hess[0, 1:] = hess[1:, 0] = (g_up - g_dn) / (2.0 * step)
-        hess[1:, 1:] = h_beta
+        hess[1:, 1:] = h_beta()
         assert ll0 == res.loglik
         assert res.se == tuple(float(x) for x in np.sqrt(np.diag(np.linalg.inv(-hess))))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_hessians_are_formed_only_where_read(self, kind, monkeypatch):
+        # a fit forms one beta-Hessian per Newton step and one for the SEs
+        # at lambda_hat; rejected trials, polish steps and the SEs' lambda
+        # differences form none
+        evaluate, newton = inference._loglik_and_grad, inference._newton_step
+        formed, steps = [], []  # per evaluation, the Hessians formed; Newton steps
+
+        def counted(terms, beta):
+            ll, g, hess = evaluate(terms, beta)
+            index = len(formed)
+            formed.append(0)
+
+            def counted_hess():
+                formed[index] += 1
+                return hess()
+
+            return ll, g, counted_hess
+
+        monkeypatch.setattr(inference, "_loglik_and_grad", counted)
+        monkeypatch.setattr(inference, "_newton_step",
+                            lambda g, h: steps.append(1) or newton(g, h))
+        res = fit(self._synthetic(), kind, restarts=3)
+        assert res.se is not None
+        assert sum(formed) == len(steps) + 1
+        assert formed[-2:] == [0, 0] and 0 in formed[:-2]  # the SEs' differences, a trial
 
     def test_lambda_search_raises_no_runtime_warning(self):
         # period 2 is empty and nodes a and d never endorse or receive; some
