@@ -113,11 +113,6 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_run_json(outdir: Path, command: str, cfg: dict) -> None:
-    _write_json(outdir / "run.json",
-                {"command": command, "config": cfg, "version": __version__})
-
-
 def _outdir(cfg: dict) -> Path:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -164,12 +159,16 @@ def _command(name: str, spec: dict):
     --config and one flag per key, in spec order (a ``bool`` key is an
     on/off pair, ``--key/--no-key``, so a flag can override the config file
     either way); `body` receives the configuration `_resolve` builds from
-    them.
+    them.  Once `body` returns, that configuration goes to ``run.json`` in
+    --out, after every other output; a body that raises writes none.
     """
 
     def decorate(body):
         def command(config_path, **flags):
-            body(_resolve(spec, flags, config_path))
+            cfg = _resolve(spec, flags, config_path)
+            body(cfg)
+            _write_json(Path(cfg["out"]) / "run.json",
+                        {"command": name, "config": cfg, "version": __version__})
 
         command.__doc__ = body.__doc__
         command = _guarded(command)
@@ -188,20 +187,25 @@ def _command(name: str, spec: dict):
     return decorate
 
 
+# spec rows shared by several commands, spread into each spec in place
+_SCORE = {"score": (str, REQUIRED, " | ".join(SCORE_KINDS))}
+_MODEL = {**_SCORE, "n": (int, REQUIRED, "number of nodes"),
+          "m": (int, 1, "endorsements per step")}
+_OUT = {"out": (str, REQUIRED, "output directory")}
+_SEED_OUT = {"seed": (int, 0, "base RNG seed"), **_OUT}
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
 
 _SIM_SPEC = {
-    "score": (str, REQUIRED, " | ".join(SCORE_KINDS)),
-    "n": (int, REQUIRED, "number of nodes"),
-    "m": (int, 1, "endorsements per step"),
+    **_MODEL,
     "lambda": (float, REQUIRED, "memory parameter in [0, 1]"),
     "beta1": (float, 0.0, "prestige weight"),
     "beta2": (float, 0.0, "proximity weight"),
     "steps": (int, 2000, "simulation steps"),
-    "seed": (int, 0, "base RNG seed"),
-    "out": (str, REQUIRED, "output directory"),
+    **_SEED_OUT,
 }
 
 
@@ -217,7 +221,6 @@ def cmd_simulate(cfg):
     _write_csv(outdir / "trajectory.csv", "t,node,gamma", (f"{t},{node},{_fmt(g)}"
                for t, gamma in enumerate(traj.gamma_t) for node, g in enumerate(gamma)))
     _write_csv(outdir / "final_adjacency.csv", None, (map(_fmt, row) for row in traj.a_final))
-    _write_run_json(outdir, "simulate", cfg)
     click.echo(f"wrote {outdir}/trajectory.csv ({traj.steps} steps)")
 
 
@@ -226,16 +229,13 @@ def cmd_simulate(cfg):
 # ---------------------------------------------------------------------------
 
 _SWEEP_SPEC = {
-    "score": (str, REQUIRED, " | ".join(SCORE_KINDS)),
-    "n": (int, REQUIRED, "number of nodes"),
-    "m": (int, 1, "endorsements per step"),
+    **_MODEL,
     "lambda": (float, REQUIRED, "memory parameter in [0, 1]"),
     "grid_beta1": (_parse_grid, REQUIRED, "START:STOP:NUM"),
     "grid_beta2": (_parse_grid, [0.0], "START:STOP:NUM"),
     "steps": (int, 2000, "simulation steps"),
     "window": (int, 500, "averaging window (final steps)"),
-    "seed": (int, 0, "base RNG seed"),
-    "out": (str, REQUIRED, "output directory"),
+    **_SEED_OUT,
 }
 
 
@@ -248,7 +248,6 @@ def cmd_sweep(cfg):
                           steps=cfg["steps"], window=cfg["window"])
     outdir = _outdir(cfg)
     _write_csv(outdir / "variance.csv", "beta1,beta2,variance", (map(_fmt, row) for row in rows))
-    _write_run_json(outdir, "sweep", cfg)
     click.echo(f"wrote {outdir}/variance.csv ({len(rows)} cells)")
 
 
@@ -257,17 +256,14 @@ def cmd_sweep(cfg):
 # ---------------------------------------------------------------------------
 
 _BIF_SPEC = {
-    "score": (str, REQUIRED, " | ".join(SCORE_KINDS)),
-    "n": (int, REQUIRED, "number of nodes"),
-    "m": (int, 1, "endorsements per step"),
+    **_MODEL,
     "grid_beta1": (_parse_grid, REQUIRED, "START:STOP:NUM"),
     "beta2": (float, 0.0, "proximity weight"),
     "overlay": (bool, False, "also simulate long-run gamma at each beta1"),
     "lambda": (float, 0.9995, "memory parameter in [0, 1]"),
     "steps": (int, 50_000, "simulation steps"),
     "window": (int, 500, "overlay averaging window"),
-    "seed": (int, 0, "base RNG seed"),
-    "out": (str, REQUIRED, "output directory"),
+    **_SEED_OUT,
 }
 
 
@@ -294,7 +290,6 @@ def cmd_bifurcate(cfg):
     if cfg["overlay"]:
         _write_csv(outdir / "overlay.csv", "beta1,node,gamma", (f"{_fmt(b1)},{node},{_fmt(g)}"
                    for b1, (gam, _) in zip(grid, cells) for node, g in enumerate(gam)))
-    _write_run_json(outdir, "bifurcate", cfg)
     click.echo(f"wrote {outdir}/branches.csv ({len(rows)} rows)")
 
 
@@ -304,10 +299,10 @@ def cmd_bifurcate(cfg):
 
 _FIT_SPEC = {
     "data": (str, REQUIRED, "interchange CSV"),
-    "score": (str, REQUIRED, " | ".join(SCORE_KINDS)),
+    **_SCORE,
     "warm_start": (str, None, "edge CSV aggregated into A(0)"),
     "restarts": (int, 5, "lambda restarts"),
-    "out": (str, REQUIRED, "output directory"),
+    **_OUT,
 }
 
 _COMPARE_SPEC = {key: row for key, row in _FIT_SPEC.items() if key != "score"}
@@ -351,7 +346,6 @@ def cmd_fit(cfg):
     outdir = _outdir(cfg)
     _write_json(outdir / "fit.json", asdict(fr))
     _write_tables(outdir, dataset, seq, [fr])
-    _write_run_json(outdir, "fit", cfg)
     for w in fr.warnings:
         click.echo(f"warning: {w}", err=True)
     click.echo(
@@ -373,7 +367,6 @@ def cmd_compare(cfg):
         "results": [asdict(fr) for fr in table.results],
     })
     _write_tables(outdir, dataset, seq, table.results)
-    _write_run_json(outdir, "compare", cfg)
     for fr in table.results:
         for w in fr.warnings:
             click.echo(f"warning: {fr.score_kind}: {w}", err=True)
@@ -392,7 +385,7 @@ _CONVERT_SPEC = {
     "k": (int, 5, "top-k cutoff for rankings"),
     "top_count": (int, None, "keep this many most-endorsed nodes"),
     "window": (str, None, "period window LO:HI"),
-    "out": (str, REQUIRED, "output directory"),
+    **_OUT,
 }
 
 
@@ -418,7 +411,6 @@ def cmd_convert(cfg):
         seq = restrict_top_placers(seq, count, window=win)
     outdir = Path(cfg["out"])
     save_edge_list(seq, outdir / "edges.csv")  # makes outdir once its checks pass
-    _write_run_json(outdir, "convert", cfg)
     click.echo(f"wrote {outdir}/edges.csv ({seq.n} nodes, {seq.t_len} periods)")
 
 

@@ -121,11 +121,14 @@ def _plain(value):
 
 
 def check_matrix(a, name: str) -> np.ndarray:
-    """`a` as a float array: one square matrix or a stack of them, with
-    finite, nonnegative entries.  Each check_* raises DomainError outside its rule."""
+    """`a` as a float array: one square matrix of at least one node or a
+    stack of them (the stack may be empty), with finite, nonnegative
+    entries.  Each check_* raises DomainError outside its rule."""
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DomainError(f"{name} must be square, got shape {a.shape}")
+    if a.shape[-1] == 0:
+        raise DomainError(f"{name} must have at least one node, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise DomainError(f"{name} has non-finite entries")
     if a.size and a.min() < 0.0:

@@ -5,8 +5,8 @@ the column sum ``sum_j a[j, i]`` (weight received), the out-degree the row
 sum ``sum_j a[i, j]`` (weight given).
 
 Every score function takes one (n, n) matrix or an (..., n, n) stack of
-them and returns scores of shape (..., n); a matrix that is not square or
-has a non-finite or negative entry raises DomainError.  A stack is scored
+them and returns scores of shape (..., n); a matrix that is not square,
+has no node, or has a non-finite or negative entry raises DomainError.  A stack is scored
 in one batched pass, and each slice gets the scores it would get alone: bit
 for bit for root degree and PageRank, up to rounding for SpringRank.  Each
 kind takes the cheapest exact solve for its size: PageRank a direct solve

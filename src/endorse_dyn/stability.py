@@ -161,8 +161,6 @@ def dgamma_ds(score_kind: str, s: np.ndarray, beta) -> np.ndarray:
 def f_degree(s: np.ndarray, params: ModelParams) -> np.ndarray:
     """Drift of the in-degree vector: f(d) = m * gamma(d) - d."""
     s = np.asarray(s, dtype=float)
-    if np.any(s < 0):
-        raise DomainError("in-degree state must be nonnegative")
     gamma = state_rank_vector("rootdegree", s, params.beta)
     return params.m * gamma - s
 
@@ -529,6 +527,22 @@ def _springrank_quotient_drift(a: float, b: float, k: int, n: int, params: Model
 # ---------------------------------------------------------------------------
 
 
+def _root_degree_of(d) -> np.ndarray:
+    """The rootdegree score sqrt(d) of an in-degree state d >= 0."""
+    d = np.asarray(d, dtype=float)
+    if np.any(d < 0):
+        raise DomainError("in-degree state must be nonnegative")
+    return np.sqrt(d)
+
+
+def _root_degree_slope(d) -> np.ndarray:
+    """d sqrt(d) / dd = 1 / (2 sqrt(d)), finite only where d > 0."""
+    d = np.asarray(d, dtype=float)
+    if np.any(d <= 0):
+        raise DomainError("the rootdegree score's slope needs positive in-degrees")
+    return 0.5 / np.sqrt(d)
+
+
 def _mass_seeds(n: int, k: int, total: float) -> list[np.ndarray]:
     """Perturbed and elite-dominated splits of a fixed total."""
     e0 = total / n
@@ -544,8 +558,8 @@ def _centered_seeds(n: int, k: int, m: float) -> list[np.ndarray]:
 _KINDS = {
     "rootdegree": _Kind(
         state_of=lambda a, params: in_degree(a),
-        to_score=np.sqrt,
-        score_slope=lambda d: 0.5 / np.sqrt(d),
+        to_score=_root_degree_of,
+        score_slope=_root_degree_slope,
         egalitarian=lambda n, m: np.full(n, m / n),
         critical=lambda n, m, alpha_p, alpha_s: 2.0 * np.sqrt(n / m),
         root_residual=f_degree,

@@ -5,7 +5,9 @@ independently: a dense linear solve for PageRank and the pinned spring
 system solved by hand for the two node case.
 """
 
+import re
 import types
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ import scipy.linalg
 from scipy.sparse.csgraph import connected_components
 
 from endorse_dyn import scores
-from endorse_dyn.core import ModelParams
+from endorse_dyn.core import ModelParams, rank_vector
 from endorse_dyn.errors import DomainError, NumericError
 from endorse_dyn.scores import (
     PAGERANK_DIRECT_MAX_N,
@@ -378,6 +380,25 @@ class TestInputChecks:
             a = np.stack([np.ones_like(a), a])
         with pytest.raises(DomainError, match="negative"):
             score(a, ModelParams(lam=0.9, score_kind=kind))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 0, 0)])
+    @pytest.mark.parametrize("entry", [
+        root_degree_score, pagerank_score, springrank_score, rank_vector,
+        *(partial(score, params=ModelParams(lam=0.9, score_kind=kind))
+          for kind in ("rootdegree", "pagerank", "springrank"))],
+        ids=["root_degree_score", "pagerank_score", "springrank_score", "rank_vector",
+             "score-rootdegree", "score-pagerank", "score-springrank"])
+    def test_zero_nodes_is_a_domain_error(self, entry, shape, capfd):
+        # before the rule: ZeroDivisionError, LAPACK's complaint on stderr,
+        # RuntimeWarnings or an empty score vector
+        with pytest.raises(DomainError, match=re.escape(f"at least one node, got shape {shape}")):
+            entry(np.zeros(shape))
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("kind", ["rootdegree", "pagerank", "springrank"])
+    def test_empty_stack_scores_to_no_rows(self, kind):
+        assert score(np.zeros((0, 3, 3)), ModelParams(lam=0.9, score_kind=kind)).shape == (0, 3)
 
     def test_power_path_rejects_negative_entry(self):
         a = np.ones((PAGERANK_DIRECT_MAX_N + 1,) * 2)

@@ -135,6 +135,30 @@ class TestStateMaps:
         m_mat = dgamma_ds(kind, s, (2.0, -1.5))
         assert np.abs(m_mat.sum(axis=0)).max() < 1e-12
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("degree", [0.0, -1.0])
+    @pytest.mark.parametrize("call,slope", [
+        pytest.param(lambda d: dgamma_ds("rootdegree", d, (1.0, 0.0)), True, id="dgamma_ds"),
+        pytest.param(lambda d: fixed_point_jacobian(d, params_for("rootdegree", 1.0)), True,
+                     id="fixed_point_jacobian"),
+        pytest.param(lambda d: state_rank_vector("rootdegree", d, (1.0, 0.0)), False,
+                     id="state_rank_vector"),
+        pytest.param(lambda d: f_degree(d, params_for("rootdegree", 1.0)), False,
+                     id="f_degree"),
+    ])
+    def test_rootdegree_state_map_domain(self, call, slope, degree):
+        # the score sqrt(d) takes d >= 0 and its slope 1 / (2 sqrt(d)) d > 0;
+        # before this rule a zero gave infinite slopes and a negative NaN scores
+        d = np.full(3, degree)
+        if degree < 0:
+            with pytest.raises(DomainError, match="in-degree state must be nonnegative"):
+                call(d)
+        elif slope:
+            with pytest.raises(DomainError, match="slope needs positive in-degrees"):
+                call(d)
+        else:
+            assert np.isfinite(call(d)).all()
+
     def test_state_of_conventions(self):
         rng = np.random.default_rng(4)
         a = rng.random((5, 5))
@@ -546,6 +570,20 @@ class TestMissedBranch:
         rows = two_group_equilibria(p, n, grid)
         assert any(b1 == grid[1] and got.k_elite == 1
                    and abs(got.a - eq.a) + abs(got.b - eq.b) < 1e-6 for b1, got in rows)
+
+
+class TestCriticalPointCopies:
+    @pytest.mark.xfail(strict=True, reason="ROADMAP known defect 7: at beta1_c the scan lists "
+                       "near-copies of the egalitarian root as elite rows")
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_no_elite_row_copies_the_egalitarian_root(self, kind, n):
+        # genuine elite roots at beta1_c have a relative gap of at least 0.03
+        bc = critical_beta1(kind, n, 1)
+        rows = two_group_equilibria(params_for(kind, 0.0), n, [bc])
+        gaps = [abs(eq.a - eq.b) / (1.0 + abs(eq.a) + abs(eq.b))
+                for _, eq in rows if eq.k_elite > 0]
+        assert not [gap for gap in gaps if gap < 1e-3]
 
 
 # ---------------------------------------------------------------------------
