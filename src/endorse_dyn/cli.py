@@ -195,6 +195,12 @@ _OUT = {"out": (str, REQUIRED, "output directory")}
 _SEED_OUT = {"seed": (int, 0, "base RNG seed"), **_OUT}
 
 
+def _params(cfg: dict) -> ModelParams:
+    """The model of simulate, sweep and bifurcate; a beta with no key is 0."""
+    return ModelParams(lam=cfg["lambda"], beta=(cfg.get("beta1", 0.0), cfg.get("beta2", 0.0)),
+                       m=cfg["m"], score_kind=cfg["score"], seed=cfg["seed"])
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -212,11 +218,7 @@ _SIM_SPEC = {
 @_command("simulate", _SIM_SPEC)
 def cmd_simulate(cfg):
     """Run one trajectory; write trajectory.csv and final_adjacency.csv."""
-    params = ModelParams(
-        lam=cfg["lambda"], beta=(cfg["beta1"], cfg["beta2"]), m=cfg["m"],
-        score_kind=cfg["score"], seed=cfg["seed"],
-    )
-    traj = run(params, a0=uniform_initial(cfg["n"], cfg["m"]), steps=cfg["steps"])
+    traj = run(_params(cfg), a0=uniform_initial(cfg["n"], cfg["m"]), steps=cfg["steps"])
     outdir = _outdir(cfg)
     _write_csv(outdir / "trajectory.csv", "t,node,gamma", (f"{t},{node},{_fmt(g)}"
                for t, gamma in enumerate(traj.gamma_t) for node, g in enumerate(gamma)))
@@ -242,9 +244,7 @@ _SWEEP_SPEC = {
 @_command("sweep", _SWEEP_SPEC)
 def cmd_sweep(cfg):
     """Long-run rank-variance grid over (beta1, beta2); one row per cell."""
-    params = ModelParams(lam=cfg["lambda"], m=cfg["m"], score_kind=cfg["score"],
-                         seed=cfg["seed"])
-    rows = variance_sweep(params, cfg["n"], cfg["grid_beta1"], cfg["grid_beta2"],
+    rows = variance_sweep(_params(cfg), cfg["n"], cfg["grid_beta1"], cfg["grid_beta2"],
                           steps=cfg["steps"], window=cfg["window"])
     outdir = _outdir(cfg)
     _write_csv(outdir / "variance.csv", "beta1,beta2,variance", (map(_fmt, row) for row in rows))
@@ -276,8 +276,7 @@ def cmd_bifurcate(cfg):
     simulations (lambda and steps configurable) add observed long-run gamma
     points for comparison against the stable branches.
     """
-    params = ModelParams(lam=cfg["lambda"], beta=(0.0, cfg["beta2"]), m=cfg["m"],
-                         score_kind=cfg["score"], seed=cfg["seed"])
+    params = _params(cfg)
     grid = cfg["grid_beta1"]
     if cfg["overlay"]:
         cells = simulate_cells(params, cfg["n"], [(b1, cfg["beta2"]) for b1 in grid],

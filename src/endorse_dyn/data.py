@@ -126,7 +126,7 @@ def _read_rows(path, value_name):
     skipped.  Every error carries the 1-based line number of its row.
     """
     header = ("period", "source", "target", value_name)
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:  # skips a byte-order mark
         reader = csv.reader(fh)
         try:
             numbered = [(reader.line_num, row) for row in reader]

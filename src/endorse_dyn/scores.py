@@ -225,24 +225,23 @@ def springrank_score(a: np.ndarray, alpha_s: float = ALPHA_S) -> np.ndarray:
 
 
 def _springrank(a: np.ndarray, alpha_s: float, slices: bool = False) -> np.ndarray:
-    """SpringRank of a validated matrix or stack.  A stack is solved by one
-    batched LU solve, or with `slices` (a (C, n, n) stack only) by one
-    `_cholesky_solve` per slice, which gives each slice its single-matrix
-    bits and errors; the NumericError of a failing slice carries its index
-    as `index`, which the simulation kernel names by its cell.  Fits keep
-    the LU solve: the per-slice cost is the condition estimate the kernel
-    must keep.  On 200 rolled fit states at
-    n=16 (2 vCPU), LU took 0.47-1.6 ms, per-slice Cholesky 1.4-3.9 ms and
-    0.48 ms without the estimate (dposv); over 9 fits the median was 1.19 s
-    with LU and 1.45 s with per-slice Cholesky."""
+    """SpringRank of a validated matrix or stack.  A lone matrix is solved
+    as a stack of one by `_cholesky_solve`, and so is each slice of a stack
+    with `slices`, which gives each slice its single-matrix bits and errors;
+    the NumericError of a failing slice carries its index as `index`, which
+    the simulation kernel names by its cell.  Without `slices` a stack is
+    solved by one batched LU solve.  Fits keep the LU solve: the per-slice
+    cost is the condition estimate the kernel must keep.  On 200 rolled fit
+    states at n=16 (2 vCPU), LU took 0.47-1.6 ms, per-slice Cholesky
+    1.4-3.9 ms and 0.48 ms without the estimate (dposv); over 9 fits the
+    median was 1.19 s with LU and 1.45 s with per-slice Cholesky."""
+    n = a.shape[-1]
     lap, rhs = _spring_system(a, alpha_s)
-    if a.ndim == 2:
-        s = _cholesky_solve(lap, rhs)
-    elif slices:
+    if a.ndim == 2 or slices:
         s = np.empty_like(rhs)
-        for index, system in enumerate(zip(lap, rhs)):
+        for index, system in enumerate(zip(lap.reshape(-1, n, n), rhs.reshape(-1, n))):
             try:
-                s[index] = _cholesky_solve(*system)
+                s.reshape(-1, n)[index] = _cholesky_solve(*system)  # a view of s
             except NumericError as exc:
                 exc.index = index
                 raise
@@ -251,7 +250,7 @@ def _springrank(a: np.ndarray, alpha_s: float, slices: bool = False) -> np.ndarr
             s = np.linalg.solve(lap, rhs[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"springrank solve failed: {exc}") from exc
-    return s - s.sum(axis=-1, keepdims=True) / a.shape[-1]
+    return s - s.sum(axis=-1, keepdims=True) / n
 
 
 def score(a: np.ndarray, params) -> np.ndarray:

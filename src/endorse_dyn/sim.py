@@ -20,16 +20,16 @@ work.  Every cell draws from its own (seed, t) generators and gets the
 bits of its run alone.
 
 The kernel does not build `_step_rng(seed, t)` = default_rng((seed, t))
-each step.  `_seed_words` hashes (seed, t) as SeedSequence does for every
-cell and a block of steps in one pass of array arithmetic (an algorithm
-numpy keeps fixed across versions); the kernel reads the cells' seed words
-once per run (`_seed_hasher`), and each cell's draw hands its words
-to numpy's PCG64, which seeds from them as default_rng does.  A block
-holds at most _SEED_BLOCK_PAIRS (cell, step) pairs and starts at a
-multiple of its length, a power of two.  Each cell's draw is
-`choice.sample_delta`'s, one multinomial of m over its n^2 rates p/n,
-normalized for the whole stack at once; `_step_rng` and `sample_delta`
-stay as the oracles the tests replay runs through.
+each step.  `_seed_hasher` reads the cells' seed words once per run and
+then hashes (seed, t) as SeedSequence does for every cell and a block of
+steps in one pass of array arithmetic (an algorithm numpy keeps fixed
+across versions), and each cell's draw hands its words to numpy's PCG64,
+which seeds from them as default_rng does.  A block holds at most
+_SEED_BLOCK_PAIRS (cell, step) pairs and starts at a multiple of its
+length, a power of two.  Each cell's draw is `choice.sample_delta`'s, one
+multinomial of m over its n^2 rates p/n, normalized for the whole stack
+at once; `_step_rng` and `sample_delta` stay as the oracles the tests
+replay runs through.
 
 Once per run, `_initial` validates A(0) and the kernel reads the settings
 a run cannot change: the kind's score core with alpha_p and the PageRank
@@ -49,7 +49,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from . import choice, scores
-from .core import EndorsementState, ModelParams, check_count, uniform_initial
+from .core import EndorsementState, ModelParams, check_beta, check_count, uniform_initial
 from .errors import DomainError, NumericError
 from .parallel import parallel_map
 
@@ -62,11 +62,11 @@ from .parallel import parallel_map
 LOCKSTEP_MAX_ENTRIES = 8192
 
 # The most (cell, step) pairs whose seed words `_steps` computes in one
-# `_seed_words` call.  Measured on 2 vCPU, a call for two cells took about
-# 0.15 ms plus 0.1 us per pair and held about 105 bytes per pair at its
-# peak (145 for 128 cells).  At 512 pairs that is 0.4-0.9 us per pair and
-# a 53-72 KB peak, where one block for two cells' 1000 steps peaks at
-# 200 KB; blocks that size raised a sweep's peak RSS.
+# call of its `_seed_hasher`.  Measured on 2 vCPU, a call for two cells
+# took about 0.15 ms plus 0.1 us per pair and held about 105 bytes per
+# pair at its peak (145 for 128 cells).  At 512 pairs that is 0.4-0.9 us
+# per pair and a 53-72 KB peak, where one block for two cells' 1000 steps
+# peaks at 200 KB; blocks that size raised a sweep's peak RSS.
 _SEED_BLOCK_PAIRS = 512
 
 # SeedSequence's hash constants and pool size (numpy.random.bit_generator):
@@ -90,8 +90,7 @@ class Trajectory:
 
 def _step_rng(seed: int, t: int) -> np.random.Generator:
     """The generator of step t of the run seeded with `seed`.  The kernel
-    seeds the same PCG64 streams from `_seed_words`; tests hold the two
-    equal."""
+    seeds the same PCG64 streams from `_seed_hasher`; tests hold them equal."""
     return np.random.default_rng((int(seed), int(t)))
 
 
@@ -104,14 +103,10 @@ def _words(x: int) -> list[int]:
     return out
 
 
-def _seed_words(seeds, t0: int, count: int) -> np.ndarray:
-    """`SeedSequence((seed, t)).generate_state(4, np.uint64)` for each seed
-    and t0 <= t < t0 + count, shaped (count, cells, 4); see `_seed_hasher`."""
-    return _seed_hasher(seeds)(t0, count)
-
-
 def _seed_hasher(seeds):
-    """A function of (t0, count) that returns `_seed_words(seeds, t0, count)`.
+    """A function of (t0, count) that returns
+    `SeedSequence((seed, t)).generate_state(4, np.uint64)` for each seed
+    and t0 <= t < t0 + count, shaped (count, cells, 4).
 
     SeedSequence hashes the entropy words (the seed's, then t's) into a
     pool of 4 uint32 with constants that do not depend on the data, so
@@ -184,7 +179,7 @@ def _hash_entropy(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 class _Words(ISeedSequence):
-    """A seed sequence that generates one cell's `_seed_words` row: PCG64
+    """A seed sequence that generates one cell's `_seed_hasher` row: PCG64
     reads its 4 uint64 words from the row's memory, so the row must be
     C-contiguous native uint64."""
 
@@ -243,7 +238,7 @@ def _steps(params: ModelParams, a: np.ndarray, steps: int, unit: str = "step", c
     b1, b2 = (b[:, None, None] if b.any() else None for b in np.array(beta).T)
     lam, m = params.lam, params.m
     fresh = 1.0 - lam
-    # the steps whose words one _seed_words call holds: a power of two
+    # the steps whose words one seed_words call holds: a power of two
     # (so no block straddles t = 2**32) with at most _SEED_BLOCK_PAIRS
     # (cell, t) pairs
     block = 1 << (max(1, _SEED_BLOCK_PAIRS // len(seeds)).bit_length() - 1)
@@ -342,10 +337,11 @@ def simulate_cells(params: ModelParams, n: int, betas, steps: int = 2000,
 
 def variance_sweep(params: ModelParams, n: int, beta1_values, beta2_values,
                    steps: int = 2000, window: int = 500) -> list[tuple[float, float, float]]:
-    """Grid of long-run rank variances over (beta1, beta2).
+    """Grid of long-run rank variances over (beta1, beta2), each pair
+    checked by the beta rule before any cell steps.
 
     Returns long-format rows (beta1, beta2, variance), ordered by the grid.
     """
-    grid = [(float(b1), float(b2)) for b1 in beta1_values for b2 in beta2_values]
+    grid = [check_beta((b1, b2)) for b1 in beta1_values for b2 in beta2_values]
     cells = simulate_cells(params, n, grid, steps, window)
     return [(b1, b2, var) for (b1, b2), (_, var) in zip(grid, cells)]

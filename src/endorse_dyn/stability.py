@@ -13,7 +13,8 @@ Everything that differs between kinds lives in one `_Kind` record per kind
 (``_KINDS``).  A function that takes `params` reads the kind from
 ``params.score_kind``, which `ModelParams` has checked; the others take the
 kind's name and look its record up through `_kind`, which applies `core`'s
-kind rule first.  :mod:`endorse_dyn.scores` builds the SpringRank Laplacian
+kind rule first.  `f_drift` takes both and refuses a name that is not
+params' kind.  :mod:`endorse_dyn.scores` builds the SpringRank Laplacian
 and solves against I - alpha_p P^T.
 
 ``two_group_equilibria`` finds every fixed point with k nodes at one score
@@ -229,12 +230,16 @@ def _springrank_drift(s: np.ndarray, a: np.ndarray | None, params: ModelParams) 
 
 
 def f_drift(score_kind: str, s: np.ndarray, a: np.ndarray | None, params: ModelParams) -> np.ndarray:
-    """Unified closed-form drift.
+    """Unified closed-form drift of params' kind, which `score_kind` must name.
 
     `a` is required for pagerank; for springrank it defaults to m G(s), and
     rootdegree ignores it.
     """
-    return _kind(score_kind).drift(s, a, params)
+    check_score_kind(score_kind)
+    if score_kind != params.score_kind:
+        raise DomainError(f"score kind {score_kind!r} is not params' kind "
+                          f"{_shown(params.score_kind)}")
+    return _KINDS[params.score_kind].drift(s, a, params)
 
 
 def _pagerank_drift(s: np.ndarray, a: np.ndarray | None, params: ModelParams) -> np.ndarray:
@@ -760,7 +765,7 @@ def _classify(x, k: int, n: int, params: ModelParams) -> Equilibrium:
 def two_group_equilibria(params: ModelParams, n: int,
                          beta1_grid) -> list[tuple[float, Equilibrium]]:
     """Every two-group fixed point of params' kind at each beta1 of a grid,
-    once, classified.
+    once, classified; each beta1 passes the beta rule before any solve.
 
     Returns (beta1, Equilibrium) pairs sorted by (beta1, k_elite, a, b).
     The egalitarian root (k_elite 0) is classified at its closed form.  k
@@ -777,7 +782,7 @@ def two_group_equilibria(params: ModelParams, n: int,
     """
     check_n(n)
     kind = _KINDS[params.score_kind]
-    points = [params.with_(beta=(b1,) + params.beta[1:]) for b1 in map(float, beta1_grid)]
+    points = [params.with_(beta=(b1,) + params.beta[1:]) for b1 in beta1_grid]
     egal = float(kind.egalitarian(n, params.m)[0])
     out = []
     for p in points:

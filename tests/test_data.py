@@ -246,6 +246,17 @@ class TestLoadEdgeList:
         p = write(tmp_path, "period,source,target,count\n" + rows)
         assert load_edge_list(p).deltas[0].tolist() == [[0, 2**53], [2**53, 0]]
 
+    def test_a_byte_order_mark_reads_as_the_file_without_it(self, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with U+FEFF
+        plain = write(tmp_path, "period,source,target,count\n1,b,a,2\n2,a,b,1\n")
+        marked = write(tmp_path, "\ufeff" + plain.read_text(encoding="utf-8"), name="bom.csv")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbfperiod,")
+        want, got = load_edge_list(plain), load_edge_list(marked)
+        assert (got.node_labels, got.period_labels) == (want.node_labels, want.period_labels)
+        assert all(np.array_equal(g, w) for g, w in zip(got.deltas, want.deltas))
+        save_edge_list(got, tmp_path / "out.csv")  # and writes no mark
+        assert (tmp_path / "out.csv").read_bytes() == plain.read_bytes()
+
 
 class TestSaveEdgeList:
     def test_round_trip(self, tmp_path):
@@ -440,6 +451,13 @@ class TestLoadRankings:
         assert np.array_equal(mats[0], [[0, 1], [1, 0]])
         seq = convert_rankings_topk(mats, k=1, node_labels=nodes, period_labels=periods)
         assert seq.period_labels == ("2", "10")
+
+    def test_a_byte_order_mark_reads_as_the_file_without_it(self, tmp_path):
+        text = self.HEADER + "10,b,a,1\n10,a,b,1\n2,a,b,1\n2,b,a,2\n"
+        mats, nodes, periods = load_rankings(write(tmp_path, text, name="ranks.csv"))
+        got = load_rankings(write(tmp_path, "\ufeff" + text, name="bom.csv"))
+        assert got[1:] == (nodes, periods)
+        assert len(got[0]) == len(mats) and all(map(np.array_equal, got[0], mats))
 
     @pytest.mark.parametrize(
         "body,line,message",

@@ -5,6 +5,7 @@ independently: a dense linear solve for PageRank and the pinned spring
 system solved by hand for the two node case.
 """
 
+import inspect
 import re
 import types
 from functools import partial
@@ -187,9 +188,14 @@ class TestSpringRank:
 
     def test_ill_conditioned_system_warns(self):
         a = np.round(np.random.default_rng(1).random((8, 8)) * 4)
-        with pytest.warns(scipy.linalg.LinAlgWarning):
+        with pytest.warns(scipy.linalg.LinAlgWarning) as record:
             s = springrank_score(a, alpha_s=1e-14)
         assert np.all(np.isfinite(s))
+        # the warning names springrank_score's call of the core: a lone
+        # matrix adds no call level on its way to the solve
+        lines, first = inspect.getsourcelines(springrank_score)
+        call = first + next(i for i, line in enumerate(lines) if "_springrank(" in line)
+        assert [(w.filename, w.lineno) for w in record] == [(scores.__file__, call)]
         din, dout = a.sum(axis=0), a.sum(axis=1)
         lap = np.diag(din + dout) - (a + a.T) + 1e-14 * np.eye(8)
         with pytest.warns(scipy.linalg.LinAlgWarning):
@@ -197,7 +203,8 @@ class TestSpringRank:
 
     def test_singular_system_raises(self):
         # 1 + 1e-300 == 1, so the Laplacian of one edge stays singular
-        with pytest.raises(NumericError, match="not positive definite"):
+        with pytest.raises(NumericError, match=r"^springrank solve failed: the system is not "
+                                               r"positive definite \(leading minor 2\)$"):
             springrank_score(np.array([[0.0, 1.0], [0.0, 0.0]]), alpha_s=1e-300)
 
 

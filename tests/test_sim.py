@@ -16,7 +16,7 @@ from endorse_dyn.sim import (
     Trajectory,
     _cell_seed,
     _initial,
-    _seed_words,
+    _seed_hasher,
     _step_rng,
     _steps,
     _Words,
@@ -502,6 +502,17 @@ class TestVarianceSweep:
                            steps=80, window=2.5)
         assert calls == []
 
+    @pytest.mark.parametrize("beta1, beta2", [("1.5", 0.0), ("x", 0.0), (1.0, "1.5")])
+    def test_a_grid_value_that_is_not_a_real_is_refused_before_any_cell_runs(
+            self, beta1, beta2, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sim, "_steps", lambda *a, **k: calls.append(a))
+        p = ModelParams(lam=0.97, m=1, score_kind="rootdegree", seed=5)
+        with pytest.raises(DomainError, match="^beta needs 2 coefficients"):
+            variance_sweep(p, n=4, beta1_values=[0.5, beta1], beta2_values=[0.0, beta2],
+                           steps=80, window=30)
+        assert calls == []
+
 
 def _pagerank_history(params, n, steps):
     """(gamma, delta) of every step and the final state of one run from
@@ -545,10 +556,10 @@ class TestPageRankSolverSwap:
 
 
 def assert_block_matches_step_rng(seeds, t0, count, check=None):
-    """The `_seed_words` rows equal SeedSequence((seed, t))'s words, and
+    """The `_seed_hasher` rows equal SeedSequence((seed, t))'s words, and
     PCG64 seeded from them starts in `_step_rng`'s state, at every t in
     `check` (by default all of t0 .. t0 + count - 1)."""
-    rows = _seed_words(seeds, t0, count)
+    rows = _seed_hasher(seeds)(t0, count)
     assert rows.shape == (count, len(seeds), 4) and rows.dtype == np.uint64
     assert rows.flags.c_contiguous and rows.dtype.isnative
     for t in range(t0, t0 + count) if check is None else check:
@@ -563,7 +574,7 @@ SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3]
 
 
 class TestBlockSeeding:
-    """The kernel seeds each step's generator from `_seed_words`, which
+    """The kernel seeds each step's generator from `_seed_hasher`, which
     must give `default_rng((seed, t))`'s states, on every numpy."""
 
     # the kernel's blocks for one cell and for a 128-cell chunk at n=8

@@ -759,6 +759,23 @@ class TestInputRules:
         with pytest.raises(DomainError, match="beta needs 2 coefficients"):
             call(np.array([0.5, 1.5]), beta)
 
+    @pytest.mark.parametrize("beta1", ["1.5", "x"])
+    def test_two_group_equilibria_refuses_a_grid_beta1_before_any_solve(self, beta1,
+                                                                        monkeypatch):
+        calls = []
+        monkeypatch.setattr(stability, "_classify", lambda *a: calls.append(a))
+        monkeypatch.setattr(stability, "_newton_two_group", lambda *a: calls.append(a))
+        with pytest.raises(DomainError, match="^beta needs 2 coefficients"):
+            two_group_equilibria(params_for("rootdegree", 0.0), 5, [0.5, beta1])
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", ["rootdegree", "pagerank"])
+    def test_f_drift_refuses_a_kind_that_params_does_not_name(self, kind):
+        s = egalitarian_root("springrank", 3, 1)
+        with pytest.raises(DomainError, match=f"^score kind '{kind}' is not params' kind "
+                                              "'springrank'$"):
+            f_drift(kind, s, np.ones((3, 3)), params_for("springrank", 1.0))
+
     # N_MAX + 1 and above fail the rule before anything of their size is built
     @pytest.mark.parametrize("n", [-3, 0, 1, 2.5, 8.0, np.float64(8), N_MAX + 1, 99999999999])
     @pytest.mark.parametrize("call", [
