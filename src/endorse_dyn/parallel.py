@@ -1,4 +1,5 @@
-"""Thread-pool helper; ENDORSE_DYN_THREADS caps worker count."""
+"""Thread-pool helper; ENDORSE_DYN_THREADS caps worker count, which is by
+default the number of CPUs this process may run on."""
 
 from __future__ import annotations
 
@@ -11,7 +12,10 @@ from .errors import ConfigError
 def thread_count() -> int:
     raw = os.environ.get("ENDORSE_DYN_THREADS")
     if raw is None:
-        return os.cpu_count() or 1
+        try:  # the CPUs of this process's affinity set (taskset, a cpuset)
+            return len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity call (macOS, Windows)
+            return os.cpu_count() or 1
     try:
         n = int(raw)
     except ValueError:

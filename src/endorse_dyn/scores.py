@@ -23,12 +23,24 @@ and solves against I - alpha_p P^T with `_pagerank_resolve`.
 scipy is bound only where it is called: `_cholesky_solve` binds its LAPACK
 routines on its first call (`_lapack`) and LinAlgWarning when it warns, so
 importing this module, and any score but a single-matrix or per-slice
-SpringRank solve, never imports scipy.
+SpringRank solve, never imports scipy.  Its LinAlgWarning names the first
+stack frame outside this package, the line of the user's code that led to
+the solve.
+
+The simulation kernel holds the OpenBLAS behind scipy's LAPACK at one thread
+while a SpringRank run steps (`_one_blas_thread`).  Each run's many small
+factorizations then neither start BLAS threads on the pool's busy CPUs nor
+round by how BLAS splits them, so a simulation has the same bits at any
+OpenBLAS thread count.  A lone `springrank_score` keeps BLAS's own threads.
 """
 
 from __future__ import annotations
 
+import os
+import sys
+import threading
 import warnings
+from contextlib import contextmanager
 from functools import cache, partial
 
 import numpy as np
@@ -162,6 +174,83 @@ def _lapack():
     return dpotrf, dpocon, dlange, dpotrs
 
 
+@cache
+def _blas_threads():
+    """OpenBLAS's (get, set) thread-count functions behind scipy's LAPACK,
+    or None for another LAPACK (MKL, Accelerate, reference LAPACK).  The
+    LAPACK extension's handle finds them among its own dependencies:
+    scipy's wheels prefix them with ``scipy_``, older wheels and a system
+    OpenBLAS do not."""
+    import ctypes
+
+    from scipy.linalg import _flapack
+
+    lib = ctypes.CDLL(_flapack.__file__)
+    for prefix in ("scipy_openblas_", "openblas_"):
+        try:
+            get = getattr(lib, f"{prefix}get_num_threads")
+            set_ = getattr(lib, f"{prefix}set_num_threads")
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+_blas_lock = threading.Lock()
+_blas_users = 0
+_blas_saved = None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold scipy's OpenBLAS at one thread while any caller is inside.
+
+    OpenBLAS's thread count is global to the process (its per-thread setter
+    acts globally too), so the scope counts its users: the first saves the
+    count and sets 1, the last restores the count it saved.  A solve on
+    another thread meanwhile also runs on one thread.  Without OpenBLAS the
+    scope does nothing.  Measured on 2 vCPU (OpenBLAS 0.3.31, 4 runs each),
+    a SpringRank sweep of two n=m=256 cells for 160 steps on two pool
+    threads took 1.1-1.4 s wall and 1.9-2.1 s CPU inside it, 1.7-2.7 s and
+    3.2-4.1 s on OpenBLAS's default 2 threads.  Entering and leaving it
+    costs about 5 us, paid once per kernel run.
+    """
+    global _blas_users, _blas_saved
+    threads = _blas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    with _blas_lock:
+        if _blas_users == 0:
+            _blas_saved = get()
+            set_(1)
+        _blas_users += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_users -= 1
+            if _blas_users == 0:
+                set_(_blas_saved)
+
+
+# the directory of this package's files, as their code objects name it
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def _user_stacklevel() -> int:
+    """The `stacklevel` at which a warning raised by this function's caller
+    names the first frame outside this package (Python 3.10 has no
+    ``skip_file_prefixes``)."""
+    frame, level = sys._getframe(1), 1
+    while frame.f_back is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def _cholesky_solve(lap: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve lap x = rhs for one symmetric positive definite matrix.
 
@@ -187,7 +276,7 @@ def _cholesky_solve(lap: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             f"ill-conditioned springrank system (rcond={rcond:.6g}): "
             "scores may not be accurate",
             LinAlgWarning,
-            stacklevel=3,
+            stacklevel=_user_stacklevel(),
         )
     # potrs hands a block back in Fortran order; return it in C order, as
     # scipy does, so that reductions over it round the same way

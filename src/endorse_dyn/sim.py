@@ -17,7 +17,11 @@ is numpy's per-call overhead, which one stack pays once for all its cells
 where threads, serialized by the GIL, would pay it once per cell; at large
 n each cell is its own chunk and the pool's threads overlap its array
 work.  Every cell draws from its own (seed, t) generators and gets the
-bits of its run alone.
+bits of its run alone.  A SpringRank run holds scipy's OpenBLAS at one
+thread from its first step to its last (`scores._one_blas_thread`), so the
+pool's threads start no BLAS threads on each other's CPUs, and each cell's
+factorizations round the same at any pool size and any OpenBLAS thread
+count.
 
 The kernel does not build `_step_rng(seed, t)` = default_rng((seed, t))
 each step.  `_seed_hasher` reads the cells' seed words once per run and
@@ -43,6 +47,7 @@ its condition estimate.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,6 +233,8 @@ def _steps(params: ModelParams, a: np.ndarray, steps: int, unit: str = "step", c
     DomainError without numpy's overflow warning.  When `cells` is given,
     an overflow, a failed SpringRank factorization and an unconverged
     PageRank power iteration also name the first failing cell's beta.
+    A SpringRank kernel holds `scores._one_blas_thread` from its first
+    step until it ends, raises or is closed; other kinds load no scipy.
 
     The run's settings are read on the first step, so a PAGERANK_DIRECT_MAX_N
     set before it takes effect.
@@ -243,27 +250,30 @@ def _steps(params: ModelParams, a: np.ndarray, steps: int, unit: str = "step", c
     # (cell, t) pairs
     block = 1 << (max(1, _SEED_BLOCK_PAIRS // len(seeds)).bit_length() - 1)
     seed_words = _seed_hasher(seeds)
-    for t in range(steps):
-        if t % block == 0:
-            words = seed_words(t, min(block, steps - t))
-        try:
-            s = score(a)
-        except NumericError as exc:  # a failed slice carries its index
-            index = getattr(exc, "index", None) if cells else None
-            cell = "" if index is None else f" in the cell at beta {beta[index]}"
-            raise NumericError(f"score failed at {unit} {t}: {exc}{cell}", exc.diagnostics) from exc
-        with np.errstate(over="ignore", invalid="ignore"):
-            u = choice._utility(s, b1, b2)
-        try:
-            p = choice._softmax(u)
-        except DomainError as exc:
-            bad = np.flatnonzero(~np.isfinite(u).all(axis=(1, 2)))
-            cell = f" in the cell at beta {beta[bad[0]]}" if cells else ""
-            raise DomainError(f"{unit} {t}: {exc}{cell}") from exc
-        delta = _draws(words[t % block], p, m)
-        a *= lam
-        a += fresh * delta
-        yield p.sum(axis=-2) / n, delta
+    springrank = params.score_kind == "springrank"
+    with scores._one_blas_thread() if springrank else nullcontext():
+        for t in range(steps):
+            if t % block == 0:
+                words = seed_words(t, min(block, steps - t))
+            try:
+                s = score(a)
+            except NumericError as exc:  # a failed slice carries its index
+                index = getattr(exc, "index", None) if cells else None
+                cell = "" if index is None else f" in the cell at beta {beta[index]}"
+                raise NumericError(f"score failed at {unit} {t}: {exc}{cell}",
+                                   exc.diagnostics) from exc
+            with np.errstate(over="ignore", invalid="ignore"):
+                u = choice._utility(s, b1, b2)
+            try:
+                p = choice._softmax(u)
+            except DomainError as exc:
+                bad = np.flatnonzero(~np.isfinite(u).all(axis=(1, 2)))
+                cell = f" in the cell at beta {beta[bad[0]]}" if cells else ""
+                raise DomainError(f"{unit} {t}: {exc}{cell}") from exc
+            delta = _draws(words[t % block], p, m)
+            a *= lam
+            a += fresh * delta
+            yield p.sum(axis=-2) / n, delta
 
 
 def run(params: ModelParams, a0: np.ndarray, steps: int = 2000) -> Trajectory:

@@ -3,7 +3,9 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
@@ -12,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import endorse_dyn
-from endorse_dyn import __version__, cli, inference
+from endorse_dyn import __version__, cli, inference, parallel, scores, sim
 from endorse_dyn.core import ModelParams, uniform_initial
 from endorse_dyn.data import (
     InteractionSequence,
@@ -20,7 +22,7 @@ from endorse_dyn.data import (
     save_edge_list,
     simulate_sequence,
 )
-from endorse_dyn.errors import NumericError
+from endorse_dyn.errors import DomainError, NumericError
 from endorse_dyn.sim import _cell_seed, mean_gamma, run, simulate_cells
 
 
@@ -721,6 +723,14 @@ class TestThreadCount:
             outputs.append((out / output).read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_default_is_the_cpus_this_process_may_run_on(self, monkeypatch):
+        monkeypatch.delenv("ENDORSE_DYN_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert parallel.thread_count() == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert parallel.thread_count() == 8
+
     @pytest.mark.parametrize("value", ["0", "x"])
     @pytest.mark.parametrize("name", ["sweep", "compare"])
     def test_bad_value_is_a_usage_error(self, runner, tmp_path, name, value):
@@ -991,3 +1001,128 @@ def test_cold_start_springrank_cells_on_two_threads_match_a_serial_run(monkeypat
     serial = simulate_cells(p, 72, [(1.0, 0.0), (2.0, -0.5)], steps=20, window=5)
     # floats round-trip through JSON exactly
     assert json.loads(lines[-2]) == [[g.tolist(), v] for g, v in serial]
+
+
+class TestBlasScope:
+    """A SpringRank simulation holds scipy's OpenBLAS at one thread
+    (scores._one_blas_thread): from n of about 128 on, a factorization on
+    two BLAS threads rounds otherwise, so these runs are at n=160."""
+
+    @pytest.fixture
+    def blas(self):
+        """scipy's OpenBLAS (get, set) thread-count functions, with the count
+        set to 2 for the test, so that a scope that fails to hold it at one
+        thread shows on a one-CPU machine too, and restored after it."""
+        threads = scores._blas_threads()
+        if threads is None:
+            pytest.skip("scipy's LAPACK exports no OpenBLAS thread-count setter")
+        get, set_ = threads
+        saved = get()
+        set_(2)
+        yield get, set_
+        set_(saved)
+
+    _CELLS = (
+        "from endorse_dyn.core import ModelParams\n"
+        "from endorse_dyn.sim import simulate_cells\n"
+        "p = ModelParams(lam=0.9, m=160, score_kind='springrank', seed=3)\n"
+        "out = simulate_cells(p, 160, [(1.0, 0.0), (2.0, -0.5)], steps=40, window=10)\n"
+        "print(json.dumps([[g.tolist(), v] for g, v in out]))\n"
+    )
+
+    def test_cells_keep_their_bits_at_any_blas_and_pool_threads(self, blas):
+        outputs = {}
+        for blas_threads in ("1", "2"):
+            for pool_threads in ("1", "2"):
+                env = _child_env()
+                env.update(OPENBLAS_NUM_THREADS=blas_threads, ENDORSE_DYN_THREADS=pool_threads)
+                lines, _ = _cold_run(self._CELLS, env=env)
+                outputs[blas_threads, pool_threads] = lines[-2]
+        assert len(set(outputs.values())) == 1, outputs
+
+    @pytest.mark.parametrize("case", ["run", "pooled sweep", "overflow"])
+    def test_thread_count_is_restored_after_a_run(self, blas, case, monkeypatch):
+        get, _ = blas
+        p = ModelParams(lam=0.9, m=160, score_kind="springrank", seed=3)
+        if case == "run":
+            run(p, uniform_initial(160, 160), steps=3)
+        elif case == "pooled sweep":
+            monkeypatch.setenv("ENDORSE_DYN_THREADS", "2")
+            simulate_cells(p, 160, [(1.0, 0.0), (2.0, -0.5)], steps=3, window=1)
+        else:
+            # at step 0 every score is 0; at step 1, A(1) = delta(0) and the
+            # utilities overflow
+            p = p.with_(lam=0.0, m=8, beta=(1e308, 0.0))
+            with pytest.raises(DomainError, match="^step 1: utilities must be finite"):
+                run(p, uniform_initial(8, 8), steps=3)
+        assert get() == 2
+
+    def test_kernel_holds_one_thread_from_its_first_step_to_its_end(self, blas):
+        get, _ = blas
+        p = ModelParams(lam=0.9, m=8, score_kind="springrank", seed=3)
+        kernel = sim._steps(p, sim._initial(uniform_initial(8, 8))[None], 3)
+        assert get() == 2
+        next(kernel)
+        assert get() == 1
+        assert len(list(kernel)) == 2
+        assert get() == 2
+
+    def test_concurrent_runs_both_get_the_one_thread_bits(self, blas):
+        """Two threads step a kernel each: the first enters the scope first
+        and ends while the second still steps, so the scope must stay held
+        until the second has ended too.  Both runs get the bits of a run in
+        an interpreter started with OPENBLAS_NUM_THREADS=1."""
+        runs = [(1, 5), (2, 30)]  # (seed, steps)
+        code = (
+            "from endorse_dyn.core import ModelParams, uniform_initial\n"
+            "from endorse_dyn.sim import run\n"
+            "out = [run(ModelParams(lam=0.9, m=160, beta=(2.0, -0.5), score_kind='springrank',\n"
+            "                       seed=seed),\n"
+            f"           uniform_initial(160, 160), steps=steps).gamma_t.tolist()\n"
+            f"       for seed, steps in {runs}]\n"
+            "print(json.dumps(out))\n"
+        )
+        env = _child_env()
+        env["OPENBLAS_NUM_THREADS"] = "1"
+        lines, _ = _cold_run(code, env=env)
+        entered, first_done = threading.Event(), threading.Event()
+
+        def one(seed, steps):
+            p = ModelParams(lam=0.9, m=160, beta=(2.0, -0.5), score_kind="springrank",
+                            seed=seed)
+            kernel = sim._steps(p, sim._initial(uniform_initial(160, 160))[None], steps)
+            if seed == 2:
+                assert entered.wait(60)
+            gamma = [next(kernel)[0][0].tolist()]
+            if seed == 1:
+                entered.set()
+            else:
+                assert first_done.wait(60)
+            gamma += [g[0].tolist() for g, _ in kernel]
+            if seed == 1:
+                first_done.set()
+            return gamma
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            out = list(pool.map(one, *zip(*runs)))
+        assert out == json.loads(lines[-2])
+
+    def test_scope_counts_its_users_under_thread_switches(self, blas):
+        """Eight threads enter and leave the scope at once, switching every
+        microsecond: a lost update to its user count would let a thread
+        inside see the saved count, or leave the count at 1 after them."""
+        get, _ = blas
+
+        def enter_often(_):
+            for _ in range(200):
+                with scores._one_blas_thread():
+                    assert get() == 1
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                list(pool.map(enter_often, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(switch)
+        assert get() == 2

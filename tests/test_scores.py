@@ -30,6 +30,7 @@ from endorse_dyn.scores import (
     score,
     springrank_score,
 )
+from endorse_dyn.sim import run
 
 nonneg_matrix = arrays(
     np.float64,
@@ -189,13 +190,16 @@ class TestSpringRank:
     def test_ill_conditioned_system_warns(self):
         a = np.round(np.random.default_rng(1).random((8, 8)) * 4)
         with pytest.warns(scipy.linalg.LinAlgWarning) as record:
+            call = inspect.currentframe().f_lineno + 1
             s = springrank_score(a, alpha_s=1e-14)
         assert np.all(np.isfinite(s))
-        # the warning names springrank_score's call of the core: a lone
-        # matrix adds no call level on its way to the solve
-        lines, first = inspect.getsourcelines(springrank_score)
-        call = first + next(i for i, line in enumerate(lines) if "_springrank(" in line)
-        assert [(w.filename, w.lineno) for w in record] == [(scores.__file__, call)]
+        # the warning names the first frame outside the package: this line
+        assert [(w.filename, w.lineno) for w in record] == [(__file__, call)]
+        p = ModelParams(lam=0.9, m=8, score_kind="springrank", seed=1, alpha_s=1e-14)
+        with pytest.warns(scipy.linalg.LinAlgWarning) as record:
+            call = inspect.currentframe().f_lineno + 1
+            run(p, a, steps=1)
+        assert [(w.filename, w.lineno) for w in record] == [(__file__, call)]
         din, dout = a.sum(axis=0), a.sum(axis=1)
         lap = np.diag(din + dout) - (a + a.T) + 1e-14 * np.eye(8)
         with pytest.warns(scipy.linalg.LinAlgWarning):
